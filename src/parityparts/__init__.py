@@ -10,7 +10,6 @@ unmatched witnesses; and verification drivers that check all of it.
 from .core import (
     ParityView,
     Partition,
-    concat,
     format_partition,
     frequency,
     parity_split,
@@ -71,7 +70,6 @@ __all__ = [
     "format_partition",
     "parity_split",
     "frequency",
-    "concat",
     "render_ferrers",
     "ENUMERATION_CUTOFF",
     "Family",

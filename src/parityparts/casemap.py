@@ -8,6 +8,14 @@ partition of the same weight whose shape satisfies that case's image
 signature, and ``backward`` undoes the rewrite exactly.  Both directions
 are defined only at or above the case's minimum weight.
 
+Each case is one row of ``CASES``.  The case code reads a partition as
+its two blocks, the even parts and the odd parts (``split_blocks``).  The
+public functions take a ``Partition``: each checks membership, splits
+once and looks its case up once.  The verifier, whose members are
+already known to belong to their family, calls the block-level helpers
+``split_blocks``, ``source_cases``, ``image_cases`` and ``from_parts``
+directly.
+
 Image signatures do not cover the whole image family: ``witness``
 produces, for any weight from 373 up, an image-family member that matches
 no signature, which is what makes the map strictly non-surjective there.
@@ -15,7 +23,9 @@ no signature, which is what makes the map strictly non-surjective there.
 
 from __future__ import annotations
 
-from .core import Partition, format_partition, frequency, parity_split
+from typing import Callable, Iterable, NamedTuple
+
+from .core import Partition, format_partition
 from .families import Family, in_family
 
 __all__ = [
@@ -38,84 +48,20 @@ NUM_CASES = 17
 
 WITNESS_MIN_WEIGHT = 373
 
-_MIN_WEIGHT = {
-    1: 1,
-    2: 12,
-    3: 16,
-    4: 21,
-    5: 5,
-    6: 35,
-    7: 54,
-    8: 20,
-    9: 23,
-    10: 83,
-    11: 7,
-    12: 95,
-    13: 159,
-    14: 227,
-    15: 373,
-    16: 47,
-    17: 59,
-}
+Block = tuple[int, ...]
 
 
-def case_min_weight(case: int) -> int:
-    """Smallest weight at which the case's map and inverse are defined."""
-    if case not in _MIN_WEIGHT:
-        raise ValueError(f"case must be 1..{NUM_CASES}, got {case}")
-    return _MIN_WEIGHT[case]
+class Case(NamedTuple):
+    """Everything about one case, as functions of a member's even and odd blocks.
 
-
-def _require_member(p: Partition, family: Family) -> None:
-    if not in_family(p, family):
-        shown = format_partition(p) or "(empty)"
-        raise ValueError(f"{shown} is not in family {family.value}")
-
-
-def source_case_matches(p: Partition) -> tuple[int, ...]:
-    """Every source-side case condition that holds for p, in case order.
-
-    The conditions are evaluated independently rather than as a decision
-    tree, so totality and mutual exclusion can be verified instead of
-    assumed.  ``classify_source`` gives the single-case view.
+    The rewrites return the other side's parts in any order.
     """
-    _require_member(p, SOURCE_FAMILY)
-    view = parity_split(p)
-    ev, od = view.evens, view.odds
-    n_ev, n_od = len(ev), len(od)
-    # strict block separation makes the cross gap odd and at least 1
-    gap = ev[-1] - od[0] if n_ev and n_od else 0
-    egap = ev[0] - ev[1] if n_ev >= 2 else 0
-    top_odd = od[0] if n_od else 0
-    conditions = {
-        1: n_ev == 0 or n_od == 0,
-        2: n_ev == n_od >= 2,
-        3: n_ev > n_od >= 2,
-        4: n_od > n_ev >= 2,
-        5: n_ev == 1 and n_od >= 1 and gap >= 3,
-        6: n_ev == 1 and n_od >= 5 and gap == 1,
-        7: n_ev == 1 and n_od in (3, 4) and gap == 1,
-        8: n_ev == 1 and n_od == 2 and gap == 1,
-        9: n_ev == 1 and n_od == 1 and gap == 1,
-        10: n_ev == 2 and n_od == 1,
-        11: n_ev >= 3 and n_od == 1 and top_odd == 1,
-        12: n_ev == 3 and n_od == 1 and top_odd >= 3,
-        13: n_ev == 4 and n_od == 1 and top_odd >= 3,
-        14: n_ev == 5 and n_od == 1 and top_odd >= 3,
-        15: 6 <= n_ev <= 10 and n_od == 1 and top_odd >= 3,
-        16: n_ev >= 11 and n_od == 1 and top_odd >= 3 and egap <= 10,
-        17: n_ev >= 11 and n_od == 1 and top_odd >= 3 and egap >= 12,
-    }
-    return tuple(case for case, holds in conditions.items() if holds)
 
-
-def classify_source(p: Partition) -> int:
-    """The unique case of a source-family partition."""
-    matches = source_case_matches(p)
-    if len(matches) == 1:
-        return matches[0]
-    shown = format_partition(p) or "(empty)"
-    raise ValueError(f"{shown} matched source cases {list(matches)}, expected exactly one")
+    min_weight: int
+    source: Callable[[Block, Block], bool]
+    forward: Callable[[Block, Block], list[int]]
+    image: Callable[[Block, Block, int, int, int], bool]
+    backward: Callable[[Block, Block], list[int]]
 
 
 def _slide(count: int) -> list[int]:
@@ -228,110 +174,6 @@ def _fwd_17(ev, od):
     )
 
 
-_FORWARD = {
-    1: _fwd_1,
-    2: _fwd_2,
-    3: _fwd_3,
-    4: _fwd_4,
-    5: _fwd_5,
-    6: _fwd_6,
-    7: _fwd_7,
-    8: _fwd_8,
-    9: _fwd_9,
-    10: _fwd_10,
-    11: _fwd_11,
-    12: _fwd_12,
-    13: _fwd_13,
-    14: _fwd_14,
-    15: _fwd_15,
-    16: _fwd_16,
-    17: _fwd_17,
-}
-
-
-def forward(p: Partition) -> Partition:
-    """Map a source-family partition to its image partition.
-
-    Raises ValueError when the weight sits below the case's minimum, where
-    the rewrite is not defined.
-    """
-    case = classify_source(p)
-    if p.weight < _MIN_WEIGHT[case]:
-        raise ValueError(
-            f"case {case} is undefined below weight {_MIN_WEIGHT[case]}, got {p.weight}"
-        )
-    view = parity_split(p)
-    parts = _FORWARD[case](list(view.evens), list(view.odds))
-    return Partition(sorted(parts, reverse=True))
-
-
-def image_case_matches(p: Partition) -> tuple[int, ...]:
-    """Every image-side case signature that p matches, in case order.
-
-    Signatures are checked independently so pairwise disjointness can be
-    verified; on signature-covered members exactly one should hold.
-    """
-    _require_member(p, IMAGE_FAMILY)
-    view = parity_split(p)
-    e, o = view.evens, view.odds
-    u, v = len(e), len(o)
-    f2 = frequency(p, 2)
-    signatures = {
-        1: u == 0 or v == 0,
-        2: u == v >= 2 and o[-1] - e[0] >= 2 * v - 3,
-        3: u > v >= 2
-        and o[0] - o[1] >= 2 * (u - v + 1)
-        and e[u - v - 1] - e[u - v] >= 2 * v - 4,
-        4: v > u >= 2
-        and o[0] - o[1] >= 2 * (v - u + 1)
-        and o[-1] - e[0] >= 2 * u - 3,
-        5: u == 1 and v >= 1,
-        6: v >= 3 and u - v >= 3 and 2 * u - 3 == o[0] and e[0] - e[1] >= 2 and e[2] == 2,
-        7: v in (3, 4)
-        and u >= 6
-        and u % 2 == 0
-        and o[-1] == 3
-        and e[0] == 2
-        and 2 * v + 1 <= o[0] <= u + 2 * v + 1,
-        8: v == 2
-        and u >= 4
-        and o[0] - o[1] == 2
-        and e[0] == 2
-        and o[1] - 2 * u + 11 > 0
-        and o[0] >= 5,
-        9: len(p) == 6 and p[1:] == (5, 3, 2, 2, 2) and p[0] >= 9 and p[0] % 4 == 1,
-        10: v == 3 and u >= 5 and o[2] == 5 and e[0] == 2 and 2 * u + 25 >= o[0],
-        11: u >= 2 and v == 1,
-        12: v == 3 and u >= 4 and o[2] >= 7 and e[0] == 2 and 2 * u + 23 >= o[0],
-        13: u >= 6 and v == 5 and o[4] == 3 and e[0] == 2 and 2 * u + 27 >= o[0],
-        14: u >= 6 and v == 5 and o[4] >= 5 and e[0] == 2 and 2 * u + 35 >= o[0],
-        15: f2 > 12
-        and v == 3
-        and 3 <= u - f2 <= 7
-        and e[u - f2 - 1] >= 4
-        and 2 * f2 + 15 >= o[0],
-        16: u >= 9
-        and v == 3
-        and f2 <= 5
-        and o[0] - o[1] <= 12
-        and e[u - 6] - e[u - 5] >= 2,
-        17: u >= 15 and v == 3 and 6 <= f2 <= 11 and e[u - 12] - e[u - 11] >= 2,
-    }
-    return tuple(case for case, holds in signatures.items() if holds)
-
-
-def classify_image(p: Partition) -> int | None:
-    """The case whose image signature p matches, or None when none does."""
-    matches = image_case_matches(p)
-    if not matches:
-        return None
-    if len(matches) == 1:
-        return matches[0]
-    raise ValueError(
-        f"{format_partition(p)} matched image signatures {list(matches)}, expected at most one"
-    )
-
-
 def _bwd_1(e, o):
     return e + o
 
@@ -438,25 +280,167 @@ def _bwd_17(e, o):
     )
 
 
-_BACKWARD = {
-    1: _bwd_1,
-    2: _bwd_2,
-    3: _bwd_3,
-    4: _bwd_4,
-    5: _bwd_5,
-    6: _bwd_6,
-    7: _bwd_7,
-    8: _bwd_8,
-    9: _bwd_9,
-    10: _bwd_10,
-    11: _bwd_11,
-    12: _bwd_12,
-    13: _bwd_13,
-    14: _bwd_14,
-    15: _bwd_15,
-    16: _bwd_16,
-    17: _bwd_17,
+# One row per case.  The first line holds the source side: minimum
+# weight, condition and forward rewrite.  The rest holds the image side:
+# signature and backward rewrite.  ev/e are the even blocks, od/o the odd
+# blocks, u and v the image block lengths, f2 the number of image parts
+# equal to 2.  In a source member the cross gap ev[-1] - od[0] is odd and
+# at least 1, by strict block separation.
+CASES: dict[int, Case] = {
+    1: Case(1, lambda ev, od: not ev or not od, _fwd_1,
+            lambda e, o, u, v, f2: u == 0 or v == 0, _bwd_1),
+    2: Case(12, lambda ev, od: len(ev) == len(od) >= 2, _fwd_2,
+            lambda e, o, u, v, f2: u == v >= 2 and o[-1] - e[0] >= 2 * v - 3, _bwd_2),
+    3: Case(16, lambda ev, od: len(ev) > len(od) >= 2, _fwd_3,
+            lambda e, o, u, v, f2: u > v >= 2
+            and o[0] - o[1] >= 2 * (u - v + 1)
+            and e[u - v - 1] - e[u - v] >= 2 * v - 4, _bwd_3),
+    4: Case(21, lambda ev, od: len(od) > len(ev) >= 2, _fwd_4,
+            lambda e, o, u, v, f2: v > u >= 2
+            and o[0] - o[1] >= 2 * (v - u + 1)
+            and o[-1] - e[0] >= 2 * u - 3, _bwd_4),
+    5: Case(5, lambda ev, od: len(ev) == 1 and len(od) >= 1 and ev[-1] - od[0] >= 3, _fwd_5,
+            lambda e, o, u, v, f2: u == 1 and v >= 1, _bwd_5),
+    6: Case(35, lambda ev, od: len(ev) == 1 and len(od) >= 5 and ev[-1] - od[0] == 1, _fwd_6,
+            lambda e, o, u, v, f2: v >= 3 and u - v >= 3 and 2 * u - 3 == o[0]
+            and e[0] - e[1] >= 2 and e[2] == 2, _bwd_6),
+    7: Case(54, lambda ev, od: len(ev) == 1 and len(od) in (3, 4) and ev[-1] - od[0] == 1, _fwd_7,
+            lambda e, o, u, v, f2: v in (3, 4) and u >= 6 and u % 2 == 0 and o[-1] == 3
+            and e[0] == 2 and 2 * v + 1 <= o[0] <= u + 2 * v + 1, _bwd_7),
+    8: Case(20, lambda ev, od: len(ev) == 1 and len(od) == 2 and ev[-1] - od[0] == 1, _fwd_8,
+            lambda e, o, u, v, f2: v == 2 and u >= 4 and o[0] - o[1] == 2 and e[0] == 2
+            and o[1] - 2 * u + 11 > 0 and o[0] >= 5, _bwd_8),
+    9: Case(23, lambda ev, od: len(ev) == 1 and len(od) == 1 and ev[-1] - od[0] == 1, _fwd_9,
+            lambda e, o, u, v, f2: e == (2, 2, 2) and o[1:] == (5, 3)
+            and o[0] >= 9 and o[0] % 4 == 1, _bwd_9),
+    10: Case(83, lambda ev, od: len(ev) == 2 and len(od) == 1, _fwd_10,
+             lambda e, o, u, v, f2: v == 3 and u >= 5 and o[2] == 5 and e[0] == 2
+             and 2 * u + 25 >= o[0], _bwd_10),
+    11: Case(7, lambda ev, od: len(ev) >= 3 and len(od) == 1 and od[0] == 1, _fwd_11,
+             lambda e, o, u, v, f2: u >= 2 and v == 1, _bwd_11),
+    12: Case(95, lambda ev, od: len(ev) == 3 and len(od) == 1 and od[0] >= 3, _fwd_12,
+             lambda e, o, u, v, f2: v == 3 and u >= 4 and o[2] >= 7 and e[0] == 2
+             and 2 * u + 23 >= o[0], _bwd_12),
+    13: Case(159, lambda ev, od: len(ev) == 4 and len(od) == 1 and od[0] >= 3, _fwd_13,
+             lambda e, o, u, v, f2: u >= 6 and v == 5 and o[4] == 3 and e[0] == 2
+             and 2 * u + 27 >= o[0], _bwd_13),
+    14: Case(227, lambda ev, od: len(ev) == 5 and len(od) == 1 and od[0] >= 3, _fwd_14,
+             lambda e, o, u, v, f2: u >= 6 and v == 5 and o[4] >= 5 and e[0] == 2
+             and 2 * u + 35 >= o[0], _bwd_14),
+    15: Case(373, lambda ev, od: 6 <= len(ev) <= 10 and len(od) == 1 and od[0] >= 3, _fwd_15,
+             lambda e, o, u, v, f2: f2 > 12 and v == 3 and 3 <= u - f2 <= 7
+             and e[u - f2 - 1] >= 4 and 2 * f2 + 15 >= o[0], _bwd_15),
+    16: Case(47, lambda ev, od: len(ev) >= 11 and len(od) == 1 and od[0] >= 3
+             and ev[0] - ev[1] <= 10, _fwd_16,
+             lambda e, o, u, v, f2: u >= 9 and v == 3 and f2 <= 5 and o[0] - o[1] <= 12
+             and e[u - 6] - e[u - 5] >= 2, _bwd_16),
+    17: Case(59, lambda ev, od: len(ev) >= 11 and len(od) == 1 and od[0] >= 3
+             and ev[0] - ev[1] >= 12, _fwd_17,
+             lambda e, o, u, v, f2: u >= 15 and v == 3 and 6 <= f2 <= 11
+             and e[u - 12] - e[u - 11] >= 2, _bwd_17),
 }
+
+
+def case_min_weight(case: int) -> int:
+    """Smallest weight at which the case's map and inverse are defined."""
+    if case not in CASES:
+        raise ValueError(f"case must be 1..{NUM_CASES}, got {case}")
+    return CASES[case].min_weight
+
+
+def split_blocks(p: Partition) -> tuple[Block, Block]:
+    """The even parts and the odd parts of p, each in decreasing order."""
+    return tuple(part for part in p if part % 2 == 0), tuple(part for part in p if part % 2)
+
+
+def from_parts(parts: Iterable[int]) -> Partition:
+    """The validated partition with these parts; raises ValueError on a part below 1."""
+    return Partition(sorted(parts, reverse=True))
+
+
+def source_cases(ev: Block, od: Block) -> tuple[int, ...]:
+    """Every case whose source condition holds for these blocks, in case order."""
+    return tuple(case for case, row in CASES.items() if row.source(ev, od))
+
+
+def image_cases(e: Block, o: Block) -> tuple[int, ...]:
+    """Every case whose image signature holds for these blocks, in case order."""
+    u, v, f2 = len(e), len(o), e.count(2)
+    return tuple(case for case, row in CASES.items() if row.image(e, o, u, v, f2))
+
+
+def _require_member(p: Partition, family: Family) -> None:
+    if not in_family(p, family):
+        shown = format_partition(p) or "(empty)"
+        raise ValueError(f"{shown} is not in family {family.value}")
+
+
+def _one_source_case(p: Partition, ev: Block, od: Block) -> int:
+    matches = source_cases(ev, od)
+    if len(matches) == 1:
+        return matches[0]
+    shown = format_partition(p) or "(empty)"
+    raise ValueError(f"{shown} matched source cases {list(matches)}, expected exactly one")
+
+
+def _one_image_case(p: Partition, e: Block, o: Block) -> int | None:
+    matches = image_cases(e, o)
+    if len(matches) > 1:
+        raise ValueError(
+            f"{format_partition(p)} matched image signatures {list(matches)},"
+            " expected at most one"
+        )
+    return matches[0] if matches else None
+
+
+def source_case_matches(p: Partition) -> tuple[int, ...]:
+    """Every source-side case condition that holds for p, in case order.
+
+    The conditions are evaluated independently rather than as a decision
+    tree, so totality and mutual exclusion can be verified instead of
+    assumed.  ``classify_source`` gives the single-case view.
+    """
+    _require_member(p, SOURCE_FAMILY)
+    return source_cases(*split_blocks(p))
+
+
+def classify_source(p: Partition) -> int:
+    """The unique case of a source-family partition."""
+    _require_member(p, SOURCE_FAMILY)
+    return _one_source_case(p, *split_blocks(p))
+
+
+def forward(p: Partition) -> Partition:
+    """Map a source-family partition to its image partition.
+
+    Raises ValueError when the weight sits below the case's minimum, where
+    the rewrite is not defined.
+    """
+    _require_member(p, SOURCE_FAMILY)
+    ev, od = split_blocks(p)
+    case = _one_source_case(p, ev, od)
+    row = CASES[case]
+    if p.weight < row.min_weight:
+        raise ValueError(
+            f"case {case} is undefined below weight {row.min_weight}, got {p.weight}"
+        )
+    return from_parts(row.forward(ev, od))
+
+
+def image_case_matches(p: Partition) -> tuple[int, ...]:
+    """Every image-side case signature that p matches, in case order.
+
+    Signatures are checked independently so pairwise disjointness can be
+    verified; on signature-covered members exactly one should hold.
+    """
+    _require_member(p, IMAGE_FAMILY)
+    return image_cases(*split_blocks(p))
+
+
+def classify_image(p: Partition) -> int | None:
+    """The case whose image signature p matches, or None when none does."""
+    _require_member(p, IMAGE_FAMILY)
+    return _one_image_case(p, *split_blocks(p))
 
 
 def backward(p: Partition) -> Partition:
@@ -465,16 +449,17 @@ def backward(p: Partition) -> Partition:
     Raises ValueError when no signature matches or the weight sits below
     the matched case's minimum.
     """
-    case = classify_image(p)
+    _require_member(p, IMAGE_FAMILY)
+    e, o = split_blocks(p)
+    case = _one_image_case(p, e, o)
     if case is None:
         raise ValueError(f"{format_partition(p)} matches no image-side case signature")
-    if p.weight < _MIN_WEIGHT[case]:
+    row = CASES[case]
+    if p.weight < row.min_weight:
         raise ValueError(
-            f"case {case} inverse is undefined below weight {_MIN_WEIGHT[case]}, got {p.weight}"
+            f"case {case} inverse is undefined below weight {row.min_weight}, got {p.weight}"
         )
-    view = parity_split(p)
-    parts = _BACKWARD[case](list(view.evens), list(view.odds))
-    return Partition(sorted(parts, reverse=True))
+    return from_parts(row.backward(e, o))
 
 
 def witness(n: int) -> Partition:
@@ -489,4 +474,4 @@ def witness(n: int) -> Partition:
         parts = [2 * k + 3, 2 * k + 1, 2 * k + r - 8, 2, 2]
     else:
         parts = [2 * k + 1, 2 * k - 1, 2 * k + r - 7, 3, 2, 2]
-    return Partition(sorted(parts, reverse=True))
+    return from_parts(parts)

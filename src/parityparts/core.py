@@ -2,8 +2,8 @@
 
 A partition is a weakly decreasing sequence of positive integer parts.
 This module provides the base value type plus parsing, canonical text
-formatting, parity decomposition, part frequencies, concatenation, and
-Ferrers diagram rendering.
+formatting, parity decomposition, part frequencies, and Ferrers diagram
+rendering.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ __all__ = [
     "format_partition",
     "parity_split",
     "frequency",
-    "concat",
     "render_ferrers",
 ]
 
@@ -54,14 +53,6 @@ class ParityView(NamedTuple):
 
     evens: Partition
     odds: Partition
-
-    @property
-    def even_count(self) -> int:
-        return len(self.evens)
-
-    @property
-    def odd_count(self) -> int:
-        return len(self.odds)
 
 
 def parse_partition(text: str) -> Partition:
@@ -115,19 +106,6 @@ def frequency(p: Partition, value: int) -> int:
     if value < 1:
         raise ValueError(f"part value must be at least 1, got {value}")
     return tuple.count(p, value)
-
-
-def concat(upper: Partition, lower: Partition) -> Partition:
-    """Join an upper and a lower partition into one.
-
-    Every part of ``upper`` must be at least every part of ``lower``,
-    otherwise the joined sequence would not be weakly decreasing.
-    """
-    if upper and lower and upper[-1] < lower[0]:
-        raise ValueError(
-            f"cannot concatenate: upper part {upper[-1]} below lower part {lower[0]}"
-        )
-    return Partition(tuple(upper) + tuple(lower))
 
 
 def render_ferrers(p: Partition, glyph: str = "#") -> str:

@@ -16,13 +16,15 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .casemap import (
+    CASES,
     IMAGE_FAMILY,
     SOURCE_FAMILY,
-    backward,
+    WITNESS_MIN_WEIGHT,
     case_min_weight,
-    forward,
-    image_case_matches,
-    source_case_matches,
+    from_parts,
+    image_cases,
+    source_cases,
+    split_blocks,
     witness,
 )
 from .core import Partition, format_partition
@@ -172,7 +174,8 @@ def _check_source_member(
     source: Partition, n: int, report: VerificationReport, images: dict[Partition, Partition]
 ) -> None:
     """Run the per-member checks and file failures; shared by both modes."""
-    matches = source_case_matches(source)
+    ev, od = split_blocks(source)
+    matches = source_cases(ev, od)
     if len(matches) != 1:
         report.record_failure(
             n,
@@ -182,13 +185,14 @@ def _check_source_member(
         )
         return
     case = matches[0]
+    row = CASES[case]
     tally = report.tally(case)
     tally.tested += 1
-    if n < case_min_weight(case):
+    if n < row.min_weight:
         tally.skipped += 1
         return
     try:
-        image = forward(source)
+        image = from_parts(row.forward(ev, od))
     except ValueError as exc:
         report.record_failure(n, format_partition(source), "forward", f"case {case}: {exc}")
         return
@@ -208,7 +212,8 @@ def _check_source_member(
             f"case {case}: image {format_partition(image)} is outside {IMAGE_FAMILY.value}",
         )
         return
-    image_matches = image_case_matches(image)
+    e, o = split_blocks(image)
+    image_matches = image_cases(e, o)
     if image_matches != (case,):
         report.record_failure(
             n,
@@ -218,7 +223,16 @@ def _check_source_member(
             f" matched {list(image_matches) or 'nothing'}",
         )
         return
-    recovered = backward(image)
+    try:
+        recovered = from_parts(row.backward(e, o))
+    except ValueError as exc:
+        report.record_failure(
+            n,
+            format_partition(source),
+            "roundtrip",
+            f"case {case}: image {format_partition(image)} inverts to no partition: {exc}",
+        )
+        return
     if recovered != source:
         report.record_failure(
             n,
@@ -241,6 +255,51 @@ def _check_source_member(
     tally.passed += 1
 
 
+def _check_image_member(
+    member: Partition, n: int, report: VerificationReport, image_counts: Counter[int]
+) -> None:
+    """Signature overlap, inverse and inverse roundtrip of one image member."""
+    e, o = split_blocks(member)
+    matches = image_cases(e, o)
+    if len(matches) > 1:
+        report.record_failure(
+            n,
+            format_partition(member),
+            "signature-overlap",
+            f"signatures {list(matches)} all matched",
+        )
+        return
+    if not matches:
+        return
+    case = matches[0]
+    row = CASES[case]
+    image_counts[case] += 1
+    if n < row.min_weight:
+        return
+    try:
+        recovered = from_parts(row.backward(e, o))
+    except ValueError as exc:
+        report.record_failure(n, format_partition(member), "inverse", f"case {case}: {exc}")
+        return
+    ev, od = split_blocks(recovered)
+    error = ""
+    try:
+        inverts = (
+            in_family(recovered, SOURCE_FAMILY)
+            and source_cases(ev, od) == (case,)
+            and from_parts(row.forward(ev, od)) == member
+        )
+    except ValueError as exc:
+        inverts, error = False, f", which maps to no partition: {exc}"
+    if not inverts:
+        report.record_failure(
+            n,
+            format_partition(member),
+            "inverse-roundtrip",
+            f"case {case}: inverted to {format_partition(recovered)}{error}",
+        )
+
+
 def _check_witness(n: int, report: VerificationReport) -> None:
     unmatched = witness(n)
     shown = format_partition(unmatched)
@@ -250,7 +309,7 @@ def _check_witness(n: int, report: VerificationReport) -> None:
     if not in_family(unmatched, IMAGE_FAMILY):
         report.record_failure(n, shown, "witness-membership", f"outside {IMAGE_FAMILY.value}")
         return
-    matches = image_case_matches(unmatched)
+    matches = image_cases(*split_blocks(unmatched))
     if matches:
         report.record_failure(
             n, shown, "witness-unmatched", f"matched signatures {list(matches)}"
@@ -266,51 +325,17 @@ def verify_exhaustive(n: int, *, cutoff: int = ENUMERATION_CUTOFF) -> Verificati
     Image side: at most one signature per member, signature-matched
     members invert into the matching source case and map back to
     themselves, and per-case member counts agree on both sides wherever
-    the map is defined.
+    the map is defined.  Each member is split and classified once.
     """
     report = VerificationReport(mode="exhaustive", n_lo=n, n_hi=n)
     images: dict[Partition, Partition] = {}
-    source_counts: Counter[int] = Counter()
     for member in enumerate_family(SOURCE_FAMILY, n, cutoff=cutoff):
-        matches = source_case_matches(member)
-        if len(matches) == 1:
-            source_counts[matches[0]] += 1
         _check_source_member(member, n, report, images)
     image_counts: Counter[int] = Counter()
     for member in enumerate_family(IMAGE_FAMILY, n, cutoff=cutoff):
-        matches = image_case_matches(member)
-        if len(matches) > 1:
-            report.record_failure(
-                n,
-                format_partition(member),
-                "signature-overlap",
-                f"signatures {list(matches)} all matched",
-            )
-            continue
-        if not matches:
-            continue
-        case = matches[0]
-        image_counts[case] += 1
-        if n < case_min_weight(case):
-            continue
-        try:
-            recovered = backward(member)
-        except ValueError as exc:
-            report.record_failure(
-                n, format_partition(member), "inverse", f"case {case}: {exc}"
-            )
-            continue
-        if (
-            not in_family(recovered, SOURCE_FAMILY)
-            or source_case_matches(recovered) != (case,)
-            or forward(recovered) != member
-        ):
-            report.record_failure(
-                n,
-                format_partition(member),
-                "inverse-roundtrip",
-                f"case {case}: inverted to {format_partition(recovered)}",
-            )
+        _check_image_member(member, n, report, image_counts)
+    # every source member with exactly one case is tallied as tested
+    source_counts = {case: tally.tested for case, tally in report.per_case.items()}
     report.case_counts = {
         case: (source_counts.get(case, 0), image_counts.get(case, 0))
         for case in sorted(set(source_counts) | set(image_counts))
@@ -329,8 +354,8 @@ def verify_exhaustive(n: int, *, cutoff: int = ENUMERATION_CUTOFF) -> Verificati
 def verify_sampled(n: int, samples: int, seed: int) -> VerificationReport:
     """Run the per-member checks on uniform draws from the source family.
 
-    Deterministic for a fixed (n, samples, seed).  At weights of 373 and
-    up the witness at n is checked as well.
+    Deterministic for a fixed (n, samples, seed).  At weights from
+    ``WITNESS_MIN_WEIGHT`` up the witness at n is checked as well.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
@@ -340,7 +365,7 @@ def verify_sampled(n: int, samples: int, seed: int) -> VerificationReport:
     images: dict[Partition, Partition] = {}
     for _ in range(samples):
         _check_source_member(sampler.sample(rng), n, report, images)
-    if n >= 373:
+    if n >= WITNESS_MIN_WEIGHT:
         _check_witness(n, report)
     return report.finish()
 
@@ -396,8 +421,8 @@ def verify_inequality(lo: int, hi: int, method: str = "both") -> VerificationRep
 
 def verify_witnesses(lo: int, hi: int) -> VerificationReport:
     """Check the witness at every weight in lo..hi; lo must be at least 373."""
-    if lo < 373:
-        raise ValueError(f"witness range starts at 373, got {lo}")
+    if lo < WITNESS_MIN_WEIGHT:
+        raise ValueError(f"witness range starts at {WITNESS_MIN_WEIGHT}, got {lo}")
     if hi < lo:
         raise ValueError(f"bad weight range {lo}..{hi}")
     report = VerificationReport(mode="witnesses", n_lo=lo, n_hi=hi)

@@ -17,7 +17,7 @@ from parityparts.casemap import (
     source_case_matches,
     witness,
 )
-from parityparts.core import parse_partition
+from parityparts.core import frequency, parse_partition
 from parityparts.families import Family, FamilySampler, enumerate_family, in_family
 
 # (case, source, image) triples with hand-checked weights; the map must
@@ -40,6 +40,10 @@ KNOWN_PAIRS = [
     (16, "4^11,3", "9,7,5,4,4,4,4,2^5"),
     (17, "16,4^10,3", "9,7,5,4,4,4,4,2^11"),
 ]
+
+# The one case-15 member at weight 373 whose image falls outside the case-15
+# signature: its image has f2 = 12, and the signature needs f2 > 12.
+CASE_15_GAP = parse_partition("34^10,33")
 
 MIN_WEIGHTS = {
     1: 1, 2: 12, 3: 16, 4: 21, 5: 5, 6: 35, 7: 54, 8: 20, 9: 23,
@@ -130,6 +134,18 @@ def test_backward_rejects_unmatched_image():
         backward(witness(373))
 
 
+def test_case_15_gap_at_373():
+    assert CASE_15_GAP.weight == 373
+    assert classify_source(CASE_15_GAP) == 15
+    image = forward(CASE_15_GAP)
+    assert image.weight == 373
+    assert in_family(image, IMAGE_FAMILY)
+    assert frequency(image, 2) == 12
+    assert classify_image(image) is None
+    with pytest.raises(ValueError):
+        backward(image)
+
+
 @pytest.mark.parametrize("weight", [373, 401, 502])
 def test_roundtrip_on_sampled_members(weight):
     sampler = FamilySampler(SOURCE_FAMILY, weight)
@@ -140,12 +156,11 @@ def test_roundtrip_on_sampled_members(weight):
         image = forward(source)
         assert image.weight == weight
         assert in_family(image, IMAGE_FAMILY)
-        assert backward(image) == source
-        if classify_image(image) != case:
-            # a lone boundary shape at weight 373 falls outside its
-            # signature; anything else would be a real defect
-            assert weight == 373
+        if source == CASE_15_GAP:
             assert classify_image(image) is None
+            continue
+        assert classify_image(image) == case
+        assert backward(image) == source
 
 
 _sampler_200 = FamilySampler(SOURCE_FAMILY, 200)

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from parityparts.core import (
     Partition,
-    concat,
     format_partition,
     frequency,
     parity_split,
@@ -69,14 +68,14 @@ def test_parity_split_reconstructs(p):
     assert sorted(view.evens + view.odds, reverse=True) == list(p)
     assert all(part % 2 == 0 for part in view.evens)
     assert all(part % 2 == 1 for part in view.odds)
-    assert view.even_count + view.odd_count == len(p)
+    assert len(view.evens) + len(view.odds) == len(p)
 
 
 def test_parity_split_example():
     view = parity_split(Partition((6, 4, 3, 3, 1)))
     assert view.evens == (6, 4)
     assert view.odds == (3, 3, 1)
-    assert (view.even_count, view.odd_count) == (2, 3)
+    assert (len(view.evens), len(view.odds)) == (2, 3)
 
 
 @given(partitions)
@@ -89,27 +88,6 @@ def test_frequency_sums_to_weight(p):
 def test_frequency_rejects_bad_value():
     with pytest.raises(ValueError):
         frequency(Partition((2, 1)), 0)
-
-
-def test_concat_joins_blocks():
-    joined = concat(Partition((8, 6)), Partition((5, 3)))
-    assert joined == (8, 6, 5, 3)
-    assert joined.weight == 22
-
-
-def test_concat_allows_equal_boundary():
-    assert concat(Partition((4, 4)), Partition((4, 1))) == (4, 4, 4, 1)
-
-
-def test_concat_rejects_interleaving():
-    with pytest.raises(ValueError):
-        concat(Partition((4, 2)), Partition((3,)))
-
-
-def test_concat_with_empty_sides():
-    p = Partition((5, 2))
-    assert concat(p, Partition()) == p
-    assert concat(Partition(), p) == p
 
 
 def test_render_ferrers():

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from parityparts import casemap
 from parityparts.casemap import case_min_weight
+from parityparts.cli import run
 from parityparts.verify import (
     verify_exhaustive,
     verify_inequality,
@@ -42,6 +44,26 @@ class TestExhaustive:
         tallies = report.per_case.values()
         assert sum(t.skipped for t in tallies) >= 1
         assert all(t.passed + t.skipped == t.tested for t in tallies)
+
+
+    @pytest.mark.parametrize(
+        "side,checks",
+        [("forward", {"forward", "inverse-roundtrip"}), ("backward", {"roundtrip", "inverse"})],
+        ids=["forward", "backward"],
+    )
+    def test_rewrite_emitting_a_zero_part_is_recorded(self, monkeypatch, capsys, side, checks):
+        # weight 5 holds the case 5 source member 4,1 and image member 3,2
+        row = casemap.CASES[5]
+        rewrite = getattr(row, side)
+        broken = row._replace(**{side: lambda even, odd: [*rewrite(even, odd), 0]})
+        monkeypatch.setitem(casemap.CASES, 5, broken)
+        report = verify_exhaustive(5)
+        assert {f.check for f in report.failures} == checks
+        assert all(f.partition in ("4,1", "3,2") for f in report.failures)
+        code = run(["verify", "--mode", "exhaustive", "--from", "5", "--to", "5", "--format", "json"])
+        assert code == 1
+        [data] = json.loads(capsys.readouterr().out)
+        assert {f["check"] for f in data["failures"]} == checks
 
 
 class TestSampled:
