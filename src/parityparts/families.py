@@ -8,9 +8,11 @@ parts below unrestricted even parts.
 
 Counting uses an exact dynamic program over part values taken in
 decreasing order, with one array for states that have not yet started
-the lower block and one for states that have.  Enumeration is an
-independent recursive generator, and sampling unranks against tabulated
-completion counts, so the three routes cross-check each other.
+the lower block and one for states that have.  Sampling unranks against
+completion counts tabulated in increasing part order.  Both tables are
+built by slice-add kernels (``_take``, ``_cross``) that keep the per-cell
+additions in C.  Enumeration is an independent recursive generator, so
+counting, sampling and enumeration cross-check each other.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 from typing import Iterable, Iterator
 
 from .core import Partition
@@ -131,6 +134,35 @@ def enumerate_family(
         yield Partition(parts)
 
 
+def _take(row: list[int], value: int, distinct: bool) -> None:
+    """Let the counts in ``row``, indexed by weight, use parts equal to
+    ``value``: at most once if distinct, else any number of times."""
+    if distinct:
+        row[value:] = map(add, row[value:], row[:-value])
+        return
+    # row[m] += row[m - value] in ascending m: each block of length value
+    # adds the block before it, which is already updated
+    for start in range(value, len(row), value):
+        stop = start + value
+        row[start:stop] = map(add, row[start:stop], row[start - value : start])
+
+
+def _cross(crossed: list[int], open_block: list[int], value: int, distinct: bool) -> None:
+    """Take the lower-parity ``value`` into ``crossed``, from crossed states
+    and, crossing the blocks, from open ones:
+    ``crossed[m] += crossed[m - value] + open_block[m - value]``, where the
+    right-hand ``crossed`` is the old row if distinct and the updated one
+    otherwise."""
+    if distinct:
+        source = map(add, crossed[:-value], open_block[:-value])
+        crossed[value:] = map(add, crossed[value:], source)
+        return
+    for start in range(value, len(crossed), value):
+        stop = start + value
+        source = map(add, crossed[start - value : start], open_block[start - value : start])
+        crossed[start:stop] = map(add, crossed[start:stop], source)
+
+
 @dataclass(frozen=True)
 class CountTable:
     """Exact member counts of one family at every weight 0..max_n."""
@@ -163,23 +195,10 @@ class CountTable:
         crossed = [0] * (max_n + 1)
         for value in range(max_n, 0, -1):
             if value % 2 == upper_rem:
-                if family.upper_distinct:
-                    for m in range(max_n, value - 1, -1):
-                        open_block[m] += open_block[m - value]
-                else:
-                    for m in range(value, max_n + 1):
-                        open_block[m] += open_block[m - value]
+                _take(open_block, value, family.upper_distinct)
             else:
-                eligible = [a + b for a, b in zip(open_block, crossed)]
-                if family.lower_distinct:
-                    for m in range(max_n, value - 1, -1):
-                        eligible[m] += eligible[m - value]
-                else:
-                    for m in range(value, max_n + 1):
-                        eligible[m] += eligible[m - value]
-                crossed = [e - o for e, o in zip(eligible, open_block)]
-        totals = tuple(a + b for a, b in zip(open_block, crossed))
-        return cls(family=family, counts=totals)
+                _cross(crossed, open_block, value, family.lower_distinct)
+        return cls(family=family, counts=tuple(map(add, open_block, crossed)))
 
 
 _tables: dict[Family, CountTable] = {}
@@ -205,6 +224,8 @@ def counts_csv(lo: int, hi: int, families: Iterable[Family] | None = None) -> st
     chosen = tuple(Family) if families is None else tuple(families)
     header = "n," + ",".join(f"p_{fam.value}" for fam in chosen)
     rows = [header]
+    for fam in chosen:
+        count_family(fam, hi)  # one table per family, sized for the whole range
     for n in range(lo, hi + 1):
         rows.append(f"{n}," + ",".join(str(count_family(fam, n)) for fam in chosen))
     return "\n".join(rows)
@@ -233,36 +254,20 @@ class FamilySampler:
         before[0][0] = 1
         after[0][0] = 1
         for value in range(1, n + 1):
-            b_prev, a_prev = before[-1], after[-1]
+            b_row = before[-1][:]
+            a_row = after[-1]
             if value % 2 == upper_rem:
-                a_row = a_prev
-                if family.upper_distinct:
-                    b_row = [
-                        b_prev[m] + (b_prev[m - value] if m >= value else 0)
-                        for m in range(n + 1)
-                    ]
-                else:
-                    b_row = b_prev[:]
-                    for m in range(value, n + 1):
-                        b_row[m] += b_row[m - value]
+                _take(b_row, value, family.upper_distinct)
             else:
+                a_row = a_row[:]
                 if family.lower_distinct:
-                    a_row = [
-                        a_prev[m] + (a_prev[m - value] if m >= value else 0)
-                        for m in range(n + 1)
-                    ]
-                    b_row = [
-                        b_prev[m] + (a_prev[m - value] if m >= value else 0)
-                        for m in range(n + 1)
-                    ]
+                    crossing = a_row[:-value]
+                    _take(a_row, value, True)
                 else:
-                    a_row = a_prev[:]
-                    for m in range(value, n + 1):
-                        a_row[m] += a_row[m - value]
-                    b_row = [
-                        b_prev[m] + (a_row[m - value] if m >= value else 0)
-                        for m in range(n + 1)
-                    ]
+                    _take(a_row, value, False)
+                    crossing = a_row[:-value]
+                # from an untouched state, placing this value crosses the blocks
+                b_row[value:] = map(add, b_row[value:], crossing)
             before.append(b_row)
             after.append(a_row)
         self._before = before

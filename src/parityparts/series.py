@@ -12,6 +12,8 @@ every odd coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul, neg
 from typing import Iterable
 
 __all__ = [
@@ -89,23 +91,32 @@ def series_invert(a: Series) -> Series:
     return Series(out)
 
 
-def _euler_even(order: int) -> Series:
-    """The product of (1 - q^(2k)) for all 2k up to the order."""
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    step = 2
-    while step <= order:
-        for m in range(order, step - 1, -1):
-            coeffs[m] -= coeffs[m - step]
-        step += 2
-    return Series(coeffs)
-
-
 def euler_inverse_even(order: int) -> Series:
-    """Coefficients of 1 / product(1 - q^(2k)): partitions into even parts."""
+    """Coefficients of 1 / product(1 - q^(2k)): partitions into even parts.
+
+    The partition numbers p(0..order//2) come from Euler's pentagonal
+    recurrence, p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) +
+    p(k - j(3j+1)/2)), and sit on the even indices.
+    """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    return series_invert(_euler_even(order))
+    half = order // 2
+    p = [1] + [0] * half
+    for k in range(1, half + 1):
+        acc = 0
+        j = 1
+        while True:
+            low = k - j * (3 * j - 1) // 2
+            if low < 0:
+                break
+            high = low - j
+            term = p[low] + p[high] if high >= 0 else p[low]
+            acc += term if j % 2 else -term
+            j += 1
+        p[k] = acc
+    coeffs = [0] * (order + 1)
+    coeffs[::2] = p
+    return Series(coeffs)
 
 
 def theta_squares(order: int) -> Series:
@@ -120,9 +131,22 @@ def theta_squares(order: int) -> Series:
     return Series(coeffs)
 
 
+def _sparse_mul(base: Series, terms: dict[int, int]) -> list[int]:
+    """Coefficients of base times the sum of c q^s over terms, truncated to
+    the order of base; one slice-add per nonzero term."""
+    size = len(base.coeffs)
+    out = [0] * size
+    for shift, coeff in terms.items():
+        if coeff and shift < size:
+            out[shift:] = map(add, out[shift:], map(mul, base.coeffs, repeat(coeff, size - shift)))
+    return out
+
+
 def series_p_eu_od(order: int) -> Series:
     """Member counts of the distinct-odds-over-evens family, weights 0..order."""
-    return series_mul(euler_inverse_even(order), theta_squares(order))
+    base = euler_inverse_even(order)
+    squares = {k: c for k, c in enumerate(theta_squares(order).coeffs) if c}
+    return Series(_sparse_mul(base, squares))
 
 
 def series_p_od_eu(order: int) -> Series:
@@ -133,23 +157,24 @@ def series_p_od_eu(order: int) -> Series:
     (m, j) term carries sign (-1)^(m+j) and exponents m(3m+1)/2 - j^2 and
     that plus 2m+1.  The outer index m is exhausted once its smallest
     exponent m(m+1)/2 passes the order.  Flipping every odd-index sign at
-    the end removes the alternation.
+    the end removes the alternation.  The base is multiplied by
+    1 - correction as a sparse operand: about 0.4 * order of its terms
+    are nonzero.
     """
     base = euler_inverse_even(order)
-    correction = [0] * (order + 1)
+    factor = {0: 1}
     m = 1
     while m * (m + 1) // 2 <= order:
         for j in range(1, m + 1):
             sign = -1 if (m + j) % 2 else 1
             low = m * (3 * m + 1) // 2 - j * j
             high = low + 2 * m + 1
-            if low <= order:
-                correction[low] += sign
-            if high <= order:
-                correction[high] -= sign
+            factor[low] = factor.get(low, 0) - sign
+            factor[high] = factor.get(high, 0) + sign
         m += 1
-    signed = base - series_mul(base, Series(correction))
-    return Series(c if k % 2 == 0 else -c for k, c in enumerate(signed.coeffs))
+    signed = _sparse_mul(base, factor)
+    signed[1::2] = map(neg, signed[1::2])
+    return Series(signed)
 
 
 def diff_series(order: int) -> Series:

@@ -30,8 +30,8 @@ from .casemap import (
 from .core import Partition, format_partition
 from .families import (
     ENUMERATION_CUTOFF,
+    CountTable,
     FamilySampler,
-    count_family,
     enumerate_family,
     in_family,
 )
@@ -390,10 +390,9 @@ def verify_inequality(lo: int, hi: int, method: str = "both") -> VerificationRep
         series_counts = [(upper[n], lower[n]) for n in range(lo, hi + 1)]
     dp_counts = None
     if method in ("dp", "both"):
-        dp_counts = [
-            (count_family(IMAGE_FAMILY, n), count_family(SOURCE_FAMILY, n))
-            for n in range(lo, hi + 1)
-        ]
+        image_table = CountTable.build(IMAGE_FAMILY, hi)
+        source_table = CountTable.build(SOURCE_FAMILY, hi)
+        dp_counts = [(image_table[n], source_table[n]) for n in range(lo, hi + 1)]
     if series_counts is not None and dp_counts is not None:
         for offset, (from_series, from_dp) in enumerate(zip(series_counts, dp_counts)):
             if from_series != from_dp:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from parityparts import families
 from parityparts.core import Partition, parse_partition
 from parityparts.families import (
     ENUMERATION_CUTOFF,
@@ -34,6 +35,75 @@ def all_partitions(n, largest=None):
 
 def brute_members(family, n):
     return [Partition(p) for p in all_partitions(n) if in_family(Partition(p), family)]
+
+
+def reference_counts(family, max_n):
+    """The per-cell CountTable loop that the slice-add kernels replaced."""
+    upper_rem = 1 if family.upper_odd else 0
+    open_block = [0] * (max_n + 1)
+    open_block[0] = 1
+    crossed = [0] * (max_n + 1)
+    for value in range(max_n, 0, -1):
+        if value % 2 == upper_rem:
+            if family.upper_distinct:
+                for m in range(max_n, value - 1, -1):
+                    open_block[m] += open_block[m - value]
+            else:
+                for m in range(value, max_n + 1):
+                    open_block[m] += open_block[m - value]
+        else:
+            eligible = [a + b for a, b in zip(open_block, crossed)]
+            if family.lower_distinct:
+                for m in range(max_n, value - 1, -1):
+                    eligible[m] += eligible[m - value]
+            else:
+                for m in range(value, max_n + 1):
+                    eligible[m] += eligible[m - value]
+            crossed = [e - o for e, o in zip(eligible, open_block)]
+    return tuple(a + b for a, b in zip(open_block, crossed))
+
+
+def reference_sampler_tables(family, n):
+    """The per-cell FamilySampler loop that the slice-add kernels replaced."""
+    upper_rem = 1 if family.upper_odd else 0
+    before = [[0] * (n + 1)]
+    after = [[0] * (n + 1)]
+    before[0][0] = 1
+    after[0][0] = 1
+    for value in range(1, n + 1):
+        b_prev, a_prev = before[-1], after[-1]
+        if value % 2 == upper_rem:
+            a_row = a_prev
+            if family.upper_distinct:
+                b_row = [
+                    b_prev[m] + (b_prev[m - value] if m >= value else 0)
+                    for m in range(n + 1)
+                ]
+            else:
+                b_row = b_prev[:]
+                for m in range(value, n + 1):
+                    b_row[m] += b_row[m - value]
+        else:
+            if family.lower_distinct:
+                a_row = [
+                    a_prev[m] + (a_prev[m - value] if m >= value else 0)
+                    for m in range(n + 1)
+                ]
+                b_row = [
+                    b_prev[m] + (a_prev[m - value] if m >= value else 0)
+                    for m in range(n + 1)
+                ]
+            else:
+                a_row = a_prev[:]
+                for m in range(value, n + 1):
+                    a_row[m] += a_row[m - value]
+                b_row = [
+                    b_prev[m] + (a_row[m - value] if m >= value else 0)
+                    for m in range(n + 1)
+                ]
+        before.append(b_row)
+        after.append(a_row)
+    return before, after
 
 
 def test_family_tokens_round_trip():
@@ -126,6 +196,27 @@ def test_count_table_direct():
     assert table.counts == tuple(count_family(Family.OD_EU, n) for n in range(13))
 
 
+@pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
+@pytest.mark.parametrize("max_n", [0, 1, 2, 3, 64, 257, 400])
+def test_count_table_matches_per_cell_reference(family, max_n):
+    assert CountTable.build(family, max_n).counts == reference_counts(family, max_n)
+
+
+@pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
+def test_sampler_tables_match_per_cell_reference(family):
+    for n in range(121):
+        sampler = FamilySampler(family, n)
+        assert (sampler._before, sampler._after) == reference_sampler_tables(family, n), n
+
+
+TABLES_300 = {family: CountTable.build(family, 300) for family in CHAIN}
+
+
+@given(st.sampled_from(CHAIN), st.integers(0, 300))
+def test_sampler_count_matches_count_table(family, n):
+    assert FamilySampler(family, n).count == TABLES_300[family][n]
+
+
 def test_chain_ordering_50_to_400():
     """The eight counts are weakly increasing along the chain, strictly at
     the asserted links, for every weight from 50 to 400."""
@@ -154,6 +245,21 @@ def test_counts_csv_shape():
     assert lines[2].split(",")[0] == "5"
     assert lines[2].split(",")[3] == "3"  # p_od_eu(5)
     assert lines[2].split(",")[4] == "2"  # p_eu_od(5)
+
+
+def test_counts_csv_builds_one_table_per_family(monkeypatch):
+    build = CountTable.build.__func__
+    built = []
+
+    def recording_build(cls, family, max_n):
+        built.append((family, max_n))
+        return build(cls, family, max_n)
+
+    monkeypatch.setattr(families, "_tables", {})
+    monkeypatch.setattr(CountTable, "build", classmethod(recording_build))
+    csv = counts_csv(0, 300, families=[Family.OD_EU, Family.EU_OD])
+    assert built == [(Family.OD_EU, 300), (Family.EU_OD, 300)]
+    assert csv.splitlines()[301].startswith("300,")
 
 
 def test_counts_csv_subset_keeps_chain_order():

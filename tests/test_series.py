@@ -85,6 +85,46 @@ def test_euler_inverse_even_counts_even_partitions():
     assert series[3] == 0
 
 
+def dense_euler_even(order):
+    """The product of (1 - q^(2k)) for all 2k up to the order."""
+    coeffs = [0] * (order + 1)
+    coeffs[0] = 1
+    step = 2
+    while step <= order:
+        for m in range(order, step - 1, -1):
+            coeffs[m] -= coeffs[m - step]
+        step += 2
+    return Series(coeffs)
+
+
+def dense_correction(order):
+    """The alternating double sum of series_p_od_eu as a dense series."""
+    correction = [0] * (order + 1)
+    m = 1
+    while m * (m + 1) // 2 <= order:
+        for j in range(1, m + 1):
+            sign = -1 if (m + j) % 2 else 1
+            low = m * (3 * m + 1) // 2 - j * j
+            high = low + 2 * m + 1
+            if low <= order:
+                correction[low] += sign
+            if high <= order:
+                correction[high] -= sign
+        m += 1
+    return Series(correction)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 300, 1000])
+def test_sparse_routes_match_dense_products(order):
+    """Oracle: the dense inversion and Cauchy products the sparse code replaced."""
+    base = series_invert(dense_euler_even(order))
+    assert euler_inverse_even(order).coeffs == base.coeffs
+    assert series_p_eu_od(order).coeffs == series_mul(base, theta_squares(order)).coeffs
+    signed = base - series_mul(base, dense_correction(order))
+    unsigned = tuple(c if k % 2 == 0 else -c for k, c in enumerate(signed.coeffs))
+    assert series_p_od_eu(order).coeffs == unsigned
+
+
 def test_theta_squares():
     assert theta_squares(10).coeffs == (1, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0)
 

@@ -7,6 +7,7 @@ import pytest
 from parityparts import casemap
 from parityparts.casemap import case_min_weight
 from parityparts.cli import run
+from parityparts.families import CountTable
 from parityparts.verify import (
     verify_exhaustive,
     verify_inequality,
@@ -124,6 +125,21 @@ class TestInequality:
     def test_strict_everywhere_from_fifty_up(self):
         report = verify_inequality(50, 130, method="dp")
         assert report.ok
+
+    @pytest.mark.parametrize("method", ["dp", "both"])
+    def test_dp_route_builds_each_table_once_at_hi(self, monkeypatch, method):
+        build = CountTable.build.__func__
+        built = []
+
+        def recording_build(cls, family, max_n):
+            table = build(cls, family, max_n)
+            built.append((family, table.max_n))
+            return table
+
+        monkeypatch.setattr(CountTable, "build", classmethod(recording_build))
+        assert verify_inequality(50, 400, method).ok
+        assert sorted(fam.value for fam, _ in built) == ["eu_od", "od_eu"]
+        assert [max_n for _, max_n in built] == [400, 400]
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
