@@ -18,6 +18,7 @@ from .core import (
 )
 from .families import (
     ENUMERATION_CUTOFF,
+    SAMPLE_CUTOFF,
     CountTable,
     Family,
     FamilySampler,
@@ -72,6 +73,7 @@ __all__ = [
     "frequency",
     "render_ferrers",
     "ENUMERATION_CUTOFF",
+    "SAMPLE_CUTOFF",
     "Family",
     "CountTable",
     "FamilySampler",

@@ -21,6 +21,7 @@ from .casemap import (
 from .core import format_partition, parse_partition, render_ferrers
 from .families import (
     ENUMERATION_CUTOFF,
+    SAMPLE_CUTOFF,
     Family,
     count_family,
     counts_csv,
@@ -227,6 +228,9 @@ def _cmd_verify(args) -> int:
     if args.mode == "exhaustive":
         reports = [verify_exhaustive(n) for n in range(args.lo, args.hi + 1)]
     elif args.mode == "sampled":
+        # refuse the range before sampling the weights below the cutoff
+        if args.hi > SAMPLE_CUTOFF:
+            raise ValueError(f"sampling at n={args.hi} exceeds the cutoff {SAMPLE_CUTOFF}")
         reports = [
             verify_sampled(n, args.samples, args.seed) for n in range(args.lo, args.hi + 1)
         ]

@@ -9,24 +9,29 @@ parts below unrestricted even parts.
 Counting uses an exact dynamic program over part values taken in
 decreasing order, with one array for states that have not yet started
 the lower block and one for states that have.  Sampling unranks against
-completion counts tabulated in increasing part order.  Both tables are
-built by slice-add kernels (``_take``, ``_cross``) that keep the per-cell
-additions in C.  Enumeration is an independent recursive generator, so
-counting, sampling and enumeration cross-check each other.
+completion counts tabulated in increasing part order: each next part and
+its multiplicity are found by bisection, and the table is triangular,
+row v holding only the weights 0..n - v that can remain once v is
+placed.  Both tables are built by slice-add kernels (``_take``,
+``_cross``) that keep the per-cell additions in C.  Enumeration is an
+independent recursive generator, so counting, sampling and enumeration
+cross-check each other.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Iterator
 
 from .core import Partition
 
 __all__ = [
     "ENUMERATION_CUTOFF",
+    "SAMPLE_CUTOFF",
     "Family",
     "CountTable",
     "FamilySampler",
@@ -39,6 +44,9 @@ __all__ = [
 
 # Above this weight enumeration is refused; counting and sampling still work.
 ENUMERATION_CUTOFF = 70
+# Above this weight a sampler is refused: its tables grow as n^2 cells of
+# O(sqrt n)-digit counts (see the README for the measured peak RSS).
+SAMPLE_CUTOFF = 5000
 
 
 class Family(Enum):
@@ -59,6 +67,13 @@ class Family(Enum):
     OU_ED = "ou_ed"
     OU_EU = "ou_eu"
 
+    def __init__(self, token: str):
+        # plain attributes, read from the token once per member
+        self.lower_odd = token[0] == "o"
+        self.lower_distinct = token[1] == "d"
+        self.upper_odd = token[3] == "o"
+        self.upper_distinct = token[4] == "d"
+
     @classmethod
     def from_token(cls, token: str) -> "Family":
         try:
@@ -66,22 +81,6 @@ class Family(Enum):
         except ValueError:
             valid = ", ".join(fam.value for fam in cls)
             raise ValueError(f"unknown family {token!r}, expected one of: {valid}") from None
-
-    @property
-    def lower_odd(self) -> bool:
-        return self.value[0] == "o"
-
-    @property
-    def lower_distinct(self) -> bool:
-        return self.value[1] == "d"
-
-    @property
-    def upper_odd(self) -> bool:
-        return self.value[3] == "o"
-
-    @property
-    def upper_distinct(self) -> bool:
-        return self.value[4] == "d"
 
 
 def in_family(p: Partition, family: Family) -> bool:
@@ -113,6 +112,8 @@ def enumerate_family(
             f"enumeration at n={n} exceeds the cutoff {cutoff}; use counting or sampling"
         )
     upper_rem = 1 if family.upper_odd else 0
+    upper_distinct = family.upper_distinct
+    lower_distinct = family.lower_distinct
 
     def extend(remaining: int, largest: int, crossed: bool) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -122,11 +123,11 @@ def enumerate_family(
             if value % 2 == upper_rem:
                 if crossed:
                     continue
-                bound = value - 1 if family.upper_distinct else value
+                bound = value - 1 if upper_distinct else value
                 for rest in extend(remaining - value, bound, False):
                     yield (value, *rest)
             else:
-                bound = value - 1 if family.lower_distinct else value
+                bound = value - 1 if lower_distinct else value
                 for rest in extend(remaining - value, bound, True):
                     yield (value, *rest)
 
@@ -234,45 +235,61 @@ def counts_csv(lo: int, hi: int, families: Iterable[Family] | None = None) -> st
 class FamilySampler:
     """Uniform sampler for one family at a fixed weight, by unranking.
 
-    Completion counts are tabulated per (largest remaining value, weight
-    still to place, crossed into the lower block yet) state.  ``unrank``
-    walks the table preferring larger parts and higher multiplicities, so
-    index order coincides with the order of ``enumerate_family``.
+    Completion counts are tabulated per (largest value allowed, weight
+    still to place, crossed into the lower block yet) state, in increasing
+    part order.  Member ``index`` in decreasing lexicographic order, the
+    order of ``enumerate_family``, is found by bisection (Nijenhuis and
+    Wilf's unranking): the completions whose parts are all at most v are
+    the last ``table[v][remaining]`` of the current block, so the next part
+    is the smallest v that still covers the index.  Of the members that go
+    on with v, the first ``table[v][remaining - c * v]`` have at least c
+    copies of it, so its multiplicity is a bisection too.  A draw costs
+    O(log n) table reads per distinct part.
+
+    Once a part v is placed every later lookup has weight at most n - v,
+    so row v keeps only weights 0..n - v and the tables are triangular;
+    the first part reads column n, which is kept apart as ``_top``.
+    Weights above ``SAMPLE_CUTOFF`` are refused with ValueError.
     """
 
     def __init__(self, family: Family, n: int):
         if n < 0:
             raise ValueError(f"weight must be nonnegative, got {n}")
+        if n > SAMPLE_CUTOFF:
+            raise ValueError(f"sampling at n={n} exceeds the cutoff {SAMPLE_CUTOFF}")
         self.family = family
         self.n = n
         upper_rem = 1 if family.upper_odd else 0
         # before[v][m]: completions of weight m using values <= v, lower block untouched
         # after[v][m]:  the same once some lower part has been placed; the
         # empty completion is valid there, the crossing part already exists
-        before = [[0] * (n + 1)]
-        after = [[0] * (n + 1)]
-        before[0][0] = 1
-        after[0][0] = 1
+        # Rows are never written once stored, so equal rows are shared objects.
+        before = [[1] + [0] * n]
+        after = [before[0]]
+        # top[v] = before[v][n], the one cell past the triangle
+        top = [before[0][n]]
         for value in range(1, n + 1):
-            b_row = before[-1][:]
-            a_row = after[-1]
+            size = n + 1 - value
+            b_row = before[-1][:size]
+            # before[value][m] gains source[m - value]: the members whose
+            # first part is value
             if value % 2 == upper_rem:
+                a_row = after[-1]
                 _take(b_row, value, family.upper_distinct)
+                source = before[-1] if family.upper_distinct else b_row
             else:
-                a_row = a_row[:]
-                if family.lower_distinct:
-                    crossing = a_row[:-value]
-                    _take(a_row, value, True)
-                else:
-                    _take(a_row, value, False)
-                    crossing = a_row[:-value]
+                a_row = after[-1][:size]
+                _take(a_row, value, family.lower_distinct)
+                source = after[-1] if family.lower_distinct else a_row
                 # from an untouched state, placing this value crosses the blocks
-                b_row[value:] = map(add, b_row[value:], crossing)
+                b_row[value:] = map(add, b_row[value:], source)
             before.append(b_row)
             after.append(a_row)
+            top.append(top[-1] + source[size - 1])
         self._before = before
         self._after = after
-        self.count: int = before[n][n]
+        self._top = top
+        self.count: int = top[n]
 
     def unrank(self, index: int) -> Partition:
         """The index-th member in decreasing lexicographic order."""
@@ -280,38 +297,44 @@ class FamilySampler:
             raise ValueError(f"index {index} out of range, count is {self.count}")
         family = self.family
         upper_rem = 1 if family.upper_odd else 0
+        upper_distinct = family.upper_distinct
+        lower_distinct = family.lower_distinct
+        before, after = self._before, self._after
         parts: list[int] = []
-        remaining = self.n
-        crossed = False
-        value = self.n
-        while remaining > 0:
-            if value < 1:
-                raise RuntimeError("completion tables inconsistent with index walk")
-            if value % 2 == upper_rem:
-                if not crossed:
-                    cap = remaining // value
-                    if family.upper_distinct:
-                        cap = min(cap, 1)
-                    for copies in range(cap, 0, -1):
-                        ways = self._before[value - 1][remaining - copies * value]
-                        if index < ways:
-                            parts.extend([value] * copies)
-                            remaining -= copies * value
-                            break
-                        index -= ways
+        remaining = limit = self.n
+        table = before
+        # total: members of the current block; index counts from its first
+        total = self.count
+        while remaining:
+            # the last table[v][remaining] members of the block have parts <= v;
+            # the next part is the smallest v whose suffix still holds index
+            if parts:
+                value = bisect_left(
+                    table, total - index, 1, limit + 1, key=itemgetter(remaining)
+                )
+                index -= total - table[value][remaining]
             else:
-                cap = remaining // value
-                if family.lower_distinct:
-                    cap = min(cap, 1)
-                for copies in range(cap, 0, -1):
-                    ways = self._after[value - 1][remaining - copies * value]
-                    if index < ways:
-                        parts.extend([value] * copies)
-                        remaining -= copies * value
-                        crossed = True
-                        break
-                    index -= ways
-            value -= 1
+                value = bisect_left(self._top, total - index, 1, limit + 1)
+                index -= total - self._top[value]
+            if value % 2 == upper_rem:
+                table, distinct = before, upper_distinct
+            else:
+                table, distinct = after, lower_distinct
+            if distinct:
+                rest = remaining - value
+            else:
+                # the first row[rest] members have at least (remaining - rest) // value
+                # copies of value; take the most copies whose prefix holds index,
+                # then skip the members that have one copy more
+                row = table[value]
+                rests = range(remaining % value, remaining - value + 1, value)
+                rest = rests[bisect_right(rests, index, key=row.__getitem__)]
+                if rest >= value:
+                    index -= row[rest - value]
+            parts += [value] * ((remaining - rest) // value)
+            remaining = rest
+            limit = value - 1
+            total = table[limit][remaining]
         return Partition(parts)
 
     def sample(self, rng: random.Random) -> Partition:

@@ -10,6 +10,7 @@ import pytest
 
 from parityparts.cli import run
 from parityparts.core import format_partition, parse_partition
+from parityparts.families import SAMPLE_CUTOFF
 from test_casemap import KNOWN_PAIRS
 
 
@@ -89,6 +90,13 @@ class TestSample:
         code, second, _ = invoke(capsys, *argv)
         assert first == second
         assert len(first.splitlines()) == 5
+
+    def test_weight_above_cutoff_fails(self, capsys):
+        n = str(SAMPLE_CUTOFF + 1)
+        code, out, err = invoke(capsys, "sample", "--family", "od_eu", "--n", n)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "cutoff" in err
 
 
 class TestMap:
@@ -211,6 +219,16 @@ class TestVerify:
         reports = json.loads(out)
         assert len(reports) == 1
         assert reports[0]["ok"] is True
+
+    def test_sampled_above_cutoff_fails_before_sampling(self, capsys):
+        # the range is refused as a whole, so no weight below the cutoff is sampled
+        code, out, err = invoke(
+            capsys, "verify", "--mode", "sampled", "--from", "373",
+            "--to", str(SAMPLE_CUTOFF + 1), "--samples", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "cutoff" in err
 
     def test_inequality_failure_sets_exit_code(self, capsys):
         code, out, _ = invoke(

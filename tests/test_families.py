@@ -1,13 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parityparts import families
 from parityparts.core import Partition, parse_partition
 from parityparts.families import (
     ENUMERATION_CUTOFF,
+    SAMPLE_CUTOFF,
     CountTable,
     Family,
     FamilySampler,
@@ -104,6 +105,46 @@ def reference_sampler_tables(family, n):
         before.append(b_row)
         after.append(a_row)
     return before, after
+
+
+def reference_unrank(sampler, index):
+    """The linear walk that bisection replaced: every part value from n
+    down to 1, and every multiplicity from the largest down to 1.  It reads
+    the sampler's own rows, which the per-cell reference test pins down."""
+    family = sampler.family
+    upper_rem = 1 if family.upper_odd else 0
+    parts = []
+    remaining = sampler.n
+    crossed = False
+    value = sampler.n
+    while remaining > 0:
+        assert value >= 1, "completion tables inconsistent with index walk"
+        if value % 2 == upper_rem:
+            if not crossed:
+                cap = remaining // value
+                if family.upper_distinct:
+                    cap = min(cap, 1)
+                for copies in range(cap, 0, -1):
+                    ways = sampler._before[value - 1][remaining - copies * value]
+                    if index < ways:
+                        parts.extend([value] * copies)
+                        remaining -= copies * value
+                        break
+                    index -= ways
+        else:
+            cap = remaining // value
+            if family.lower_distinct:
+                cap = min(cap, 1)
+            for copies in range(cap, 0, -1):
+                ways = sampler._after[value - 1][remaining - copies * value]
+                if index < ways:
+                    parts.extend([value] * copies)
+                    remaining -= copies * value
+                    crossed = True
+                    break
+                index -= ways
+        value -= 1
+    return Partition(parts)
 
 
 def test_family_tokens_round_trip():
@@ -204,9 +245,17 @@ def test_count_table_matches_per_cell_reference(family, max_n):
 
 @pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
 def test_sampler_tables_match_per_cell_reference(family):
+    """Every stored row is a prefix of the full reference row that covers
+    the triangle (weights 0..n - v of row v); ``_top`` is column n."""
     for n in range(121):
         sampler = FamilySampler(family, n)
-        assert (sampler._before, sampler._after) == reference_sampler_tables(family, n), n
+        before, after = reference_sampler_tables(family, n)
+        for rows, reference in ((sampler._before, before), (sampler._after, after)):
+            assert len(rows) == n + 1, n
+            for v, (row, full) in enumerate(zip(rows, reference)):
+                assert n + 1 - v <= len(row) <= n + 1, (n, v)
+                assert row == full[: len(row)], (n, v)
+        assert sampler._top == [row[n] for row in before], n
 
 
 TABLES_300 = {family: CountTable.build(family, 300) for family in CHAIN}
@@ -274,6 +323,34 @@ def test_unrank_agrees_with_enumeration(family):
         members = list(enumerate_family(family, n))
         assert sampler.count == len(members)
         assert [sampler.unrank(i) for i in range(sampler.count)] == members
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CHAIN), st.integers(0, 600), st.data())
+def test_unrank_matches_linear_walk(family, n, data):
+    sampler = FamilySampler(family, n)
+    last = sampler.count - 1
+    for index in (0, last, data.draw(st.integers(0, last))):
+        assert sampler.unrank(index) == reference_unrank(sampler, index), index
+
+
+def test_unrank_matches_linear_walk_at_every_index_from_15_to_39():
+    # below 15, test_unrank_agrees_with_enumeration covers every index
+    for family in CHAIN:
+        for n in range(15, 40):
+            sampler = FamilySampler(family, n)
+            for index in range(sampler.count):
+                assert sampler.unrank(index) == reference_unrank(sampler, index)
+
+
+def test_sampler_rejects_weights_above_cutoff():
+    # only the rejection is tested: a sampler at the cutoff allocates
+    # hundreds of MiB
+    for family in CHAIN:
+        with pytest.raises(ValueError, match="cutoff"):
+            FamilySampler(family, SAMPLE_CUTOFF + 1)
+    with pytest.raises(ValueError, match="cutoff"):
+        sample_family(Family.OD_EU, 10**9, 0)
 
 
 def test_unrank_range_errors():
