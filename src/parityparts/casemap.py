@@ -11,10 +11,11 @@ are defined only at or above the case's minimum weight.
 Each case is one row of ``CASES``.  The case code reads a partition as
 its two blocks, the even parts and the odd parts (``split_blocks``).  The
 public functions take a ``Partition``: each checks membership, splits
-once and looks its case up once.  The verifier, whose members are
-already known to belong to their family, calls the block-level helpers
-``split_blocks``, ``source_cases``, ``image_cases`` and ``from_parts``
-directly.
+once and looks its case up once.  The verifier, whose members arrive as
+their two blocks, calls the block-level helpers ``source_cases``,
+``image_cases`` and ``rewrite_blocks`` directly; ``rewrite_blocks`` sorts
+a rewrite's output and splits it into blocks without building a
+``Partition``.
 
 Image signatures do not cover the whole image family: ``witness``
 produces, for any weight from 373 up, an image-family member that matches
@@ -26,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple
 
 from .core import Partition, format_partition
-from .families import Family, in_family
+from .families import Block, Family, in_family
 
 __all__ = [
     "SOURCE_FAMILY",
@@ -47,8 +48,6 @@ IMAGE_FAMILY = Family.EU_OD
 NUM_CASES = 17
 
 WITNESS_MIN_WEIGHT = 373
-
-Block = tuple[int, ...]
 
 
 class Case(NamedTuple):
@@ -350,7 +349,7 @@ def case_min_weight(case: int) -> int:
 
 def split_blocks(p: Partition) -> tuple[Block, Block]:
     """The even parts and the odd parts of p, each in decreasing order."""
-    return tuple(part for part in p if part % 2 == 0), tuple(part for part in p if part % 2)
+    return tuple([part for part in p if not part % 2]), tuple([part for part in p if part % 2])
 
 
 def from_parts(parts: Iterable[int]) -> Partition:
@@ -358,15 +357,31 @@ def from_parts(parts: Iterable[int]) -> Partition:
     return Partition(sorted(parts, reverse=True))
 
 
+def rewrite_blocks(parts: Iterable[int]) -> tuple[Block, Block]:
+    """A rewrite's output as its even and odd blocks, each in decreasing order.
+
+    The block-level ``split_blocks(from_parts(parts))``: it sorts once and
+    raises the same ValueError on a part below 1, but builds no Partition.
+    """
+    parts = sorted(parts, reverse=True)
+    if parts and parts[-1] < 1:
+        bad = next(part for part in parts if part < 1)
+        raise ValueError(f"parts must be positive integers, got {bad!r}")
+    return (
+        tuple([part for part in parts if not part % 2]),
+        tuple([part for part in parts if part % 2]),
+    )
+
+
 def source_cases(ev: Block, od: Block) -> tuple[int, ...]:
     """Every case whose source condition holds for these blocks, in case order."""
-    return tuple(case for case, row in CASES.items() if row.source(ev, od))
+    return tuple([case for case, row in CASES.items() if row.source(ev, od)])
 
 
 def image_cases(e: Block, o: Block) -> tuple[int, ...]:
     """Every case whose image signature holds for these blocks, in case order."""
     u, v, f2 = len(e), len(o), e.count(2)
-    return tuple(case for case, row in CASES.items() if row.image(e, o, u, v, f2))
+    return tuple([case for case, row in CASES.items() if row.image(e, o, u, v, f2)])
 
 
 def _require_member(p: Partition, family: Family) -> None:

@@ -225,10 +225,15 @@ def _cmd_witness(args) -> int:
 def _cmd_verify(args) -> int:
     if args.hi < args.lo:
         raise ValueError(f"bad weight range {args.lo}..{args.hi}")
+    # refuse a range ending above a cutoff before verifying the weights below it
     if args.mode == "exhaustive":
+        if args.hi > ENUMERATION_CUTOFF:
+            raise ValueError(
+                f"enumeration at n={args.hi} exceeds the cutoff {ENUMERATION_CUTOFF};"
+                " use counting or sampling"
+            )
         reports = [verify_exhaustive(n) for n in range(args.lo, args.hi + 1)]
     elif args.mode == "sampled":
-        # refuse the range before sampling the weights below the cutoff
         if args.hi > SAMPLE_CUTOFF:
             raise ValueError(f"sampling at n={args.hi} exceeds the cutoff {SAMPLE_CUTOFF}")
         reports = [
@@ -276,3 +281,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -13,9 +13,16 @@ completion counts tabulated in increasing part order: each next part and
 its multiplicity are found by bisection, and the table is triangular,
 row v holding only the weights 0..n - v that can remain once v is
 placed.  Both tables are built by slice-add kernels (``_take``,
-``_cross``) that keep the per-cell additions in C.  Enumeration is an
-independent recursive generator, so counting, sampling and enumeration
-cross-check each other.
+``_cross``) that keep the per-cell additions in C.
+
+Enumeration is an independent route, so counting, sampling and
+enumeration cross-check each other.  ``member_blocks`` walks each member
+as the two blocks it is made of: a generator places the upper parts, and
+each lower block comes from a list builder memoised per walk, so members
+share their block tuples and nothing is re-split by parity.
+``enumerate_family`` joins the two blocks into a ``Partition``; the
+exhaustive verifier consumes the blocks directly and builds a
+``Partition`` only to show a failure.
 """
 
 from __future__ import annotations
@@ -24,10 +31,13 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from operator import add, itemgetter
 from typing import Iterable, Iterator
 
 from .core import Partition
+
+Block = tuple[int, ...]
 
 __all__ = [
     "ENUMERATION_CUTOFF",
@@ -85,9 +95,15 @@ class Family(Enum):
 
 def in_family(p: Partition, family: Family) -> bool:
     """Membership test: block parities, repetition modes, strict separation."""
-    upper_rem = 1 if family.upper_odd else 0
-    upper = [part for part in p if part % 2 == upper_rem]
-    lower = [part for part in p if part % 2 != upper_rem]
+    return blocks_in_family(
+        tuple([part for part in p if not part % 2]), tuple([part for part in p if part % 2]), family
+    )
+
+
+def blocks_in_family(evens: Block, odds: Block, family: Family) -> bool:
+    """``in_family`` on a partition given as its even and odd blocks, each
+    in decreasing order."""
+    upper, lower = (odds, evens) if family.upper_odd else (evens, odds)
     if upper and lower and upper[-1] <= lower[0]:
         return False
     if family.upper_distinct and len(set(upper)) != len(upper):
@@ -97,13 +113,18 @@ def in_family(p: Partition, family: Family) -> bool:
     return True
 
 
-def enumerate_family(
+def member_blocks(
     family: Family, n: int, *, cutoff: int = ENUMERATION_CUTOFF
-) -> Iterator[Partition]:
-    """Yield every member of the family at weight n in decreasing lexicographic order.
+) -> Iterator[tuple[Block, Block]]:
+    """Yield every member at weight n as its ``(evens, odds)`` blocks, in the
+    decreasing lexicographic order of ``enumerate_family``.
 
-    Raises ValueError for negative n or when n exceeds the cutoff; use
-    counting or sampling beyond it.
+    A generator walks the upper block part by part.  Where a lower part
+    comes next, it takes every lower block starting with that part from a
+    list builder that steps by 2 over the lower-parity values.  The builder
+    is memoised for the walk, so members that share a block share its
+    tuple; the memo holds at most the lower-parity partitions of weights up
+    to n.  Raises ValueError for negative n or when n exceeds the cutoff.
     """
     if n < 0:
         raise ValueError(f"weight must be nonnegative, got {n}")
@@ -114,25 +135,64 @@ def enumerate_family(
     upper_rem = 1 if family.upper_odd else 0
     upper_distinct = family.upper_distinct
     lower_distinct = family.lower_distinct
+    memo: dict[tuple[int, int], list[Block]] = {}
 
-    def extend(remaining: int, largest: int, crossed: bool) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
+    def lower_blocks(remaining: int, value: int) -> list[Block]:
+        """Every lower block of weight ``remaining`` whose largest part is ``value``."""
+        blocks = memo.get((remaining, value))
+        if blocks is None:
+            rest = remaining - value
+            if not rest:
+                blocks = [(value,)]
+            else:
+                blocks = []
+                head = (value,)
+                # the next part has value's parity, fits in rest, and is
+                # below value if the lower block is distinct
+                top = min(value - 2 if lower_distinct else value, rest - (rest - value) % 2)
+                for next_value in range(top, 0, -2):
+                    blocks += map(head.__add__, lower_blocks(rest, next_value))
+            memo[(remaining, value)] = blocks
+        return blocks
+
+    def segments(upper: Block, remaining: int, largest: int) -> Iterator[tuple[Block, list[Block]]]:
+        """Pairs (upper block, its lower blocks) in member order."""
+        if not remaining:
+            yield upper, [()]
             return
         for value in range(min(largest, remaining), 0, -1):
             if value % 2 == upper_rem:
-                if crossed:
-                    continue
-                bound = value - 1 if upper_distinct else value
-                for rest in extend(remaining - value, bound, False):
-                    yield (value, *rest)
+                yield from segments(
+                    upper + (value,), remaining - value, value - 1 if upper_distinct else value
+                )
             else:
-                bound = value - 1 if lower_distinct else value
-                for rest in extend(remaining - value, bound, True):
-                    yield (value, *rest)
+                lowers = lower_blocks(remaining, value)
+                if lowers:
+                    yield upper, lowers
 
-    for parts in extend(n, n, False):
-        yield Partition(parts)
+    if family.upper_odd:
+        for upper, lowers in segments((), n, n):
+            yield from zip(lowers, repeat(upper))
+    else:
+        for upper, lowers in segments((), n, n):
+            yield from zip(repeat(upper), lowers)
+
+
+def enumerate_family(
+    family: Family, n: int, *, cutoff: int = ENUMERATION_CUTOFF
+) -> Iterator[Partition]:
+    """Yield every member of the family at weight n in decreasing lexicographic order.
+
+    Raises ValueError for negative n or when n exceeds the cutoff; use
+    counting or sampling beyond it.
+    """
+    blocks = member_blocks(family, n, cutoff=cutoff)
+    if family.upper_odd:
+        for evens, odds in blocks:
+            yield Partition(odds + evens)
+    else:
+        for evens, odds in blocks:
+            yield Partition(evens + odds)
 
 
 def _take(row: list[int], value: int, distinct: bool) -> None:

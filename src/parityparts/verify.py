@@ -6,6 +6,12 @@ inequality scans between the two mapped families, and witness scans that
 confirm non-surjectivity.  Every reported failure carries the partition
 in canonical text form plus the check name, so it can be replayed by
 hand through the library.
+
+The per-member checks run on a member's even and odd blocks: exhaustive
+mode walks both families as blocks (``families.member_blocks``), sampled
+mode splits each draw once, and rewrite outputs are sorted and split by
+``casemap.rewrite_blocks``.  A ``Partition`` and its text form are built
+only when a failure is filed.
 """
 
 from __future__ import annotations
@@ -23,17 +29,20 @@ from .casemap import (
     case_min_weight,
     from_parts,
     image_cases,
+    rewrite_blocks,
     source_cases,
     split_blocks,
     witness,
 )
-from .core import Partition, format_partition
+from .core import format_partition
 from .families import (
     ENUMERATION_CUTOFF,
+    Block,
     CountTable,
     FamilySampler,
-    enumerate_family,
+    blocks_in_family,
     in_family,
+    member_blocks,
 )
 from .series import series_p_eu_od, series_p_od_eu
 
@@ -49,6 +58,11 @@ __all__ = [
 ]
 
 INEQUALITY_METHODS = ("series", "dp", "both")
+
+# a member as its even and odd blocks
+Blocks = tuple[Block, Block]
+# image -> (source, case) for every image whose source passed every check
+Images = dict[Blocks, tuple[Blocks, int]]
 
 
 @dataclass
@@ -107,7 +121,10 @@ class VerificationReport:
         return not self.failures
 
     def tally(self, case: int) -> CaseTally:
-        return self.per_case.setdefault(case, CaseTally())
+        tally = self.per_case.get(case)
+        if tally is None:
+            tally = self.per_case[case] = CaseTally()
+        return tally
 
     def record_failure(self, n: int, partition: str, check: str, detail: str) -> None:
         self.failures.append(Failure(n=n, partition=partition, check=check, detail=detail))
@@ -170,16 +187,27 @@ class VerificationReport:
         return lines
 
 
+def _shown(blocks: Blocks) -> str:
+    """The text form of the partition with these even and odd blocks."""
+    evens, odds = blocks
+    return format_partition(from_parts(evens + odds))
+
+
 def _check_source_member(
-    source: Partition, n: int, report: VerificationReport, images: dict[Partition, Partition]
+    source: Blocks, n: int, report: VerificationReport, images: Images
 ) -> None:
-    """Run the per-member checks and file failures; shared by both modes."""
-    ev, od = split_blocks(source)
+    """Run the per-member checks on one source member, given as its even and
+    odd blocks, and file failures; shared by both modes.
+
+    An image whose source passes every check is stored in ``images`` with
+    that source and its case.
+    """
+    ev, od = source
     matches = source_cases(ev, od)
     if len(matches) != 1:
         report.record_failure(
             n,
-            format_partition(source),
+            _shown(source),
             "classify",
             f"source conditions matched {list(matches) or 'nothing'}, expected exactly one",
         )
@@ -192,79 +220,87 @@ def _check_source_member(
         tally.skipped += 1
         return
     try:
-        image = from_parts(row.forward(ev, od))
+        image = rewrite_blocks(row.forward(ev, od))
     except ValueError as exc:
-        report.record_failure(n, format_partition(source), "forward", f"case {case}: {exc}")
+        report.record_failure(n, _shown(source), "forward", f"case {case}: {exc}")
         return
-    if image.weight != n:
+    e, o = image
+    weight = sum(e) + sum(o)
+    if weight != n:
         report.record_failure(
             n,
-            format_partition(source),
+            _shown(source),
             "weight",
-            f"case {case}: image {format_partition(image)} weighs {image.weight}",
+            f"case {case}: image {_shown(image)} weighs {weight}",
         )
         return
-    if not in_family(image, IMAGE_FAMILY):
+    if not blocks_in_family(e, o, IMAGE_FAMILY):
         report.record_failure(
             n,
-            format_partition(source),
+            _shown(source),
             "membership",
-            f"case {case}: image {format_partition(image)} is outside {IMAGE_FAMILY.value}",
+            f"case {case}: image {_shown(image)} is outside {IMAGE_FAMILY.value}",
         )
         return
-    e, o = split_blocks(image)
     image_matches = image_cases(e, o)
     if image_matches != (case,):
         report.record_failure(
             n,
-            format_partition(source),
+            _shown(source),
             "image-signature",
-            f"case {case}: image {format_partition(image)}"
-            f" matched {list(image_matches) or 'nothing'}",
+            f"case {case}: image {_shown(image)} matched {list(image_matches) or 'nothing'}",
         )
         return
     try:
-        recovered = from_parts(row.backward(e, o))
+        recovered = rewrite_blocks(row.backward(e, o))
     except ValueError as exc:
         report.record_failure(
             n,
-            format_partition(source),
+            _shown(source),
             "roundtrip",
-            f"case {case}: image {format_partition(image)} inverts to no partition: {exc}",
+            f"case {case}: image {_shown(image)} inverts to no partition: {exc}",
         )
         return
     if recovered != source:
         report.record_failure(
             n,
-            format_partition(source),
+            _shown(source),
             "roundtrip",
-            f"case {case}: image {format_partition(image)}"
-            f" inverted to {format_partition(recovered)}",
+            f"case {case}: image {_shown(image)} inverted to {_shown(recovered)}",
         )
         return
-    first_source = images.setdefault(image, source)
+    first_source = images.setdefault(image, (source, case))[0]
     if first_source != source:
         report.record_failure(
             n,
-            format_partition(source),
+            _shown(source),
             "distinct-images",
-            f"case {case}: image {format_partition(image)}"
-            f" already produced by {format_partition(first_source)}",
+            f"case {case}: image {_shown(image)} already produced by {_shown(first_source)}",
         )
         return
     tally.passed += 1
 
 
 def _check_image_member(
-    member: Partition, n: int, report: VerificationReport, image_counts: Counter[int]
+    member: Blocks, n: int, report: VerificationReport, image_counts: Counter[int], images: Images
 ) -> None:
-    """Signature overlap, inverse and inverse roundtrip of one image member."""
-    e, o = split_blocks(member)
+    """Signature overlap, inverse and inverse roundtrip of one image member,
+    given as its even and odd blocks.
+
+    A member in ``images`` is only counted under its source's case: the
+    source side has already checked everything below for it (see
+    ``verify_exhaustive``).
+    """
+    verified = images.get(member)
+    if verified is not None:
+        image_counts[verified[1]] += 1
+        return
+    e, o = member
     matches = image_cases(e, o)
     if len(matches) > 1:
         report.record_failure(
             n,
-            format_partition(member),
+            _shown(member),
             "signature-overlap",
             f"signatures {list(matches)} all matched",
         )
@@ -277,26 +313,26 @@ def _check_image_member(
     if n < row.min_weight:
         return
     try:
-        recovered = from_parts(row.backward(e, o))
+        recovered = rewrite_blocks(row.backward(e, o))
     except ValueError as exc:
-        report.record_failure(n, format_partition(member), "inverse", f"case {case}: {exc}")
+        report.record_failure(n, _shown(member), "inverse", f"case {case}: {exc}")
         return
-    ev, od = split_blocks(recovered)
+    ev, od = recovered
     error = ""
     try:
         inverts = (
-            in_family(recovered, SOURCE_FAMILY)
+            blocks_in_family(ev, od, SOURCE_FAMILY)
             and source_cases(ev, od) == (case,)
-            and from_parts(row.forward(ev, od)) == member
+            and rewrite_blocks(row.forward(ev, od)) == member
         )
     except ValueError as exc:
         inverts, error = False, f", which maps to no partition: {exc}"
     if not inverts:
         report.record_failure(
             n,
-            format_partition(member),
+            _shown(member),
             "inverse-roundtrip",
-            f"case {case}: inverted to {format_partition(recovered)}{error}",
+            f"case {case}: inverted to {_shown(recovered)}{error}",
         )
 
 
@@ -325,15 +361,22 @@ def verify_exhaustive(n: int, *, cutoff: int = ENUMERATION_CUTOFF) -> Verificati
     Image side: at most one signature per member, signature-matched
     members invert into the matching source case and map back to
     themselves, and per-case member counts agree on both sides wherever
-    the map is defined.  Each member is split and classified once.
+    the map is defined.  Each member is classified once.
+
+    An image member that some source mapped to with every check passed is
+    only counted under that source's case: the source side has already
+    found exactly that case's signature on it, the backward rewrite to
+    its source, that source in the source family with exactly that case,
+    and the forward rewrite back to it, which is all the image side would
+    check.  Every other image member gets the full image-side checks.
     """
     report = VerificationReport(mode="exhaustive", n_lo=n, n_hi=n)
-    images: dict[Partition, Partition] = {}
-    for member in enumerate_family(SOURCE_FAMILY, n, cutoff=cutoff):
+    images: Images = {}
+    for member in member_blocks(SOURCE_FAMILY, n, cutoff=cutoff):
         _check_source_member(member, n, report, images)
     image_counts: Counter[int] = Counter()
-    for member in enumerate_family(IMAGE_FAMILY, n, cutoff=cutoff):
-        _check_image_member(member, n, report, image_counts)
+    for member in member_blocks(IMAGE_FAMILY, n, cutoff=cutoff):
+        _check_image_member(member, n, report, image_counts, images)
     # every source member with exactly one case is tallied as tested
     source_counts = {case: tally.tested for case, tally in report.per_case.items()}
     report.case_counts = {
@@ -362,9 +405,9 @@ def verify_sampled(n: int, samples: int, seed: int) -> VerificationReport:
     report = VerificationReport(mode="sampled", n_lo=n, n_hi=n)
     sampler = FamilySampler(SOURCE_FAMILY, n)
     rng = random.Random(seed)
-    images: dict[Partition, Partition] = {}
+    images: Images = {}
     for _ in range(samples):
-        _check_source_member(sampler.sample(rng), n, report, images)
+        _check_source_member(split_blocks(sampler.sample(rng)), n, report, images)
     if n >= WITNESS_MIN_WEIGHT:
         _check_witness(n, report)
     return report.finish()

@@ -5,12 +5,17 @@ exactly as a shell user would see them.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from parityparts import cli
 from parityparts.cli import run
 from parityparts.core import format_partition, parse_partition
-from parityparts.families import SAMPLE_CUTOFF
+from parityparts.families import ENUMERATION_CUTOFF, SAMPLE_CUTOFF
 from test_casemap import KNOWN_PAIRS
 
 
@@ -230,6 +235,19 @@ class TestVerify:
         assert out == ""
         assert err.count("\n") == 1 and "cutoff" in err
 
+    def test_exhaustive_above_cutoff_fails_before_verifying(self, capsys, monkeypatch):
+        # the range is refused as a whole, so no weight below the cutoff is verified
+        calls = []
+        monkeypatch.setattr(cli, "verify_exhaustive", lambda n: calls.append(n))
+        code, out, err = invoke(
+            capsys, "verify", "--mode", "exhaustive", "--from", str(ENUMERATION_CUTOFF - 2),
+            "--to", str(ENUMERATION_CUTOFF + 1),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "cutoff" in err
+        assert calls == []
+
     def test_inequality_failure_sets_exit_code(self, capsys):
         code, out, _ = invoke(
             capsys, "verify", "--mode", "inequality", "--from", "3", "--to", "3"
@@ -269,3 +287,15 @@ def test_help_exits_zero(capsys):
     code, out, _ = invoke(capsys, "--help")
     assert code == 0
     assert "subcommand" in out or "count" in out
+
+
+def test_module_entry_point_runs_the_command():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "parityparts.cli", "count", "--family", "od_eu", "--n", "5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "3\n"

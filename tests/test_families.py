@@ -16,6 +16,7 @@ from parityparts.families import (
     counts_csv,
     enumerate_family,
     in_family,
+    member_blocks,
     sample_family,
 )
 
@@ -36,6 +37,31 @@ def all_partitions(n, largest=None):
 
 def brute_members(family, n):
     return [Partition(p) for p in all_partitions(n) if in_family(Partition(p), family)]
+
+
+def reference_enumerate(family, n):
+    """The nested generator that the block walk replaced: one part at a
+    time, from the largest value down, each member built as a tuple."""
+    upper_rem = 1 if family.upper_odd else 0
+
+    def extend(remaining, largest, crossed):
+        if remaining == 0:
+            yield ()
+            return
+        for value in range(min(largest, remaining), 0, -1):
+            if value % 2 == upper_rem:
+                if crossed:
+                    continue
+                bound = value - 1 if family.upper_distinct else value
+                for rest in extend(remaining - value, bound, False):
+                    yield (value, *rest)
+            else:
+                bound = value - 1 if family.lower_distinct else value
+                for rest in extend(remaining - value, bound, True):
+                    yield (value, *rest)
+
+    for parts in extend(n, n, False):
+        yield Partition(parts)
 
 
 def reference_counts(family, max_n):
@@ -212,6 +238,18 @@ def test_enumerate_order_is_lex_decreasing():
 def test_enumerate_matches_brute_force(family):
     for n in range(0, 29):
         assert list(enumerate_family(family, n)) == brute_members(family, n)
+
+
+@pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
+def test_block_walk_matches_reference_enumeration(family):
+    for n in range(0, 41):
+        reference = list(reference_enumerate(family, n))
+        pairs = list(member_blocks(family, n))
+        assert list(enumerate_family(family, n)) == reference, n
+        assert len(pairs) == len(reference), n
+        for (evens, odds), member in zip(pairs, reference):
+            assert evens == tuple(part for part in member if part % 2 == 0), (n, member)
+            assert odds == tuple(part for part in member if part % 2 == 1), (n, member)
 
 
 @pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)

@@ -1,6 +1,7 @@
 """Tests for the verification drivers."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -65,6 +66,18 @@ class TestExhaustive:
         assert code == 1
         [data] = json.loads(capsys.readouterr().out)
         assert {f["check"] for f in data["failures"]} == checks
+
+    def test_image_side_reuse_hides_no_failure(self, monkeypatch):
+        # with case 11's image signature narrowed to u >= 3, its images with two
+        # even parts fail on the source side and are never stored as verified,
+        # so the image side recounts them and the case counts disagree
+        row = casemap.CASES[11]
+        narrowed = row._replace(image=lambda e, o, u, v, f2: u >= 3 and v == 1)
+        monkeypatch.setitem(casemap.CASES, 11, narrowed)
+        checks = Counter(
+            failure.check for n in range(31) for failure in verify_exhaustive(n).failures
+        )
+        assert checks == {"image-signature": 83, "count-equality": 12}
 
 
 class TestSampled:
