@@ -8,10 +8,8 @@ unmatched witnesses; and verification drivers that check all of it.
 """
 
 from .core import (
-    ParityView,
     Partition,
     format_partition,
-    frequency,
     parity_split,
     parse_partition,
     render_ferrers,
@@ -66,11 +64,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "Partition",
-    "ParityView",
     "parse_partition",
     "format_partition",
     "parity_split",
-    "frequency",
     "render_ferrers",
     "ENUMERATION_CUTOFF",
     "SAMPLE_CUTOFF",

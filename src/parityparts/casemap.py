@@ -9,12 +9,12 @@ signature, and ``backward`` undoes the rewrite exactly.  Both directions
 are defined only at or above the case's minimum weight.
 
 Each case is one row of ``CASES``.  The case code reads a partition as
-its two blocks, the even parts and the odd parts (``split_blocks``).  The
-public functions take a ``Partition``: each checks membership, splits
-once and looks its case up once.  The verifier, whose members arrive as
-their two blocks, calls the block-level helpers ``source_cases``,
-``image_cases`` and ``rewrite_blocks`` directly; ``rewrite_blocks`` sorts
-a rewrite's output and splits it into blocks without building a
+its two blocks, the even parts and the odd parts, which come from
+``core.parity_split``.  The public functions take a ``Partition``: each
+splits it once, checks membership on the blocks and looks its case up
+once.  The verifier, whose members arrive as their two blocks, calls the
+block-level helpers ``source_cases`` and ``image_cases`` directly and
+splits each rewrite's output with ``parity_split``, without building a
 ``Partition``.
 
 Image signatures do not cover the whole image family: ``witness``
@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple
 
-from .core import Partition, format_partition
-from .families import Block, Family, in_family
+from .core import Block, Partition, format_partition, parity_split
+from .families import Family, blocks_in_family
 
 __all__ = [
     "SOURCE_FAMILY",
@@ -347,30 +347,9 @@ def case_min_weight(case: int) -> int:
     return CASES[case].min_weight
 
 
-def split_blocks(p: Partition) -> tuple[Block, Block]:
-    """The even parts and the odd parts of p, each in decreasing order."""
-    return tuple([part for part in p if not part % 2]), tuple([part for part in p if part % 2])
-
-
 def from_parts(parts: Iterable[int]) -> Partition:
     """The validated partition with these parts; raises ValueError on a part below 1."""
     return Partition(sorted(parts, reverse=True))
-
-
-def rewrite_blocks(parts: Iterable[int]) -> tuple[Block, Block]:
-    """A rewrite's output as its even and odd blocks, each in decreasing order.
-
-    The block-level ``split_blocks(from_parts(parts))``: it sorts once and
-    raises the same ValueError on a part below 1, but builds no Partition.
-    """
-    parts = sorted(parts, reverse=True)
-    if parts and parts[-1] < 1:
-        bad = next(part for part in parts if part < 1)
-        raise ValueError(f"parts must be positive integers, got {bad!r}")
-    return (
-        tuple([part for part in parts if not part % 2]),
-        tuple([part for part in parts if part % 2]),
-    )
 
 
 def source_cases(ev: Block, od: Block) -> tuple[int, ...]:
@@ -384,10 +363,13 @@ def image_cases(e: Block, o: Block) -> tuple[int, ...]:
     return tuple([case for case, row in CASES.items() if row.image(e, o, u, v, f2)])
 
 
-def _require_member(p: Partition, family: Family) -> None:
-    if not in_family(p, family):
+def _member_blocks(p: Partition, family: Family) -> tuple[Block, Block]:
+    """The even and odd blocks of p; raises ValueError unless p is in the family."""
+    blocks = parity_split(p)
+    if not blocks_in_family(*blocks, family):
         shown = format_partition(p) or "(empty)"
         raise ValueError(f"{shown} is not in family {family.value}")
+    return blocks
 
 
 def _one_source_case(p: Partition, ev: Block, od: Block) -> int:
@@ -415,14 +397,12 @@ def source_case_matches(p: Partition) -> tuple[int, ...]:
     tree, so totality and mutual exclusion can be verified instead of
     assumed.  ``classify_source`` gives the single-case view.
     """
-    _require_member(p, SOURCE_FAMILY)
-    return source_cases(*split_blocks(p))
+    return source_cases(*_member_blocks(p, SOURCE_FAMILY))
 
 
 def classify_source(p: Partition) -> int:
     """The unique case of a source-family partition."""
-    _require_member(p, SOURCE_FAMILY)
-    return _one_source_case(p, *split_blocks(p))
+    return _one_source_case(p, *_member_blocks(p, SOURCE_FAMILY))
 
 
 def forward(p: Partition) -> Partition:
@@ -431,8 +411,7 @@ def forward(p: Partition) -> Partition:
     Raises ValueError when the weight sits below the case's minimum, where
     the rewrite is not defined.
     """
-    _require_member(p, SOURCE_FAMILY)
-    ev, od = split_blocks(p)
+    ev, od = _member_blocks(p, SOURCE_FAMILY)
     case = _one_source_case(p, ev, od)
     row = CASES[case]
     if p.weight < row.min_weight:
@@ -448,14 +427,12 @@ def image_case_matches(p: Partition) -> tuple[int, ...]:
     Signatures are checked independently so pairwise disjointness can be
     verified; on signature-covered members exactly one should hold.
     """
-    _require_member(p, IMAGE_FAMILY)
-    return image_cases(*split_blocks(p))
+    return image_cases(*_member_blocks(p, IMAGE_FAMILY))
 
 
 def classify_image(p: Partition) -> int | None:
     """The case whose image signature p matches, or None when none does."""
-    _require_member(p, IMAGE_FAMILY)
-    return _one_image_case(p, *split_blocks(p))
+    return _one_image_case(p, *_member_blocks(p, IMAGE_FAMILY))
 
 
 def backward(p: Partition) -> Partition:
@@ -464,8 +441,7 @@ def backward(p: Partition) -> Partition:
     Raises ValueError when no signature matches or the weight sits below
     the matched case's minimum.
     """
-    _require_member(p, IMAGE_FAMILY)
-    e, o = split_blocks(p)
+    e, o = _member_blocks(p, IMAGE_FAMILY)
     case = _one_image_case(p, e, o)
     if case is None:
         raise ValueError(f"{format_partition(p)} matches no image-side case signature")

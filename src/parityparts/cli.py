@@ -21,8 +21,9 @@ from .casemap import (
 from .core import format_partition, parse_partition, render_ferrers
 from .families import (
     ENUMERATION_CUTOFF,
-    SAMPLE_CUTOFF,
     Family,
+    check_enumerable,
+    check_samplable,
     count_family,
     counts_csv,
     enumerate_family,
@@ -227,15 +228,10 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"bad weight range {args.lo}..{args.hi}")
     # refuse a range ending above a cutoff before verifying the weights below it
     if args.mode == "exhaustive":
-        if args.hi > ENUMERATION_CUTOFF:
-            raise ValueError(
-                f"enumeration at n={args.hi} exceeds the cutoff {ENUMERATION_CUTOFF};"
-                " use counting or sampling"
-            )
+        check_enumerable(args.hi)
         reports = [verify_exhaustive(n) for n in range(args.lo, args.hi + 1)]
     elif args.mode == "sampled":
-        if args.hi > SAMPLE_CUTOFF:
-            raise ValueError(f"sampling at n={args.hi} exceeds the cutoff {SAMPLE_CUTOFF}")
+        check_samplable(args.hi)
         reports = [
             verify_sampled(n, args.samples, args.seed) for n in range(args.lo, args.hi + 1)
         ]

@@ -2,23 +2,27 @@
 
 A partition is a weakly decreasing sequence of positive integer parts.
 This module provides the base value type plus parsing, canonical text
-formatting, parity decomposition, part frequencies, and Ferrers diagram
-rendering.
+formatting, the parity split into even and odd blocks, and Ferrers
+diagram rendering.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 __all__ = [
     "Partition",
-    "ParityView",
     "parse_partition",
     "format_partition",
     "parity_split",
-    "frequency",
     "render_ferrers",
 ]
+
+# the parts of one parity, in decreasing order
+Block = tuple[int, ...]
+
+# parse_partition refuses text that expands to more parts than this
+MAX_PARTS = 1_000_000
 
 
 class Partition(tuple):
@@ -48,23 +52,16 @@ class Partition(tuple):
         return f"Partition({list(self)!r})"
 
 
-class ParityView(NamedTuple):
-    """Parity decomposition of a partition, each side in original order."""
-
-    evens: Partition
-    odds: Partition
-
-
 def parse_partition(text: str) -> Partition:
     """Parse comma separated parts, with optional ``part^count`` repetition.
 
-    Accepts plain lists like ``"8,8,8,7,5,3"`` as well as the frequency
+    Accepts plain lists like ``"8,8,8,7,5,3"`` as well as the repetition
     form ``"9,7,5,4,2^5"``.  Parts are sorted into weakly decreasing
     order, so input order does not matter.  Whitespace around tokens is
     ignored; an empty or blank string is the empty partition.
 
-    Raises ValueError on malformed tokens, parts below 1, or repetition
-    counts below 1.
+    Raises ValueError on malformed tokens, parts below 1, repetition
+    counts below 1, or more than ``MAX_PARTS`` parts in all.
     """
     parts: list[int] = []
     for token in text.split(","):
@@ -83,6 +80,8 @@ def parse_partition(text: str) -> Partition:
             raise ValueError(f"parts must be at least 1, got {value}")
         if count < 1:
             raise ValueError(f"repetition count must be at least 1 in {token!r}")
+        if len(parts) + count > MAX_PARTS:
+            raise ValueError(f"partition text has more than {MAX_PARTS} parts")
         parts.extend([value] * count)
     parts.sort(reverse=True)
     return Partition(parts)
@@ -93,19 +92,20 @@ def format_partition(p: Partition) -> str:
     return ",".join(str(part) for part in p)
 
 
-def parity_split(p: Partition) -> ParityView:
-    """Split into even and odd parts, keeping the decreasing order of each side."""
-    return ParityView(
-        evens=Partition(part for part in p if part % 2 == 0),
-        odds=Partition(part for part in p if part % 2 == 1),
+def parity_split(parts: Iterable[int]) -> tuple[Block, Block]:
+    """The even parts and the odd parts, each block in decreasing order.
+
+    The parts may come in any order; they are sorted once.  Raises the
+    ValueError ``Partition`` raises on a part below 1.
+    """
+    parts = sorted(parts, reverse=True)
+    if parts and parts[-1] < 1:
+        bad = next(part for part in parts if part < 1)
+        raise ValueError(f"parts must be positive integers, got {bad!r}")
+    return (
+        tuple([part for part in parts if not part % 2]),
+        tuple([part for part in parts if part % 2]),
     )
-
-
-def frequency(p: Partition, value: int) -> int:
-    """Number of parts equal to ``value``; the value must be at least 1."""
-    if value < 1:
-        raise ValueError(f"part value must be at least 1, got {value}")
-    return tuple.count(p, value)
 
 
 def render_ferrers(p: Partition, glyph: str = "#") -> str:

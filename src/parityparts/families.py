@@ -19,10 +19,12 @@ Enumeration is an independent route, so counting, sampling and
 enumeration cross-check each other.  ``member_blocks`` walks each member
 as the two blocks it is made of: a generator places the upper parts, and
 each lower block comes from a list builder memoised per walk, so members
-share their block tuples and nothing is re-split by parity.
+share their block tuples and need no split.
 ``enumerate_family`` joins the two blocks into a ``Partition``; the
 exhaustive verifier consumes the blocks directly and builds a
-``Partition`` only to show a failure.
+``Partition`` only to show a failure.  Membership is decided on the two
+blocks (``blocks_in_family``); ``in_family`` takes them from
+``core.parity_split``, the package's one parity split.
 """
 
 from __future__ import annotations
@@ -35,9 +37,7 @@ from itertools import repeat
 from operator import add, itemgetter
 from typing import Iterable, Iterator
 
-from .core import Partition
-
-Block = tuple[int, ...]
+from .core import Block, Partition, parity_split
 
 __all__ = [
     "ENUMERATION_CUTOFF",
@@ -57,6 +57,25 @@ ENUMERATION_CUTOFF = 70
 # Above this weight a sampler is refused: its tables grow as n^2 cells of
 # O(sqrt n)-digit counts (see the README for the measured peak RSS).
 SAMPLE_CUTOFF = 5000
+
+
+def check_enumerable(n: int, cutoff: int = ENUMERATION_CUTOFF) -> None:
+    """Raise ValueError unless weight n is nonnegative and at most the
+    enumeration cutoff."""
+    if n < 0:
+        raise ValueError(f"weight must be nonnegative, got {n}")
+    if n > cutoff:
+        raise ValueError(
+            f"enumeration at n={n} exceeds the cutoff {cutoff}; use counting or sampling"
+        )
+
+
+def check_samplable(n: int) -> None:
+    """Raise ValueError unless weight n is nonnegative and at most ``SAMPLE_CUTOFF``."""
+    if n < 0:
+        raise ValueError(f"weight must be nonnegative, got {n}")
+    if n > SAMPLE_CUTOFF:
+        raise ValueError(f"sampling at n={n} exceeds the cutoff {SAMPLE_CUTOFF}")
 
 
 class Family(Enum):
@@ -95,9 +114,7 @@ class Family(Enum):
 
 def in_family(p: Partition, family: Family) -> bool:
     """Membership test: block parities, repetition modes, strict separation."""
-    return blocks_in_family(
-        tuple([part for part in p if not part % 2]), tuple([part for part in p if part % 2]), family
-    )
+    return blocks_in_family(*parity_split(p), family)
 
 
 def blocks_in_family(evens: Block, odds: Block, family: Family) -> bool:
@@ -126,12 +143,7 @@ def member_blocks(
     tuple; the memo holds at most the lower-parity partitions of weights up
     to n.  Raises ValueError for negative n or when n exceeds the cutoff.
     """
-    if n < 0:
-        raise ValueError(f"weight must be nonnegative, got {n}")
-    if n > cutoff:
-        raise ValueError(
-            f"enumeration at n={n} exceeds the cutoff {cutoff}; use counting or sampling"
-        )
+    check_enumerable(n, cutoff)
     upper_rem = 1 if family.upper_odd else 0
     upper_distinct = family.upper_distinct
     lower_distinct = family.lower_distinct
@@ -313,10 +325,7 @@ class FamilySampler:
     """
 
     def __init__(self, family: Family, n: int):
-        if n < 0:
-            raise ValueError(f"weight must be nonnegative, got {n}")
-        if n > SAMPLE_CUTOFF:
-            raise ValueError(f"sampling at n={n} exceeds the cutoff {SAMPLE_CUTOFF}")
+        check_samplable(n)
         self.family = family
         self.n = n
         upper_rem = 1 if family.upper_odd else 0

@@ -48,14 +48,8 @@ class Series:
             raise IndexError(f"coefficient index {k} outside 0..{self.order}")
         return self.coeffs[k]
 
-    def __add__(self, other: "Series") -> "Series":
-        return Series(a + b for a, b in zip(self.coeffs, other.coeffs))
-
     def __sub__(self, other: "Series") -> "Series":
         return Series(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __mul__(self, other: "Series") -> "Series":
-        return series_mul(self, other)
 
 
 def series_mul(a: Series, b: Series) -> Series:

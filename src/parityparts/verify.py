@@ -8,10 +8,10 @@ in canonical text form plus the check name, so it can be replayed by
 hand through the library.
 
 The per-member checks run on a member's even and odd blocks: exhaustive
-mode walks both families as blocks (``families.member_blocks``), sampled
-mode splits each draw once, and rewrite outputs are sorted and split by
-``casemap.rewrite_blocks``.  A ``Partition`` and its text form are built
-only when a failure is filed.
+mode walks both families as blocks (``families.member_blocks``), while
+sampled draws, rewrite outputs and witnesses are split once by
+``core.parity_split``.  A ``Partition`` and its text form are built only
+when a failure is filed.
 """
 
 from __future__ import annotations
@@ -29,19 +29,15 @@ from .casemap import (
     case_min_weight,
     from_parts,
     image_cases,
-    rewrite_blocks,
     source_cases,
-    split_blocks,
     witness,
 )
-from .core import format_partition
+from .core import Block, format_partition, parity_split
 from .families import (
     ENUMERATION_CUTOFF,
-    Block,
     CountTable,
     FamilySampler,
     blocks_in_family,
-    in_family,
     member_blocks,
 )
 from .series import series_p_eu_od, series_p_od_eu
@@ -220,7 +216,7 @@ def _check_source_member(
         tally.skipped += 1
         return
     try:
-        image = rewrite_blocks(row.forward(ev, od))
+        image = parity_split(row.forward(ev, od))
     except ValueError as exc:
         report.record_failure(n, _shown(source), "forward", f"case {case}: {exc}")
         return
@@ -252,7 +248,7 @@ def _check_source_member(
         )
         return
     try:
-        recovered = rewrite_blocks(row.backward(e, o))
+        recovered = parity_split(row.backward(e, o))
     except ValueError as exc:
         report.record_failure(
             n,
@@ -313,7 +309,7 @@ def _check_image_member(
     if n < row.min_weight:
         return
     try:
-        recovered = rewrite_blocks(row.backward(e, o))
+        recovered = parity_split(row.backward(e, o))
     except ValueError as exc:
         report.record_failure(n, _shown(member), "inverse", f"case {case}: {exc}")
         return
@@ -323,7 +319,7 @@ def _check_image_member(
         inverts = (
             blocks_in_family(ev, od, SOURCE_FAMILY)
             and source_cases(ev, od) == (case,)
-            and rewrite_blocks(row.forward(ev, od)) == member
+            and parity_split(row.forward(ev, od)) == member
         )
     except ValueError as exc:
         inverts, error = False, f", which maps to no partition: {exc}"
@@ -342,10 +338,11 @@ def _check_witness(n: int, report: VerificationReport) -> None:
     if unmatched.weight != n:
         report.record_failure(n, shown, "witness-weight", f"weighs {unmatched.weight}")
         return
-    if not in_family(unmatched, IMAGE_FAMILY):
+    e, o = parity_split(unmatched)
+    if not blocks_in_family(e, o, IMAGE_FAMILY):
         report.record_failure(n, shown, "witness-membership", f"outside {IMAGE_FAMILY.value}")
         return
-    matches = image_cases(*split_blocks(unmatched))
+    matches = image_cases(e, o)
     if matches:
         report.record_failure(
             n, shown, "witness-unmatched", f"matched signatures {list(matches)}"
@@ -407,7 +404,7 @@ def verify_sampled(n: int, samples: int, seed: int) -> VerificationReport:
     rng = random.Random(seed)
     images: Images = {}
     for _ in range(samples):
-        _check_source_member(split_blocks(sampler.sample(rng)), n, report, images)
+        _check_source_member(parity_split(sampler.sample(rng)), n, report, images)
     if n >= WITNESS_MIN_WEIGHT:
         _check_witness(n, report)
     return report.finish()

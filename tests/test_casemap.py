@@ -17,7 +17,7 @@ from parityparts.casemap import (
     source_case_matches,
     witness,
 )
-from parityparts.core import frequency, parse_partition
+from parityparts.core import parse_partition
 from parityparts.families import Family, FamilySampler, enumerate_family, in_family
 
 # (case, source, image) triples with hand-checked weights; the map must
@@ -140,7 +140,7 @@ def test_case_15_gap_at_373():
     image = forward(CASE_15_GAP)
     assert image.weight == 373
     assert in_family(image, IMAGE_FAMILY)
-    assert frequency(image, 2) == 12
+    assert image.count(2) == 12
     assert classify_image(image) is None
     with pytest.raises(ValueError):
         backward(image)

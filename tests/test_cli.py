@@ -139,6 +139,13 @@ class TestMap:
         assert code == 1
         assert "not in family" in err
 
+    def test_oversized_repetition_fails(self, capsys):
+        # refused by the parser before the parts are built
+        code, out, err = invoke(capsys, "map", "--input", "2^10000000000")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "parts" in err
+
     def test_witness_cannot_be_inverted(self, capsys):
         code, _, err = invoke(capsys, "map", "--input", "127,125,117,2,2", "--inverse")
         assert code == 1

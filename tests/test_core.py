@@ -3,9 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parityparts.core import (
+    MAX_PARTS,
     Partition,
     format_partition,
-    frequency,
     parity_split,
     parse_partition,
     render_ferrers,
@@ -57,6 +57,14 @@ def test_parse_rejects_malformed(text):
         parse_partition(text)
 
 
+def test_parse_bounds_the_part_count():
+    # rejected before the repeated parts are built
+    with pytest.raises(ValueError, match=f"more than {MAX_PARTS} parts"):
+        parse_partition("2^10000000000")
+    with pytest.raises(ValueError, match=f"more than {MAX_PARTS} parts"):
+        parse_partition(f"3,1^{MAX_PARTS}")
+
+
 @given(partitions)
 def test_parse_format_roundtrip(p):
     assert parse_partition(format_partition(p)) == p
@@ -64,30 +72,28 @@ def test_parse_format_roundtrip(p):
 
 @given(partitions)
 def test_parity_split_reconstructs(p):
-    view = parity_split(p)
-    assert sorted(view.evens + view.odds, reverse=True) == list(p)
-    assert all(part % 2 == 0 for part in view.evens)
-    assert all(part % 2 == 1 for part in view.odds)
-    assert len(view.evens) + len(view.odds) == len(p)
+    evens, odds = parity_split(p)
+    assert sorted(evens + odds, reverse=True) == list(p)
+    assert all(part % 2 == 0 for part in evens)
+    assert all(part % 2 == 1 for part in odds)
+    assert len(evens) + len(odds) == len(p)
 
 
 def test_parity_split_example():
-    view = parity_split(Partition((6, 4, 3, 3, 1)))
-    assert view.evens == (6, 4)
-    assert view.odds == (3, 3, 1)
-    assert (len(view.evens), len(view.odds)) == (2, 3)
+    evens, odds = parity_split(Partition((6, 4, 3, 3, 1)))
+    assert evens == (6, 4)
+    assert odds == (3, 3, 1)
+    assert (len(evens), len(odds)) == (2, 3)
 
 
-@given(partitions)
-def test_frequency_sums_to_weight(p):
-    values = set(p)
-    assert sum(value * frequency(p, value) for value in values) == p.weight
-    assert sum(frequency(p, value) for value in values) == len(p)
-
-
-def test_frequency_rejects_bad_value():
-    with pytest.raises(ValueError):
-        frequency(Partition((2, 1)), 0)
+def test_parity_split_sorts_and_validates_parts():
+    assert parity_split([3, 6, 1, 4, 3]) == ((6, 4), (3, 3, 1))
+    assert parity_split([]) == ((), ())
+    # the message Partition gives for the same parts
+    with pytest.raises(ValueError, match="^parts must be positive integers, got 0$"):
+        parity_split([0, 5, 2])
+    with pytest.raises(ValueError, match="^parts must be positive integers, got 0$"):
+        Partition((5, 2, 0))
 
 
 def test_render_ferrers():
