@@ -15,6 +15,7 @@ from .core import (
     render_ferrers,
 )
 from .families import (
+    COUNT_CUTOFF,
     ENUMERATION_CUTOFF,
     SAMPLE_CUTOFF,
     CountTable,
@@ -70,6 +71,7 @@ __all__ = [
     "render_ferrers",
     "ENUMERATION_CUTOFF",
     "SAMPLE_CUTOFF",
+    "COUNT_CUTOFF",
     "Family",
     "CountTable",
     "FamilySampler",

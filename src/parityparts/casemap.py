@@ -10,9 +10,11 @@ are defined only at or above the case's minimum weight.
 
 Each case is one row of ``CASES``.  The case code reads a partition as
 its two blocks, the even parts and the odd parts, which come from
-``core.parity_split``.  The public functions take a ``Partition``: each
-splits it once, checks membership on the blocks and looks its case up
-once.  The verifier, whose members arrive as their two blocks, calls the
+``core.parity_split``.  Cases 2, 3 and 4 are one block swap and share one
+rewrite pair, ``_fwd_swap`` and ``_bwd_swap``; their conditions,
+signatures and minimum weights stay separate.  The public functions take
+a ``Partition``: each splits it once, checks membership on the blocks
+and looks its case up once.  The verifier, whose members arrive as their two blocks, calls the
 block-level helpers ``source_cases`` and ``image_cases`` directly and
 splits each rewrite's output with ``parity_split``, without building a
 ``Partition``.
@@ -72,34 +74,19 @@ def _fwd_1(ev, od):
     return ev + od
 
 
-def _fwd_2(ev, od):
-    inc = _slide(len(ev))
-    to_odd = [ev[k] + inc[k] for k in range(len(ev) - 1)] + [ev[-1] - 1]
-    to_even = [od[k] - inc[k] for k in range(len(od) - 1)] + [od[-1] + 1]
-    return to_odd + to_even
-
-
-def _fwd_3(ev, od):
-    n_ev, n_od = len(ev), len(od)
-    inc = _slide(n_od)
-    to_odd = [ev[0] + 2 * (n_ev - n_od) + (2 * n_od - 3)]
-    to_odd += [ev[k] + inc[k] for k in range(1, n_od - 1)]
-    to_odd += [ev[n_od - 1] - 1]
-    kept_even = [part - 2 for part in ev[n_od:]]
-    to_even = [od[k] - inc[k] for k in range(n_od - 1)] + [od[-1] + 1]
-    return to_odd + kept_even + to_even
-
-
-def _fwd_4(ev, od):
-    n_ev, n_od = len(ev), len(od)
-    inc = _slide(n_ev)
-    to_odd = [ev[0] + 2 * (n_od - n_ev) + (2 * n_ev - 3)]
-    to_odd += [ev[k] + inc[k] for k in range(1, n_ev - 1)]
-    to_odd += [ev[-1] - 1]
-    kept_odd = [part - 2 for part in od[: n_od - n_ev]]
-    tail = od[n_od - n_ev :]
-    to_even = [tail[k] - inc[k] for k in range(n_ev - 1)] + [tail[-1] + 1]
-    return to_odd + kept_odd + to_even
+def _fwd_swap(ev, od):
+    """Cases 2-4: the m largest evens and the m smallest odds trade parity,
+    where m is the shorter block's length; the other parts move down by 2
+    and the top new odd part takes 2 per moved part."""
+    m = min(len(ev), len(od))
+    inc = _slide(m)
+    low = od[len(od) - m :]
+    to_odd = [ev[0] + 2 * (len(ev) + len(od) - 2 * m) + inc[0]]
+    to_odd += [ev[k] + inc[k] for k in range(1, m - 1)]
+    to_odd += [ev[m - 1] - 1]
+    kept = [part - 2 for part in ev[m:] + od[: len(od) - m]]
+    to_even = [low[k] - inc[k] for k in range(m - 1)] + [low[-1] + 1]
+    return to_odd + kept + to_even
 
 
 def _fwd_5(ev, od):
@@ -177,34 +164,17 @@ def _bwd_1(e, o):
     return e + o
 
 
-def _bwd_2(e, o):
-    inc = _slide(len(e))
-    to_even = [o[k] - inc[k] for k in range(len(o) - 1)] + [o[-1] + 1]
-    to_odd = [e[k] + inc[k] for k in range(len(e) - 1)] + [e[-1] - 1]
-    return to_even + to_odd
-
-
-def _bwd_3(e, o):
-    u, v = len(e), len(o)
-    inc = _slide(v)
-    to_even = [o[0] - (2 * (u - v) + 2 * v - 3)]
-    to_even += [o[k] - inc[k] for k in range(1, v - 1)]
-    to_even += [o[-1] + 1]
-    kept_even = [part + 2 for part in e[: u - v]]
-    tail = e[u - v :]
-    to_odd = [tail[k] + inc[k] for k in range(v - 1)] + [tail[-1] - 1]
-    return to_even + kept_even + to_odd
-
-
-def _bwd_4(e, o):
-    u, v = len(e), len(o)
-    inc = _slide(u)
-    to_even = [o[0] - (2 * (v - u) + 2 * u - 3)]
-    to_even += [o[k] - inc[k] for k in range(1, u - 1)]
-    to_even += [o[u - 1] + 1]
-    kept_odd = [part + 2 for part in o[u:]]
-    to_odd = [e[k] + inc[k] for k in range(u - 1)] + [e[-1] - 1]
-    return to_even + kept_odd + to_odd
+def _bwd_swap(e, o):
+    """The inverse of ``_fwd_swap``, with m the shorter image block's length."""
+    m = min(len(e), len(o))
+    inc = _slide(m)
+    low = e[len(e) - m :]
+    to_even = [o[0] - 2 * (len(e) + len(o) - 2 * m) - inc[0]]
+    to_even += [o[k] - inc[k] for k in range(1, m - 1)]
+    to_even += [o[m - 1] + 1]
+    kept = [part + 2 for part in o[m:] + e[: len(e) - m]]
+    to_odd = [low[k] + inc[k] for k in range(m - 1)] + [low[-1] - 1]
+    return to_even + kept + to_odd
 
 
 def _bwd_5(e, o):
@@ -288,16 +258,16 @@ def _bwd_17(e, o):
 CASES: dict[int, Case] = {
     1: Case(1, lambda ev, od: not ev or not od, _fwd_1,
             lambda e, o, u, v, f2: u == 0 or v == 0, _bwd_1),
-    2: Case(12, lambda ev, od: len(ev) == len(od) >= 2, _fwd_2,
-            lambda e, o, u, v, f2: u == v >= 2 and o[-1] - e[0] >= 2 * v - 3, _bwd_2),
-    3: Case(16, lambda ev, od: len(ev) > len(od) >= 2, _fwd_3,
+    2: Case(12, lambda ev, od: len(ev) == len(od) >= 2, _fwd_swap,
+            lambda e, o, u, v, f2: u == v >= 2 and o[-1] - e[0] >= 2 * v - 3, _bwd_swap),
+    3: Case(16, lambda ev, od: len(ev) > len(od) >= 2, _fwd_swap,
             lambda e, o, u, v, f2: u > v >= 2
             and o[0] - o[1] >= 2 * (u - v + 1)
-            and e[u - v - 1] - e[u - v] >= 2 * v - 4, _bwd_3),
-    4: Case(21, lambda ev, od: len(od) > len(ev) >= 2, _fwd_4,
+            and e[u - v - 1] - e[u - v] >= 2 * v - 4, _bwd_swap),
+    4: Case(21, lambda ev, od: len(od) > len(ev) >= 2, _fwd_swap,
             lambda e, o, u, v, f2: v > u >= 2
             and o[0] - o[1] >= 2 * (v - u + 1)
-            and o[-1] - e[0] >= 2 * u - 3, _bwd_4),
+            and o[-1] - e[0] >= 2 * u - 3, _bwd_swap),
     5: Case(5, lambda ev, od: len(ev) == 1 and len(od) >= 1 and ev[-1] - od[0] >= 3, _fwd_5,
             lambda e, o, u, v, f2: u == 1 and v >= 1, _bwd_5),
     6: Case(35, lambda ev, od: len(ev) == 1 and len(od) >= 5 and ev[-1] - od[0] == 1, _fwd_6,

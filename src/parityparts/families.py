@@ -42,6 +42,7 @@ from .core import Block, Partition, parity_split
 __all__ = [
     "ENUMERATION_CUTOFF",
     "SAMPLE_CUTOFF",
+    "COUNT_CUTOFF",
     "Family",
     "CountTable",
     "FamilySampler",
@@ -57,6 +58,9 @@ ENUMERATION_CUTOFF = 70
 # Above this weight a sampler is refused: its tables grow as n^2 cells of
 # O(sqrt n)-digit counts (see the README for the measured peak RSS).
 SAMPLE_CUTOFF = 5000
+# Above this weight counting is refused: a table is a list per weight of
+# counts up to O(sqrt n) digits, built in O(n^2) additions (see the README).
+COUNT_CUTOFF = 10_000
 
 
 def check_enumerable(n: int, cutoff: int = ENUMERATION_CUTOFF) -> None:
@@ -76,6 +80,14 @@ def check_samplable(n: int) -> None:
         raise ValueError(f"weight must be nonnegative, got {n}")
     if n > SAMPLE_CUTOFF:
         raise ValueError(f"sampling at n={n} exceeds the cutoff {SAMPLE_CUTOFF}")
+
+
+def check_countable(n: int) -> None:
+    """Raise ValueError unless weight n is nonnegative and at most ``COUNT_CUTOFF``."""
+    if n < 0:
+        raise ValueError(f"weight must be nonnegative, got {n}")
+    if n > COUNT_CUTOFF:
+        raise ValueError(f"counting at n={n} exceeds the cutoff {COUNT_CUTOFF}")
 
 
 class Family(Enum):
@@ -260,8 +272,7 @@ class CountTable:
         from an open state performs the block crossing, after which
         upper-parity values are no longer available.
         """
-        if max_n < 0:
-            raise ValueError(f"max_n must be nonnegative, got {max_n}")
+        check_countable(max_n)
         upper_rem = 1 if family.upper_odd else 0
         open_block = [0] * (max_n + 1)
         open_block[0] = 1
@@ -279,12 +290,12 @@ _tables: dict[Family, CountTable] = {}
 
 def count_family(family: Family, n: int) -> int:
     """Exact number of members at weight n, never by enumeration."""
-    if n < 0:
-        raise ValueError(f"weight must be nonnegative, got {n}")
+    check_countable(n)
     table = _tables.get(family)
     if table is None or table.max_n < n:
-        # grow geometrically so ascending queries cost O(n^2) overall
-        target = max(n, 2 * table.max_n if table else 0, 64)
+        # grow geometrically so ascending queries cost O(n^2) overall, but
+        # never past the cutoff, so a legal query is never refused
+        target = min(max(n, 2 * table.max_n if table else 0, 64), COUNT_CUTOFF)
         table = CountTable.build(family, target)
         _tables[family] = table
     return table[n]

@@ -16,6 +16,8 @@ from itertools import repeat
 from operator import add, mul, neg
 from typing import Iterable
 
+from .families import check_countable
+
 __all__ = [
     "Series",
     "series_mul",
@@ -90,10 +92,10 @@ def euler_inverse_even(order: int) -> Series:
 
     The partition numbers p(0..order//2) come from Euler's pentagonal
     recurrence, p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) +
-    p(k - j(3j+1)/2)), and sit on the even indices.
+    p(k - j(3j+1)/2)), and sit on the even indices.  ``order`` is a
+    weight, bounded by ``families.COUNT_CUTOFF``.
     """
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    check_countable(order)
     half = order // 2
     p = [1] + [0] * half
     for k in range(1, half + 1):

@@ -12,6 +12,10 @@ mode walks both families as blocks (``families.member_blocks``), while
 sampled draws, rewrite outputs and witnesses are split once by
 ``core.parity_split``.  A ``Partition`` and its text form are built only
 when a failure is filed.
+
+``_check_source_member`` and ``_check_image_member`` classify a member and
+keep its tally, then file the first failed check that ``_source_fault``
+or ``_image_fault`` returns, each side from one place.
 """
 
 from __future__ import annotations
@@ -192,12 +196,8 @@ def _shown(blocks: Blocks) -> str:
 def _check_source_member(
     source: Blocks, n: int, report: VerificationReport, images: Images
 ) -> None:
-    """Run the per-member checks on one source member, given as its even and
-    odd blocks, and file failures; shared by both modes.
-
-    An image whose source passes every check is stored in ``images`` with
-    that source and its case.
-    """
+    """Classify one source member, given as its even and odd blocks, keep
+    its case's tally and file its first fault; shared by both modes."""
     ev, od = source
     matches = source_cases(ev, od)
     if len(matches) != 1:
@@ -209,83 +209,63 @@ def _check_source_member(
         )
         return
     case = matches[0]
-    row = CASES[case]
     tally = report.tally(case)
     tally.tested += 1
-    if n < row.min_weight:
+    if n < CASES[case].min_weight:
         tally.skipped += 1
         return
+    fault = _source_fault(source, case, n, images)
+    if fault is None:
+        tally.passed += 1
+        return
+    check, detail = fault
+    report.record_failure(n, _shown(source), check, f"case {case}: {detail}")
+
+
+def _source_fault(source: Blocks, case: int, n: int, images: Images) -> tuple[str, str] | None:
+    """The first check that a source member of this case fails, as
+    (check, detail), or None when it passes them all.
+
+    Only a member that passes them all has its image stored in ``images``.
+    """
+    row = CASES[case]
+    ev, od = source
     try:
         image = parity_split(row.forward(ev, od))
     except ValueError as exc:
-        report.record_failure(n, _shown(source), "forward", f"case {case}: {exc}")
-        return
+        return "forward", str(exc)
     e, o = image
     weight = sum(e) + sum(o)
     if weight != n:
-        report.record_failure(
-            n,
-            _shown(source),
-            "weight",
-            f"case {case}: image {_shown(image)} weighs {weight}",
-        )
-        return
+        return "weight", f"image {_shown(image)} weighs {weight}"
     if not blocks_in_family(e, o, IMAGE_FAMILY):
-        report.record_failure(
-            n,
-            _shown(source),
-            "membership",
-            f"case {case}: image {_shown(image)} is outside {IMAGE_FAMILY.value}",
-        )
-        return
+        return "membership", f"image {_shown(image)} is outside {IMAGE_FAMILY.value}"
     image_matches = image_cases(e, o)
     if image_matches != (case,):
-        report.record_failure(
-            n,
-            _shown(source),
-            "image-signature",
-            f"case {case}: image {_shown(image)} matched {list(image_matches) or 'nothing'}",
-        )
-        return
+        matched = list(image_matches) or "nothing"
+        return "image-signature", f"image {_shown(image)} matched {matched}"
     try:
         recovered = parity_split(row.backward(e, o))
     except ValueError as exc:
-        report.record_failure(
-            n,
-            _shown(source),
-            "roundtrip",
-            f"case {case}: image {_shown(image)} inverts to no partition: {exc}",
-        )
-        return
+        return "roundtrip", f"image {_shown(image)} inverts to no partition: {exc}"
     if recovered != source:
-        report.record_failure(
-            n,
-            _shown(source),
-            "roundtrip",
-            f"case {case}: image {_shown(image)} inverted to {_shown(recovered)}",
-        )
-        return
+        return "roundtrip", f"image {_shown(image)} inverted to {_shown(recovered)}"
     first_source = images.setdefault(image, (source, case))[0]
     if first_source != source:
-        report.record_failure(
-            n,
-            _shown(source),
-            "distinct-images",
-            f"case {case}: image {_shown(image)} already produced by {_shown(first_source)}",
-        )
-        return
-    tally.passed += 1
+        detail = f"image {_shown(image)} already produced by {_shown(first_source)}"
+        return "distinct-images", detail
+    return None
 
 
 def _check_image_member(
     member: Blocks, n: int, report: VerificationReport, image_counts: Counter[int], images: Images
 ) -> None:
-    """Signature overlap, inverse and inverse roundtrip of one image member,
-    given as its even and odd blocks.
+    """Match one image member, given as its even and odd blocks, against
+    the signatures, count it under its case and file its first fault.
 
     A member in ``images`` is only counted under its source's case: the
-    source side has already checked everything below for it (see
-    ``verify_exhaustive``).
+    source side has already checked everything ``_image_fault`` would for
+    it (see ``verify_exhaustive``).
     """
     verified = images.get(member)
     if verified is not None:
@@ -304,32 +284,36 @@ def _check_image_member(
     if not matches:
         return
     case = matches[0]
-    row = CASES[case]
     image_counts[case] += 1
-    if n < row.min_weight:
+    if n < CASES[case].min_weight:
         return
+    fault = _image_fault(member, case)
+    if fault is not None:
+        check, detail = fault
+        report.record_failure(n, _shown(member), check, f"case {case}: {detail}")
+
+
+def _image_fault(member: Blocks, case: int) -> tuple[str, str] | None:
+    """The first check that an image member matching this case's signature
+    fails, inverse or inverse roundtrip, as (check, detail), or None."""
+    row = CASES[case]
+    e, o = member
     try:
         recovered = parity_split(row.backward(e, o))
     except ValueError as exc:
-        report.record_failure(n, _shown(member), "inverse", f"case {case}: {exc}")
-        return
+        return "inverse", str(exc)
     ev, od = recovered
-    error = ""
     try:
-        inverts = (
+        if (
             blocks_in_family(ev, od, SOURCE_FAMILY)
             and source_cases(ev, od) == (case,)
             and parity_split(row.forward(ev, od)) == member
-        )
+        ):
+            return None
+        error = ""
     except ValueError as exc:
-        inverts, error = False, f", which maps to no partition: {exc}"
-    if not inverts:
-        report.record_failure(
-            n,
-            _shown(member),
-            "inverse-roundtrip",
-            f"case {case}: inverted to {_shown(recovered)}{error}",
-        )
+        error = f", which maps to no partition: {exc}"
+    return "inverse-roundtrip", f"inverted to {_shown(recovered)}{error}"
 
 
 def _check_witness(n: int, report: VerificationReport) -> None:

@@ -43,6 +43,24 @@ class TestCount:
         assert "unknown family" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--family", "od_eu", "--n"],
+        ["table", "--from", "0", "--to"],
+        ["series", "--target", "diff", "--order"],
+        ["verify", "--mode", "inequality", "--from", "50", "--to"],
+        ["verify", "--mode", "inequality", "--method", "dp", "--from", "50", "--to"],
+    ],
+    ids=["count", "table", "series", "verify-inequality", "verify-inequality-dp"],
+)
+def test_counting_input_above_cutoff_fails(capsys, argv):
+    # only the rejection is tested: nothing of this size is allocated
+    code, out, err = invoke(capsys, *argv, str(10**12))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "cutoff" in err
+
+
 class TestTable:
     def test_header_and_shape(self, capsys):
         code, out, _ = invoke(capsys, "table", "--from", "0", "--to", "6")

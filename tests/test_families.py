@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from parityparts import families
 from parityparts.core import Partition, parse_partition
 from parityparts.families import (
+    COUNT_CUTOFF,
     ENUMERATION_CUTOFF,
     SAMPLE_CUTOFF,
     CountTable,
@@ -389,6 +390,27 @@ def test_sampler_rejects_weights_above_cutoff():
             FamilySampler(family, SAMPLE_CUTOFF + 1)
     with pytest.raises(ValueError, match="cutoff"):
         sample_family(Family.OD_EU, 10**9, 0)
+
+
+def test_counting_rejects_weights_above_cutoff():
+    # only the rejection is tested: nothing of this size is allocated
+    for family in CHAIN:
+        with pytest.raises(ValueError, match="cutoff"):
+            CountTable.build(family, COUNT_CUTOFF + 1)
+        with pytest.raises(ValueError, match="cutoff"):
+            count_family(family, 10**12)
+
+
+def test_count_family_growth_stops_at_the_cutoff(monkeypatch):
+    expected = CountTable.build(Family.OD_EU, 90)
+    monkeypatch.setattr(families, "COUNT_CUTOFF", 100)
+    monkeypatch.setattr(families, "_tables", {})
+    assert count_family(Family.OD_EU, 60) == expected[60]
+    # the doubled target 128 is cut to 100, so this legal query is answered
+    assert count_family(Family.OD_EU, 90) == expected[90]
+    assert families._tables[Family.OD_EU].max_n == 100
+    with pytest.raises(ValueError, match="cutoff"):
+        count_family(Family.OD_EU, 101)
 
 
 def test_unrank_range_errors():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parityparts.families import Family, count_family
+from parityparts.families import COUNT_CUTOFF, Family, count_family
 from parityparts.series import (
     Series,
     diff_series,
@@ -182,3 +182,10 @@ def test_diff_series_matches_family_counts():
     diff = diff_series(80)
     for n in range(81):
         assert diff[n] == count_family(Family.EU_OD, n) - count_family(Family.OD_EU, n)
+
+
+def test_series_rejects_orders_above_the_count_cutoff():
+    # only the rejection is tested: nothing of this size is allocated
+    for route in (euler_inverse_even, series_p_eu_od, series_p_od_eu, diff_series):
+        with pytest.raises(ValueError, match="cutoff"):
+            route(COUNT_CUTOFF + 1)
