@@ -50,6 +50,9 @@ IMAGE_FAMILY = Family.EU_OD
 NUM_CASES = 17
 
 WITNESS_MIN_WEIGHT = 373
+# A witness scan ending above this weight is refused; each weight costs a
+# few microseconds, so a scan to the cutoff takes seconds.
+WITNESS_CUTOFF = 1_000_000
 
 
 class Case(NamedTuple):

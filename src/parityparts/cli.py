@@ -24,6 +24,7 @@ from .families import (
     ENUMERATION_CUTOFF,
     Family,
     FamilySampler,
+    check_draws,
     check_enumerable,
     check_samplable,
     count_family,
@@ -95,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cutoff",
         type=_nonnegative,
         default=ENUMERATION_CUTOFF,
-        help=f"guard against huge listings (default {ENUMERATION_CUTOFF})",
+        help=f"guard against huge listings (default and maximum {ENUMERATION_CUTOFF})",
     )
 
     sample = sub.add_parser("sample", help="draw members uniformly at random")
@@ -157,12 +158,18 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    # the flag may only lower the guard: above it a listing can run for hours
+    if args.cutoff > ENUMERATION_CUTOFF:
+        raise ValueError(
+            f"--cutoff {args.cutoff} exceeds the enumeration cutoff {ENUMERATION_CUTOFF}"
+        )
     for member in enumerate_family(args.family, args.n, cutoff=args.cutoff):
         print(format_partition(member))
     return 0
 
 
 def _cmd_sample(args) -> int:
+    check_draws(args.count)
     sampler = FamilySampler(args.family, args.n)
     rng = random.Random(args.seed)
     for _ in range(args.count):

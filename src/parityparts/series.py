@@ -7,13 +7,18 @@ function (sum of q^(k^2)) / (product of 1 - q^(2k)), and the
 evens-over-distinct-odds family comes from an alternating double sum
 against the same even Euler factor, unwrapped by flipping the sign of
 every odd coefficient.
+
+The even Euler factor is zero at every odd index, so both products work
+on its even half, the partition numbers p(0..order//2): a sparse term
+c q^s adds c * p into every second coefficient from s on, and the
+common terms with c = +1 or -1 add or subtract p without multiplying.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, mul, neg
+from operator import add, mul, neg, sub
 from typing import Iterable
 
 from .families import check_countable
@@ -87,12 +92,12 @@ def series_invert(a: Series) -> Series:
     return Series(out)
 
 
-def euler_inverse_even(order: int) -> Series:
-    """Coefficients of 1 / product(1 - q^(2k)): partitions into even parts.
+def _even_partitions(order: int) -> list[int]:
+    """The partition numbers p(0..order//2), which count the partitions of
+    each even weight 2k up to ``order`` into even parts.
 
-    The partition numbers p(0..order//2) come from Euler's pentagonal
-    recurrence, p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) +
-    p(k - j(3j+1)/2)), and sit on the even indices.  ``order`` is a
+    They come from Euler's pentagonal recurrence, p(k) = sum over j >= 1
+    of (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)).  ``order`` is a
     weight, bounded by ``families.COUNT_CUTOFF``.
     """
     check_countable(order)
@@ -110,8 +115,17 @@ def euler_inverse_even(order: int) -> Series:
             acc += term if j % 2 else -term
             j += 1
         p[k] = acc
+    return p
+
+
+def euler_inverse_even(order: int) -> Series:
+    """Coefficients of 1 / product(1 - q^(2k)): partitions into even parts.
+
+    The partition numbers ``_even_partitions(order)`` sit on the even
+    indices; every odd coefficient is zero.
+    """
     coeffs = [0] * (order + 1)
-    coeffs[::2] = p
+    coeffs[::2] = _even_partitions(order)
     return Series(coeffs)
 
 
@@ -127,22 +141,33 @@ def theta_squares(order: int) -> Series:
     return Series(coeffs)
 
 
-def _sparse_mul(base: Series, terms: dict[int, int]) -> list[int]:
-    """Coefficients of base times the sum of c q^s over terms, truncated to
-    the order of base; one slice-add per nonzero term."""
-    size = len(base.coeffs)
-    out = [0] * size
+def _sparse_mul(p: list[int], terms: dict[int, int], order: int) -> list[int]:
+    """Coefficients 0..order of ``euler_inverse_even(order)`` times the sum
+    of c q^s over terms, given its even half ``p = _even_partitions(order)``.
+
+    The base is zero at every odd index, so a term c q^s reaches only the
+    indices s, s + 2, ...: one slice-add of c * p into ``out[s::2]`` per
+    nonzero term, with no multiplication when c is +1 or -1.
+    """
+    out = [0] * (order + 1)
     for shift, coeff in terms.items():
-        if coeff and shift < size:
-            out[shift:] = map(add, out[shift:], map(mul, base.coeffs, repeat(coeff, size - shift)))
+        if not coeff or shift > order:
+            continue
+        target = out[shift::2]
+        if coeff == 1:
+            out[shift::2] = map(add, target, p)
+        elif coeff == -1:
+            out[shift::2] = map(sub, target, p)
+        else:
+            out[shift::2] = map(add, target, map(mul, p, repeat(coeff)))
     return out
 
 
 def series_p_eu_od(order: int) -> Series:
     """Member counts of the distinct-odds-over-evens family, weights 0..order."""
-    base = euler_inverse_even(order)
+    p = _even_partitions(order)
     squares = {k: c for k, c in enumerate(theta_squares(order).coeffs) if c}
-    return Series(_sparse_mul(base, squares))
+    return Series(_sparse_mul(p, squares, order))
 
 
 def series_p_od_eu(order: int) -> Series:
@@ -155,9 +180,10 @@ def series_p_od_eu(order: int) -> Series:
     exponent m(m+1)/2 passes the order.  Flipping every odd-index sign at
     the end removes the alternation.  The base is multiplied by
     1 - correction as a sparse operand: about 0.4 * order of its terms
-    are nonzero.
+    are nonzero, and most of those are +1 or -1 (1006 of 1155 at order
+    3000).
     """
-    base = euler_inverse_even(order)
+    p = _even_partitions(order)
     factor = {0: 1}
     m = 1
     while m * (m + 1) // 2 <= order:
@@ -168,7 +194,7 @@ def series_p_od_eu(order: int) -> Series:
             factor[low] = factor.get(low, 0) - sign
             factor[high] = factor.get(high, 0) + sign
         m += 1
-    signed = _sparse_mul(base, factor)
+    signed = _sparse_mul(p, factor, order)
     signed[1::2] = map(neg, signed[1::2])
     return Series(signed)
 

@@ -29,6 +29,7 @@ from .casemap import (
     CASES,
     IMAGE_FAMILY,
     SOURCE_FAMILY,
+    WITNESS_CUTOFF,
     WITNESS_MIN_WEIGHT,
     case_min_weight,
     from_parts,
@@ -42,6 +43,7 @@ from .families import (
     CountTable,
     FamilySampler,
     blocks_in_family,
+    check_draws,
     member_blocks,
 )
 from .series import series_p_eu_od, series_p_od_eu
@@ -379,10 +381,10 @@ def verify_sampled(n: int, samples: int, seed: int) -> VerificationReport:
     """Run the per-member checks on uniform draws from the source family.
 
     Deterministic for a fixed (n, samples, seed).  At weights from
-    ``WITNESS_MIN_WEIGHT`` up the witness at n is checked as well.
+    ``WITNESS_MIN_WEIGHT`` up the witness at n is checked as well.  More
+    than ``families.MAX_DRAWS`` samples are refused with ValueError.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
+    check_draws(samples)
     report = VerificationReport(mode="sampled", n_lo=n, n_hi=n)
     sampler = FamilySampler(SOURCE_FAMILY, n)
     rng = random.Random(seed)
@@ -443,11 +445,14 @@ def verify_inequality(lo: int, hi: int, method: str = "both") -> VerificationRep
 
 
 def verify_witnesses(lo: int, hi: int) -> VerificationReport:
-    """Check the witness at every weight in lo..hi; lo must be at least 373."""
+    """Check the witness at every weight in lo..hi; lo must be at least 373
+    and hi at most ``casemap.WITNESS_CUTOFF``."""
     if lo < WITNESS_MIN_WEIGHT:
         raise ValueError(f"witness range starts at {WITNESS_MIN_WEIGHT}, got {lo}")
     if hi < lo:
         raise ValueError(f"bad weight range {lo}..{hi}")
+    if hi > WITNESS_CUTOFF:
+        raise ValueError(f"witness scan to n={hi} exceeds the cutoff {WITNESS_CUTOFF}")
     report = VerificationReport(mode="witnesses", n_lo=lo, n_hi=hi)
     for n in range(lo, hi + 1):
         _check_witness(n, report)

@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 from parityparts import cli
+from parityparts.casemap import WITNESS_CUTOFF
 from parityparts.cli import run
 from parityparts.core import format_partition, parse_partition
-from parityparts.families import ENUMERATION_CUTOFF, SAMPLE_CUTOFF
+from parityparts.families import ENUMERATION_CUTOFF, MAX_DRAWS, SAMPLE_CUTOFF
 from test_casemap import KNOWN_PAIRS
 
 
@@ -104,6 +105,15 @@ class TestEnumerate:
         assert code == 1
         assert "cutoff" in err
 
+    def test_cutoff_flag_cannot_raise_the_guard(self, capsys):
+        code, out, err = invoke(
+            capsys, "enumerate", "--family", "ou_eu", "--n", "5",
+            "--cutoff", str(ENUMERATION_CUTOFF + 1),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "cutoff" in err
+
 
 class TestSample:
     def test_deterministic_and_in_family(self, capsys):
@@ -117,6 +127,14 @@ class TestSample:
     def test_weight_above_cutoff_fails(self, capsys):
         n = str(SAMPLE_CUTOFF + 1)
         code, out, err = invoke(capsys, "sample", "--family", "od_eu", "--n", n)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "cutoff" in err
+
+    def test_count_above_cutoff_fails_before_drawing(self, capsys):
+        code, out, err = invoke(
+            capsys, "sample", "--family", "od_eu", "--n", "5", "--count", str(MAX_DRAWS + 1)
+        )
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and "cutoff" in err
@@ -294,6 +312,20 @@ class TestVerify:
         )
         assert code == 0
         assert "strict at 351 of 351 weights" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mode", "sampled", "--from", "5", "--to", "5", "--samples", str(MAX_DRAWS + 1)],
+            ["--mode", "witnesses", "--from", str(WITNESS_CUTOFF), "--to", str(WITNESS_CUTOFF + 1)],
+        ],
+        ids=["samples", "witnesses"],
+    )
+    def test_size_above_cutoff_fails_before_verifying(self, capsys, argv):
+        code, out, err = invoke(capsys, "verify", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "cutoff" in err
 
     def test_witnesses_mode(self, capsys):
         code, out, _ = invoke(

@@ -277,9 +277,16 @@ def test_count_table_direct():
 
 
 @pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
-@pytest.mark.parametrize("max_n", [0, 1, 2, 3, 64, 257, 400])
+@pytest.mark.parametrize("max_n", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 257, 400])
 def test_count_table_matches_per_cell_reference(family, max_n):
+    """Weights 4..9 pin the band edges: v == max_n, 2v + 1 == len(row) and
+    2v + 1 > len(row)."""
     assert CountTable.build(family, max_n).counts == reference_counts(family, max_n)
+
+
+@pytest.mark.parametrize("family", [Family.EU_OD, Family.OD_EU], ids=lambda fam: fam.value)
+def test_count_table_matches_per_cell_reference_at_1000(family):
+    assert CountTable.build(family, 1000).counts == reference_counts(family, 1000)
 
 
 @pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)

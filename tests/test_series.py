@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from parityparts.families import COUNT_CUTOFF, Family, count_family
 from parityparts.series import (
     Series,
+    _even_partitions,
+    _sparse_mul,
     diff_series,
     euler_inverse_even,
     series_invert,
@@ -123,6 +125,19 @@ def test_sparse_routes_match_dense_products(order):
     signed = base - series_mul(base, dense_correction(order))
     unsigned = tuple(c if k % 2 == 0 else -c for k, c in enumerate(signed.coeffs))
     assert series_p_od_eu(order).coeffs == unsigned
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 40])
+def test_sparse_mul_matches_dense_product(order):
+    """Unit, non-unit and zero coefficients at even and odd shifts, plus
+    shifts at and past the order."""
+    terms = {0: 1, 1: -1, 2: 2, 3: 0, 4: -2, 5: 3, 9: -3, order: 1, order + 1: 2, order + 4: -1}
+    dense = [0] * (order + 1)
+    for shift, coeff in terms.items():
+        if shift <= order:
+            dense[shift] += coeff
+    expected = series_mul(euler_inverse_even(order), Series(dense))
+    assert _sparse_mul(_even_partitions(order), terms, order) == list(expected.coeffs)
 
 
 def test_theta_squares():

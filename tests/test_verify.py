@@ -6,9 +6,9 @@ from collections import Counter
 import pytest
 
 from parityparts import casemap
-from parityparts.casemap import case_min_weight
+from parityparts.casemap import WITNESS_CUTOFF, case_min_weight
 from parityparts.cli import run
-from parityparts.families import CountTable
+from parityparts.families import MAX_DRAWS, CountTable
 from parityparts.verify import (
     verify_exhaustive,
     verify_inequality,
@@ -107,6 +107,10 @@ class TestSampled:
         with pytest.raises(ValueError):
             verify_sampled(50, 0, seed=0)
 
+    def test_rejects_sample_count_above_cutoff(self):
+        with pytest.raises(ValueError, match="cutoff"):
+            verify_sampled(5, MAX_DRAWS + 1, seed=0)
+
 
 class TestInequality:
     def test_small_weights_fail_wherever_not_strict(self):
@@ -175,6 +179,11 @@ class TestWitnesses:
     def test_rejects_reversed_range(self):
         with pytest.raises(ValueError):
             verify_witnesses(400, 380)
+
+    def test_cutoff_is_the_last_weight_scanned(self):
+        assert verify_witnesses(WITNESS_CUTOFF - 1, WITNESS_CUTOFF).ok
+        with pytest.raises(ValueError, match="cutoff"):
+            verify_witnesses(WITNESS_CUTOFF, WITNESS_CUTOFF + 1)
 
 
 class TestReportShape:
