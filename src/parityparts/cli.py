@@ -22,6 +22,7 @@ from .casemap import (
 from .core import format_partition, parse_partition, render_ferrers
 from .families import (
     ENUMERATION_CUTOFF,
+    MAX_SAMPLED_WEIGHTS,
     Family,
     FamilySampler,
     check_draws,
@@ -235,6 +236,9 @@ def _cmd_verify(args) -> int:
         reports = [verify_exhaustive(n) for n in range(args.lo, args.hi + 1)]
     elif args.mode == "sampled":
         check_samplable(args.hi)
+        weights = args.hi - args.lo + 1
+        if weights > MAX_SAMPLED_WEIGHTS:
+            raise ValueError(f"{weights} sampled weights exceed the cutoff {MAX_SAMPLED_WEIGHTS}")
         reports = [
             verify_sampled(n, args.samples, args.seed) for n in range(args.lo, args.hi + 1)
         ]

@@ -15,9 +15,12 @@ weight 2v on, about half the additions of a full pass.  Sampling unranks
 against completion counts tabulated in increasing part order, where no
 such band exists: each next part and its multiplicity are found by
 bisection, and the table is triangular, row v holding only the weights
-0..n - v that can remain once v is placed.  Both tables are built by
-slice-add kernels (``_take``, and ``_cross`` for counting) that keep the
-per-cell additions in C.
+0..n - v that can remain once v is placed.  Where the upper parts are
+even (``od_ed``, ``od_eu``, ``ou_ed``, ``ou_eu``), the weight left while the
+upper block is open always has n's parity, so the rows for that state hold
+only the weights of n's parity, about a third fewer cells in all.  Both
+tables are built by slice-add kernels (``_take``, and ``_cross`` for
+counting) that keep the per-cell additions in C.
 
 Enumeration is an independent route, so counting, sampling and
 enumeration cross-check each other.  ``member_blocks`` walks each member
@@ -60,7 +63,10 @@ __all__ = [
 # Above this weight enumeration is refused; counting and sampling still work.
 ENUMERATION_CUTOFF = 70
 # Above this weight a sampler is refused: its tables grow as n^2 cells of
-# O(sqrt n)-digit counts (see the README for the measured peak RSS).
+# O(sqrt n)-digit counts.  At 5000 one build takes 1.1 s and 408 MiB peak RSS
+# for ou_eu, and 1.6 s and 528 MiB for eu_ou, the largest odd-upper family,
+# whose rows keep both parities (Python 3.11.7, x86-64 Xeon VM; the README
+# lists smaller weights).
 SAMPLE_CUTOFF = 5000
 # Above this weight counting is refused: a table is a list per weight of
 # counts up to O(sqrt n) digits, built in O(n^2) additions (see the README).
@@ -68,6 +74,10 @@ COUNT_CUTOFF = 10_000
 # Above this many draws a sampling run is refused: sampled verification
 # keeps every image it checks, about 3 KB a draw at n = 5000.
 MAX_DRAWS = 100_000
+# Above this many weights a sampled verification run is refused: it builds
+# one sampler per weight, about 1.1 s each near SAMPLE_CUTOFF, so the longest
+# legal run, ending at the cutoff, takes about a minute (see the README).
+MAX_SAMPLED_WEIGHTS = 50
 
 
 def check_enumerable(n: int, cutoff: int = ENUMERATION_CUTOFF) -> None:
@@ -239,7 +249,8 @@ def _take(row: list[int], value: int, distinct: bool, first: int) -> None:
     """Let the counts in ``row``, indexed by weight, use parts equal to
     ``value``: at most once if distinct, else any number of times.  Only
     weights from ``first`` (at least ``value``) up are updated; the caller
-    guarantees that the weights below it gain nothing."""
+    guarantees that the weights below it gain nothing.  A row that keeps
+    one parity of weights is passed with weight and value both halved."""
     if distinct:
         row[first:] = map(add, row[first:], row[first - value : -value])
         return
@@ -365,7 +376,15 @@ class FamilySampler:
     Once a part v is placed every later lookup has weight at most n - v,
     so row v keeps only weights 0..n - v and the tables are triangular;
     the first part reads column n, which is kept apart as ``_top``.
-    Weights above ``SAMPLE_CUTOFF`` are refused with ValueError.
+
+    Parity rule: in a family whose upper parts are even, every weight left
+    to place while the upper block is open has n's parity.  So the
+    ``before`` rows, the only ones read in that state, keep just the
+    weights of n's parity in 0..n - v, weight m at index m // 2; an even
+    upper part v moves v // 2 indices.  The ``after`` rows, and both tables
+    of the odd-upper families, keep every weight at index m.  Draws do not
+    depend on the layout.  Weights above ``SAMPLE_CUTOFF`` are refused with
+    ValueError.
     """
 
     def __init__(self, family: Family, n: int):
@@ -373,32 +392,45 @@ class FamilySampler:
         self.family = family
         self.n = n
         upper_rem = 1 if family.upper_odd else 0
-        # before[v][m]: completions of weight m using values <= v, lower block untouched
-        # after[v][m]:  the same once some lower part has been placed; the
+        # by the parity rule the before rows keep the weights low, low + step, ...
+        step = 1 if family.upper_odd else 2
+        low = n % step
+        # before[v][m // step]: completions of weight m using values <= v,
+        # lower block untouched
+        # after[v][m]: the same once some lower part has been placed; the
         # empty completion is valid there, the crossing part already exists
         # Rows are never written once stored, so equal rows are shared objects.
-        before = [[1] + [0] * n]
-        after = [before[0]]
-        # top[v] = before[v][n], the one cell past the triangle
-        top = [before[0][n]]
+        after = [[1] + [0] * n]
+        before = [after[0][low::step]]
+        # top[v] = before[v] at weight n, the one cell past the triangle
+        top = [after[0][n]]
         for value in range(1, n + 1):
             size = n + 1 - value
-            b_row = before[-1][:size]
-            # before[value][m] gains source[m - value]: the members whose
-            # first part is value
+            # the kept weights up to n - value
+            b_row = before[-1][: (size - 1 - low) // step + 1]
+            # before[value] at weight m gains source at weight m - value: the
+            # members whose first part is value
             if value % 2 == upper_rem:
                 a_row = after[-1]
-                _take(b_row, value, family.upper_distinct, value)
+                # value is a multiple of step, so it moves value // step indices
+                shift = value // step
+                _take(b_row, shift, family.upper_distinct, shift)
                 source = before[-1] if family.upper_distinct else b_row
+                top.append(top[-1] + source[(n - value) // step])
             else:
                 a_row = after[-1][:size]
                 _take(a_row, value, family.lower_distinct, value)
                 source = after[-1] if family.lower_distinct else a_row
-                # from an untouched state, placing this value crosses the blocks
-                b_row[value:] = map(add, b_row[value:], source)
+                # from an untouched state, placing this value crosses the
+                # blocks; first is the least kept weight >= value
+                first = value + (n - value) % step
+                b_row[first // step :] = map(
+                    add, b_row[first // step :], source[first - value :: step]
+                )
+                top.append(top[-1] + source[n - value])
             before.append(b_row)
             after.append(a_row)
-            top.append(top[-1] + source[size - 1])
+        self._step = step
         self._before = before
         self._after = after
         self._top = top
@@ -412,42 +444,46 @@ class FamilySampler:
         upper_rem = 1 if family.upper_odd else 0
         upper_distinct = family.upper_distinct
         lower_distinct = family.lower_distinct
-        before, after = self._before, self._after
+        before, after, step = self._before, self._after, self._step
         parts: list[int] = []
         remaining = limit = self.n
-        table = before
+        # the current block's table holds weight m at index m // scale
+        table, scale = before, step
         # total: members of the current block; index counts from its first
         total = self.count
         while remaining:
-            # the last table[v][remaining] members of the block have parts <= v;
-            # the next part is the smallest v whose suffix still holds index
+            # the last members of the block, as many as table[v] holds at
+            # weight remaining, have parts <= v; the next part is the smallest
+            # v whose suffix still holds index
             if parts:
-                value = bisect_left(
-                    table, total - index, 1, limit + 1, key=itemgetter(remaining)
-                )
-                index -= total - table[value][remaining]
+                column = remaining // scale
+                value = bisect_left(table, total - index, 1, limit + 1, key=itemgetter(column))
+                index -= total - table[value][column]
             else:
                 value = bisect_left(self._top, total - index, 1, limit + 1)
                 index -= total - self._top[value]
             if value % 2 == upper_rem:
-                table, distinct = before, upper_distinct
+                table, scale, distinct = before, step, upper_distinct
             else:
-                table, distinct = after, lower_distinct
+                table, scale, distinct = after, 1, lower_distinct
             if distinct:
                 rest = remaining - value
             else:
                 # the first row[rest] members have at least (remaining - rest) // value
                 # copies of value; take the most copies whose prefix holds index,
-                # then skip the members that have one copy more
+                # then skip the members that have one copy more.  In index
+                # space, weight remaining is column and value is shift.
                 row = table[value]
-                rests = range(remaining % value, remaining - value + 1, value)
-                rest = rests[bisect_right(rests, index, key=row.__getitem__)]
-                if rest >= value:
-                    index -= row[rest - value]
+                column, shift = remaining // scale, value // scale
+                columns = range(column % shift, column - shift + 1, shift)
+                rest_column = columns[bisect_right(columns, index, key=row.__getitem__)]
+                if rest_column >= shift:
+                    index -= row[rest_column - shift]
+                rest = remaining - (column - rest_column) * scale
             parts += [value] * ((remaining - rest) // value)
             remaining = rest
             limit = value - 1
-            total = table[limit][remaining]
+            total = table[limit][remaining // scale]
         return Partition(parts)
 
     def sample(self, rng: random.Random) -> Partition:

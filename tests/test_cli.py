@@ -16,7 +16,12 @@ from parityparts import cli
 from parityparts.casemap import WITNESS_CUTOFF
 from parityparts.cli import run
 from parityparts.core import format_partition, parse_partition
-from parityparts.families import ENUMERATION_CUTOFF, MAX_DRAWS, SAMPLE_CUTOFF
+from parityparts.families import (
+    ENUMERATION_CUTOFF,
+    MAX_DRAWS,
+    MAX_SAMPLED_WEIGHTS,
+    SAMPLE_CUTOFF,
+)
 from test_casemap import KNOWN_PAIRS
 
 
@@ -115,6 +120,97 @@ class TestEnumerate:
         assert err.count("\n") == 1 and "cutoff" in err
 
 
+# The first three draws of ``sample --count 3 --seed 3`` per family, at an
+# even and an odd weight; a change to the sampler's tables that moves any
+# draw shows here.
+FROZEN_DRAWS = {
+    600: {
+        "ed_od": (
+            "115,99,95,69,61,53,29,25,21,17,9,5,2",
+            "171,123,95,49,43,37,28,18,16,10,6,4",
+            "73,69,61,55,53,49,47,43,41,35,23,19,17,7,6,2",
+        ),
+        "od_ed": (
+            "86,58,54,52,50,49,45,41,31,29,23,21,19,15,11,9,7",
+            "158,110,103,91,53,21,17,15,13,11,5,3",
+            "106,80,66,60,56,46,40,36,32,26,20,16,13,3",
+        ),
+        "od_eu": (
+            "106,74,72,44^2,26^2,22,16,14,12^3,8^2,6^5,4^12,2^13",
+            "60,54^2,50,42^2,36,32,30,26,24,22^2,20,18,14,12,10^2,4^2,2^7",
+            "60^2,54^2,36,32,18^5,16^2,14,10^9,8^3,6^6,4^2,2^5",
+        ),
+        "eu_od": (
+            "66,62,56,30^3,26,20^4,16,14^4,10^4,8,6^10,4^6,2^8",
+            "116,78,52,40,34,26,24^3,18^2,10^2,6^15,2^18",
+            "77,61,50,48,34,30,26^2,24,22^2,20,18,10,6^5,4^3,2^45",
+        ),
+        "ed_ou": (
+            "71,67,53,47,45,43,35,27,21,17,9,7^16,5^5,3^6,1^10",
+            "117,67,53,31,29,27,25^3,19,11^3,9^3,7^6,5^2,3^4,1^58",
+            "81,31,27,23^2,21^6,17^2,13^3,11^9,7^7,5^5,3^5,1^28",
+        ),
+        "eu_ou": (
+            "73,57,47^2,41,25,23,19^3,18,16^3,14,12^3,8^3,6^4,4,2^31",
+            "117,71,57,25^2,19,15^2,13,11^9,9^2,8^6,6^4,4^6,2^15",
+            "37,33,29^2,27,25^6,21,17^6,15,13,11^2,9^4,5^6,3^4,2^22",
+        ),
+        "ou_ed": (
+            "108,48,46,29,21,19^4,17,15^5,9^2,7^11,5^3,3^20,1^10",
+            "62,47^2,43,33,31^2,27^2,25^2,21^3,19,17^2,11^3,5,3^4,1^36",
+            "62,56,54,44,34,30,29^2,27^2,23,19^5,17^2,11^2,9^2,3,1^13",
+        ),
+        "ou_eu": (
+            "50,48^2,42,38^2,36,22,20^4,12^7,10,8^2,6^8,5^4,3^5,1^5",
+            "106,66,56,43,37,21,15,13^5,11,9^6,7^6,5,3^11,1^46",
+            "66,46,36,34^2,30^3,14,12,10,9^11,7^10,5^15,3^2,1^8",
+        ),
+    },
+    601: {
+        "ed_od": (
+            "113,105,69,51,49,47,39,37,25,21,19,11,9,4,2",
+            "171,80,72,68,48,38,26,24,20,18,16,10,8,2",
+            "123,115,65,55,43,40,38,36,26,24,14,10,6,4,2",
+        ),
+        "od_ed": (
+            "88,86,84,80,62,40,38,34,24,20,18,17,9,1",
+            "160,76,68,52,50,44,40,36,22,20,18,15",
+            "107,93,89,71,53,49,47,45,27,11,5,3,1",
+        ),
+        "od_eu": (
+            "106,80,42,38,34,32,24,22^2,14^2,12^2,10^7,8,6^5,4^5,2^10,1",
+            "60,58,46,44^2,30^2,26^2,24,20^3,16^2,12,8^2,6^14,5,3,1",
+            "62,42^4,40,28^2,24,22,18^4,10^3,8^13,6,4,2^6,1",
+        ),
+        "eu_od": (
+            "53,50^2,40,34,32,24^3,22,20^2,16,14^3,12^7,10^2,8,6,4^7,2^2",
+            "113,63,55,45,37,36^2,34,28,24,22^2,14,12,10,8^2,2^17",
+            "71,53,51,44,38^2,28^5,26,24,18^3,12,8,6^7",
+        ),
+        "ed_ou": (
+            "73,63,31^2,29,25,19,17^7,15,13^6,9^4,5^3,3^17,1^16",
+            "117,111,37^2,31,27,25,23,21,19,17^4,9^3,7,5,3^5,1^31",
+            "37,35,25^3,23^3,19,15^2,13^5,9^4,7^6,5^20,3,1^90",
+        ),
+        "eu_ou": (
+            "73,59,33,27^2,25,23,21^4,19^3,17^2,15,12^4,8^5,6^5,4,2^11",
+            "117,73,57,55^3,17^3,15^3,11,9,7^5,5^5,3^3,1^4",
+            "37,33,31^2,27,25^3,21^2,15^9,14^8,10^3,8^2,6^2,4^3,2^4",
+        ),
+        "ou_ed": (
+            "108,84,67,65,35,33,19^3,9^2,7^7,5^9,3^4,1^28",
+            "64,56,42,41,33,23^5,13^9,11,9^5,7,5^8,3^9,1^3",
+            "64,62,54,52,42,35,23^2,19^5,15,11^4,9^3,7^5,5^4,3^3,1",
+        ),
+        "ou_eu": (
+            "54,44,42,34,30,20^2,18,14^3,12^2,10,8^3,7^15,5^12,3^6,1^56",
+            "106,96,76,47,41,37,35,27,19,15^3,13^2,9^2,7^3,3,1^4",
+            "66^2,42,32,30^2,24,22^2,14,12^2,10^4,8^8,6^3,4^7,2^17,1^45",
+        ),
+    },
+}
+
+
 class TestSample:
     def test_deterministic_and_in_family(self, capsys):
         argv = ["sample", "--family", "od_eu", "--n", "30", "--count", "5", "--seed", "11"]
@@ -123,6 +219,18 @@ class TestSample:
         code, second, _ = invoke(capsys, *argv)
         assert first == second
         assert len(first.splitlines()) == 5
+
+    @pytest.mark.parametrize(
+        ("n", "family"), [(n, family) for n, draws in FROZEN_DRAWS.items() for family in draws]
+    )
+    def test_draws_are_frozen(self, capsys, n, family):
+        code, out, err = invoke(
+            capsys, "sample", "--family", family, "--n", str(n), "--count", "3", "--seed", "3"
+        )
+        assert code == 0
+        assert err == ""
+        frozen = [format_partition(parse_partition(text)) for text in FROZEN_DRAWS[n][family]]
+        assert out.splitlines() == frozen
 
     def test_weight_above_cutoff_fails(self, capsys):
         n = str(SAMPLE_CUTOFF + 1)
@@ -277,6 +385,21 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and "cutoff" in err
+
+    @pytest.mark.parametrize("lo", [0, SAMPLE_CUTOFF - MAX_SAMPLED_WEIGHTS])
+    def test_sampled_range_above_weight_bound_fails_before_sampling(self, capsys, monkeypatch, lo):
+        # every weight is legal, but the run would build one sampler per
+        # weight, so a range longer than the bound is refused before any
+        calls = []
+        monkeypatch.setattr(cli, "verify_sampled", lambda *args: calls.append(args))
+        code, out, err = invoke(
+            capsys, "verify", "--mode", "sampled", "--from", str(lo),
+            "--to", str(SAMPLE_CUTOFF), "--samples", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "cutoff" in err
+        assert calls == []
 
     def test_exhaustive_above_cutoff_fails_before_verifying(self, capsys, monkeypatch):
         # the range is refused as a whole, so no weight below the cutoff is verified

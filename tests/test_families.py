@@ -137,7 +137,8 @@ def reference_sampler_tables(family, n):
 def reference_unrank(sampler, index):
     """The linear walk that bisection replaced: every part value from n
     down to 1, and every multiplicity from the largest down to 1.  It reads
-    the sampler's own rows, which the per-cell reference test pins down."""
+    the sampler's own rows, which the per-cell reference test pins down;
+    ``_before`` rows hold weight m at index m // ``_step``."""
     family = sampler.family
     upper_rem = 1 if family.upper_odd else 0
     parts = []
@@ -152,7 +153,7 @@ def reference_unrank(sampler, index):
                 if family.upper_distinct:
                     cap = min(cap, 1)
                 for copies in range(cap, 0, -1):
-                    ways = sampler._before[value - 1][remaining - copies * value]
+                    ways = sampler._before[value - 1][(remaining - copies * value) // sampler._step]
                     if index < ways:
                         parts.extend([value] * copies)
                         remaining -= copies * value
@@ -291,16 +292,30 @@ def test_count_table_matches_per_cell_reference_at_1000(family):
 
 @pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
 def test_sampler_tables_match_per_cell_reference(family):
-    """Every stored row is a prefix of the full reference row that covers
-    the triangle (weights 0..n - v of row v); ``_top`` is column n."""
-    for n in range(121):
+    """Every stored cell equals the full reference row at its weight.
+
+    ``_after`` row v is a prefix covering the triangle (weights 0..n - v).
+    ``_before`` row v holds weight m at index m // step and holds exactly
+    the triangle's weights of n's parity when the upper parts are even
+    (step 2), every weight 0..n - v otherwise (step 1).  ``_top`` is column
+    n.  The band edges are n = 0, 1 and 2, where a parity row can be empty,
+    and v at and around n / 2, where the slice-adds first reach past the
+    end of row v; every row of every n below 121, and of n = 400 and 401,
+    is checked, so both parities of n meet each edge.
+    """
+    step = 1 if family.upper_odd else 2
+    for n in (*range(121), 400, 401):
         sampler = FamilySampler(family, n)
         before, after = reference_sampler_tables(family, n)
-        for rows, reference in ((sampler._before, before), (sampler._after, after)):
-            assert len(rows) == n + 1, n
-            for v, (row, full) in enumerate(zip(rows, reference)):
-                assert n + 1 - v <= len(row) <= n + 1, (n, v)
-                assert row == full[: len(row)], (n, v)
+        assert sampler._step == step
+        assert len(sampler._before) == len(sampler._after) == n + 1, n
+        for v, (row, full) in enumerate(zip(sampler._after, after)):
+            assert n + 1 - v <= len(row) <= n + 1, (n, v)
+            assert row == full[: len(row)], (n, v)
+        for v, (row, full) in enumerate(zip(sampler._before, before)):
+            weights = range(n % step, n + 1 - v, step)
+            assert [m // step for m in weights] == list(range(len(row))), (n, v)
+            assert row == [full[m] for m in weights], (n, v)
         assert sampler._top == [row[n] for row in before], n
 
 

@@ -98,6 +98,23 @@ class TestSampled:
         assert sum(t.tested for t in tallies) == 50
         assert all(t.passed + t.skipped == t.tested for t in tallies)
 
+    @pytest.mark.parametrize(
+        ("n", "samples", "tested"),
+        [
+            (373, 1000, {3: 10, 11: 905, 15: 2, 16: 38, 17: 45}),
+            (374, 1000, {1: 924, 3: 75, 4: 1}),
+            (375, 1000, {3: 16, 4: 2, 5: 1, 11: 887, 15: 1, 16: 34, 17: 59}),
+            (2000, 100, {1: 98, 3: 2}),
+        ],
+    )
+    def test_tallies_are_frozen(self, n, samples, tested):
+        # seed 0 draws the same members whatever the sampler's table layout,
+        # so the per-case tallies of these runs never move
+        report = verify_sampled(n, samples, seed=0)
+        assert report.ok
+        assert {case: tally.tested for case, tally in report.per_case.items()} == tested
+        assert all(tally.passed == tally.tested for tally in report.per_case.values())
+
     def test_witness_is_checked_at_large_weights(self):
         report = verify_sampled(373, 5, seed=0)
         assert report.ok
