@@ -187,15 +187,17 @@ def _cmd_map(args) -> int:
                 f"{format_partition(p)} matches none of the {NUM_CASES} image signatures"
             )
         other = backward(p)
-        print(f"case={case} source={format_partition(other)}")
+        line = f"case={case} source={format_partition(other)}"
     else:
         case = classify_source(p)
         other = forward(p)
-        print(f"case={case} image={format_partition(other)}")
-    if args.ferrers:
-        print(render_ferrers(p))
-        print("->")
-        print(render_ferrers(other))
+        line = f"case={case} image={format_partition(other)}"
+    # both diagrams are drawn, and so checked against the glyph bound,
+    # before anything is printed
+    drawings = (render_ferrers(p), "->", render_ferrers(other)) if args.ferrers else ()
+    print(line)
+    for drawing in drawings:
+        print(drawing)
     return 0
 
 

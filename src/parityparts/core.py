@@ -23,6 +23,8 @@ Block = tuple[int, ...]
 
 # parse_partition refuses text that expands to more parts than this
 MAX_PARTS = 1_000_000
+# render_ferrers refuses a partition whose diagram has more glyphs than this
+MAX_GLYPHS = 1_000_000
 
 
 class Partition(tuple):
@@ -95,19 +97,32 @@ def format_partition(p: Partition) -> str:
 def parity_split(parts: Iterable[int]) -> tuple[Block, Block]:
     """The even parts and the odd parts, each block in decreasing order.
 
-    The parts may come in any order; they are sorted once.  Raises the
-    ValueError ``Partition`` raises on a part below 1.
+    The parts may come in any order; they are sorted once and split in one
+    pass.  Raises the ValueError ``Partition`` raises on a part below 1.
     """
     parts = sorted(parts, reverse=True)
     if parts and parts[-1] < 1:
         bad = next(part for part in parts if part < 1)
         raise ValueError(f"parts must be positive integers, got {bad!r}")
-    return (
-        tuple([part for part in parts if not part % 2]),
-        tuple([part for part in parts if part % 2]),
-    )
+    evens: list[int] = []
+    odds: list[int] = []
+    for part in parts:
+        if part % 2:
+            odds.append(part)
+        else:
+            evens.append(part)
+    return tuple(evens), tuple(odds)
 
 
 def render_ferrers(p: Partition, glyph: str = "#") -> str:
-    """Ferrers diagram, one row of glyphs per part."""
+    """Ferrers diagram, one row of glyphs per part.
+
+    Raises ValueError when the diagram would have more than ``MAX_GLYPHS``
+    glyphs, one per unit of weight.
+    """
+    weight = sum(p)
+    if weight > MAX_GLYPHS:
+        raise ValueError(
+            f"a Ferrers diagram of weight {weight} exceeds the cutoff of {MAX_GLYPHS} glyphs"
+        )
     return "\n".join(glyph * part for part in p)

@@ -15,12 +15,17 @@ weight 2v on, about half the additions of a full pass.  Sampling unranks
 against completion counts tabulated in increasing part order, where no
 such band exists: each next part and its multiplicity are found by
 bisection, and the table is triangular, row v holding only the weights
-0..n - v that can remain once v is placed.  Where the upper parts are
-even (``od_ed``, ``od_eu``, ``ou_ed``, ``ou_eu``), the weight left while the
-upper block is open always has n's parity, so the rows for that state hold
-only the weights of n's parity, about a third fewer cells in all.  Both
-tables are built by slice-add kernels (``_take``, and ``_cross`` for
-counting) that keep the per-cell additions in C.
+0..n - v that can remain once v is placed.  Past about n / 2 every
+stored weight is below v, where a part v changes nothing, so those rows
+are the row before them, shared rather than copied.  Where the upper parts
+are even (``od_ed``, ``od_eu``, ``ou_ed``, ``ou_eu``), the weight left while
+the upper block is open always has n's parity, so the rows for that state
+hold only the weights of n's parity: about 3n²/8 cells in all, against
+9n²/16 in the odd-upper families.  Both tables are built by slice-add
+kernels (``_take``, and ``_cross`` for counting) that keep the per-cell
+additions in C.  A draw comes out as its two blocks (``unrank_blocks``):
+the upper block is the prefix of parts placed before the walk crosses into
+the lower block, so neither a ``Partition`` nor a split is needed.
 
 Enumeration is an independent route, so counting, sampling and
 enumeration cross-check each other.  ``member_blocks`` walks each member
@@ -63,8 +68,8 @@ __all__ = [
 # Above this weight enumeration is refused; counting and sampling still work.
 ENUMERATION_CUTOFF = 70
 # Above this weight a sampler is refused: its tables grow as n^2 cells of
-# O(sqrt n)-digit counts.  At 5000 one build takes 1.1 s and 408 MiB peak RSS
-# for ou_eu, and 1.6 s and 528 MiB for eu_ou, the largest odd-upper family,
+# O(sqrt n)-digit counts.  At 5000 one build takes 1.3 s and 384 MiB peak RSS
+# for ou_eu, and 1.8 s and 493 MiB for eu_ou, the largest odd-upper family,
 # whose rows keep both parities (Python 3.11.7, x86-64 Xeon VM; the README
 # lists smaller weights).
 SAMPLE_CUTOFF = 5000
@@ -375,7 +380,11 @@ class FamilySampler:
 
     Once a part v is placed every later lookup has weight at most n - v,
     so row v keeps only weights 0..n - v and the tables are triangular;
-    the first part reads column n, which is kept apart as ``_top``.
+    the first part reads column n, which is kept apart as ``_top``.  Rows
+    may hold more than their triangle, never less, and every stored cell is
+    exact.  Once every weight stored in the last rows is below v, from
+    about v = n / 2 + 2, taking v changes no stored cell: row v is the
+    row before it, the same object, and only ``_top`` still grows.
 
     Parity rule: in a family whose upper parts are even, every weight left
     to place while the upper block is open has n's parity.  So the
@@ -405,22 +414,35 @@ class FamilySampler:
         # top[v] = before[v] at weight n, the one cell past the triangle
         top = [after[0][n]]
         for value in range(1, n + 1):
+            b_last, a_last = before[-1], after[-1]
+            if len(a_last) <= value and (len(b_last) - 1) * step + low < value:
+                # every stored weight is below value, and a part equal to
+                # value changes no weight below it: row value is row
+                # value - 1 on its whole triangle, so it is the same object.
+                # Only column n still moves.
+                before.append(b_last)
+                after.append(a_last)
+                if value % 2 == upper_rem:
+                    top.append(top[-1] + b_last[(n - value) // step])
+                else:
+                    top.append(top[-1] + a_last[n - value])
+                continue
             size = n + 1 - value
             # the kept weights up to n - value
-            b_row = before[-1][: (size - 1 - low) // step + 1]
+            b_row = b_last[: (size - 1 - low) // step + 1]
             # before[value] at weight m gains source at weight m - value: the
             # members whose first part is value
             if value % 2 == upper_rem:
-                a_row = after[-1]
+                a_row = a_last
                 # value is a multiple of step, so it moves value // step indices
                 shift = value // step
                 _take(b_row, shift, family.upper_distinct, shift)
-                source = before[-1] if family.upper_distinct else b_row
+                source = b_last if family.upper_distinct else b_row
                 top.append(top[-1] + source[(n - value) // step])
             else:
-                a_row = after[-1][:size]
+                a_row = a_last[:size]
                 _take(a_row, value, family.lower_distinct, value)
-                source = after[-1] if family.lower_distinct else a_row
+                source = a_last if family.lower_distinct else a_row
                 # from an untouched state, placing this value crosses the
                 # blocks; first is the least kept weight >= value
                 first = value + (n - value) % step
@@ -436,8 +458,9 @@ class FamilySampler:
         self._top = top
         self.count: int = top[n]
 
-    def unrank(self, index: int) -> Partition:
-        """The index-th member in decreasing lexicographic order."""
+    def unrank_blocks(self, index: int) -> tuple[Block, Block]:
+        """The index-th member in decreasing lexicographic order, as its
+        ``(evens, odds)`` blocks, each in decreasing order."""
         if not 0 <= index < self.count:
             raise ValueError(f"index {index} out of range, count is {self.count}")
         family = self.family
@@ -446,6 +469,9 @@ class FamilySampler:
         lower_distinct = family.lower_distinct
         before, after, step = self._before, self._after, self._step
         parts: list[int] = []
+        # the upper block is parts[:upper_end], the parts placed before the
+        # walk switches from the before table to the after table
+        upper_end = 0
         remaining = limit = self.n
         # the current block's table holds weight m at index m // scale
         table, scale = before, step
@@ -454,13 +480,15 @@ class FamilySampler:
         while remaining:
             # the last members of the block, as many as table[v] holds at
             # weight remaining, have parts <= v; the next part is the smallest
-            # v whose suffix still holds index
+            # v whose suffix still holds index.  No part exceeds the weight
+            # still to place.
+            high = min(limit, remaining) + 1
             if parts:
                 column = remaining // scale
-                value = bisect_left(table, total - index, 1, limit + 1, key=itemgetter(column))
+                value = bisect_left(table, total - index, 1, high, key=itemgetter(column))
                 index -= total - table[value][column]
             else:
-                value = bisect_left(self._top, total - index, 1, limit + 1)
+                value = bisect_left(self._top, total - index, 1, high)
                 index -= total - self._top[value]
             if value % 2 == upper_rem:
                 table, scale, distinct = before, step, upper_distinct
@@ -481,16 +509,32 @@ class FamilySampler:
                     index -= row[rest_column - shift]
                 rest = remaining - (column - rest_column) * scale
             parts += [value] * ((remaining - rest) // value)
+            if table is before:
+                upper_end = len(parts)
             remaining = rest
             limit = value - 1
             total = table[limit][remaining // scale]
-        return Partition(parts)
+        upper, lower = tuple(parts[:upper_end]), tuple(parts[upper_end:])
+        return (lower, upper) if family.upper_odd else (upper, lower)
+
+    def unrank(self, index: int) -> Partition:
+        """The index-th member in decreasing lexicographic order."""
+        evens, odds = self.unrank_blocks(index)
+        return Partition(odds + evens if self.family.upper_odd else evens + odds)
+
+    def sample_blocks(self, rng: random.Random) -> tuple[Block, Block]:
+        """Draw one member uniformly at random, as its ``(evens, odds)`` blocks."""
+        return self.unrank_blocks(self._draw(rng))
 
     def sample(self, rng: random.Random) -> Partition:
-        """Draw one member uniformly at random."""
+        """Draw one member uniformly at random; the draw of ``sample_blocks``
+        for the same generator state."""
+        return self.unrank(self._draw(rng))
+
+    def _draw(self, rng: random.Random) -> int:
         if self.count == 0:
             raise ValueError(f"family {self.family.value} has no members at n={self.n}")
-        return self.unrank(rng.randrange(self.count))
+        return rng.randrange(self.count)
 
 
 def sample_family(family: Family, n: int, seed: int) -> Partition:

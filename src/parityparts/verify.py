@@ -8,10 +8,12 @@ in canonical text form plus the check name, so it can be replayed by
 hand through the library.
 
 The per-member checks run on a member's even and odd blocks: exhaustive
-mode walks both families as blocks (``families.member_blocks``), while
-sampled draws, rewrite outputs and witnesses are split once by
-``core.parity_split``.  A ``Partition`` and its text form are built only
-when a failure is filed.
+mode walks both families as blocks (``families.member_blocks``), and
+sampled draws arrive as blocks (``FamilySampler.sample_blocks``).  Rewrite
+outputs and witnesses are split once by ``core.parity_split``, except the
+source side's backward rewrite: it is sorted and compared with the
+source's parts, and split only when it fails, to show it.  A
+``Partition`` and its text form are built only when a failure is filed.
 
 ``_check_source_member`` and ``_check_image_member`` classify a member and
 keep its tally, then file the first failed check that ``_source_fault``
@@ -246,12 +248,15 @@ def _source_fault(source: Blocks, case: int, n: int, images: Images) -> tuple[st
     if image_matches != (case,):
         matched = list(image_matches) or "nothing"
         return "image-signature", f"image {_shown(image)} matched {matched}"
+    # the source's evens lie above its odds, so [*ev, *od] is its parts in
+    # decreasing order; only a mismatch is split, for the detail
     try:
-        recovered = parity_split(row.backward(e, o))
+        recovered = row.backward(e, o)
+        if sorted(recovered, reverse=True) != [*ev, *od]:
+            recovered = parity_split(recovered)
+            return "roundtrip", f"image {_shown(image)} inverted to {_shown(recovered)}"
     except ValueError as exc:
         return "roundtrip", f"image {_shown(image)} inverts to no partition: {exc}"
-    if recovered != source:
-        return "roundtrip", f"image {_shown(image)} inverted to {_shown(recovered)}"
     first_source = images.setdefault(image, (source, case))[0]
     if first_source != source:
         detail = f"image {_shown(image)} already produced by {_shown(first_source)}"
@@ -390,7 +395,7 @@ def verify_sampled(n: int, samples: int, seed: int) -> VerificationReport:
     rng = random.Random(seed)
     images: Images = {}
     for _ in range(samples):
-        _check_source_member(parity_split(sampler.sample(rng)), n, report, images)
+        _check_source_member(sampler.sample_blocks(rng), n, report, images)
     if n >= WITNESS_MIN_WEIGHT:
         _check_witness(n, report)
     return report.finish()

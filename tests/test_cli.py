@@ -278,6 +278,16 @@ class TestMap:
         assert lines[1] == "######"
         assert "->" in lines
 
+    @pytest.mark.parametrize("flags", [(), ("--inverse",)])
+    def test_ferrers_above_the_glyph_bound_fails_before_printing(self, capsys, flags):
+        # a one-part input maps to itself in both directions (case 1); only
+        # the refusal is tested, no diagram is drawn
+        code, out, err = invoke(capsys, "map", "--input", "1000000000", "--ferrers", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: a Ferrers diagram of weight 1000000000 exceeds")
+
     def test_nonmember_input_fails(self, capsys):
         code, _, err = invoke(capsys, "map", "--input", "3,1,1")
         assert code == 1

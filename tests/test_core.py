@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parityparts.core import (
+    MAX_GLYPHS,
     MAX_PARTS,
     Partition,
     format_partition,
@@ -88,6 +89,8 @@ def test_parity_split_example():
 
 def test_parity_split_sorts_and_validates_parts():
     assert parity_split([3, 6, 1, 4, 3]) == ((6, 4), (3, 3, 1))
+    assert parity_split([2, 9, 2, 7, 9, 2]) == ((2, 2, 2), (9, 9, 7))
+    assert parity_split(iter([1, 8])) == ((8,), (1,))
     assert parity_split([]) == ((), ())
     # the message Partition gives for the same parts
     with pytest.raises(ValueError, match="^parts must be positive integers, got 0$"):
@@ -96,6 +99,34 @@ def test_parity_split_sorts_and_validates_parts():
         Partition((5, 2, 0))
 
 
+@pytest.mark.parametrize("parts", [[5, 2, 0], [-3], [4, -3, 0, 1], [-2, -3, 6], [1, -1, -1]])
+def test_parity_split_refuses_parts_below_1_as_partition_does(parts):
+    # the message Partition gives for the same parts in decreasing order
+    with pytest.raises(ValueError) as expected:
+        Partition(sorted(parts, reverse=True))
+    with pytest.raises(ValueError) as raised:
+        parity_split(parts)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value).startswith("parts must be positive integers, got ")
+
+
+@given(st.lists(st.integers(1, 60), max_size=40))
+def test_parity_split_matches_the_blocks_of_the_sorted_parts(parts):
+    ordered = sorted(parts, reverse=True)
+    assert parity_split(parts) == (
+        tuple(part for part in ordered if part % 2 == 0),
+        tuple(part for part in ordered if part % 2),
+    )
+
+
 def test_render_ferrers():
     assert render_ferrers(Partition((3, 1))) == "###\n#"
     assert render_ferrers(Partition()) == ""
+
+
+def test_render_ferrers_refuses_diagrams_above_the_glyph_bound():
+    # only the refusal is tested: the diagram itself would be huge
+    with pytest.raises(ValueError, match=f"cutoff of {MAX_GLYPHS} glyphs"):
+        render_ferrers(Partition((MAX_GLYPHS, 1)))
+    with pytest.raises(ValueError, match="weight 1000000000 exceeds"):
+        render_ferrers(Partition((10**9,)))

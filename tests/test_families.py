@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parityparts import families
-from parityparts.core import Partition, parse_partition
+from parityparts.core import Partition, parity_split, parse_partition
 from parityparts.families import (
     COUNT_CUTOFF,
     ENUMERATION_CUTOFF,
@@ -294,14 +294,17 @@ def test_count_table_matches_per_cell_reference_at_1000(family):
 def test_sampler_tables_match_per_cell_reference(family):
     """Every stored cell equals the full reference row at its weight.
 
-    ``_after`` row v is a prefix covering the triangle (weights 0..n - v).
-    ``_before`` row v holds weight m at index m // step and holds exactly
-    the triangle's weights of n's parity when the upper parts are even
-    (step 2), every weight 0..n - v otherwise (step 1).  ``_top`` is column
-    n.  The band edges are n = 0, 1 and 2, where a parity row can be empty,
-    and v at and around n / 2, where the slice-adds first reach past the
-    end of row v; every row of every n below 121, and of n = 400 and 401,
-    is checked, so both parities of n meet each edge.
+    Each ``_after`` row v is a prefix of weights 0.. that covers the
+    triangle (weights 0..n - v).  Each ``_before`` row v holds weight m at
+    index m // step, where step is 2 when the upper parts are even and 1
+    otherwise: it is a prefix of n's parity class of weights (of all
+    weights for step 1) that covers the triangle's weights of that class.
+    ``_top`` is column n.  From n // 2 + 2 on, every row is the very object
+    stored for the value before it.  The band edges are n = 0, 1 and 2,
+    where a parity row can be empty, and v at and around n / 2, where the
+    slice-adds first reach past the end of row v and the rows start to be
+    shared; every row of every n below 121, and of n = 400 and 401, is
+    checked, so both parities of n meet each edge.
     """
     step = 1 if family.upper_odd else 2
     for n in (*range(121), 400, 401):
@@ -313,10 +316,22 @@ def test_sampler_tables_match_per_cell_reference(family):
             assert n + 1 - v <= len(row) <= n + 1, (n, v)
             assert row == full[: len(row)], (n, v)
         for v, (row, full) in enumerate(zip(sampler._before, before)):
-            weights = range(n % step, n + 1 - v, step)
-            assert [m // step for m in weights] == list(range(len(row))), (n, v)
-            assert row == [full[m] for m in weights], (n, v)
+            stored = range(n % step, n % step + step * len(row), step)
+            assert len(range(n % step, n + 1 - v, step)) <= len(row), (n, v)
+            assert not stored or stored[-1] <= n, (n, v)
+            assert row == [full[m] for m in stored], (n, v)
+        for v in range(n // 2 + 2, n + 1):
+            assert sampler._before[v] is sampler._before[v - 1], (n, v)
+            assert sampler._after[v] is sampler._after[v - 1], (n, v)
         assert sampler._top == [row[n] for row in before], n
+
+
+def test_sampler_stores_about_three_eighths_n_squared_cells():
+    # od_eu at 2000, the deep weight of sampled verification: 3n^2/8 is
+    # 1.5M cells, where unshared rows past the midpoint held about 2.01M
+    sampler = FamilySampler(Family.OD_EU, 2000)
+    rows = {id(row): row for row in (*sampler._before, *sampler._after)}
+    assert sum(map(len, rows.values())) <= 1_510_000
 
 
 TABLES_300 = {family: CountTable.build(family, 300) for family in CHAIN}
@@ -402,6 +417,34 @@ def test_unrank_matches_linear_walk_at_every_index_from_15_to_39():
             sampler = FamilySampler(family, n)
             for index in range(sampler.count):
                 assert sampler.unrank(index) == reference_unrank(sampler, index)
+
+
+def test_unrank_blocks_split_unrank_at_every_index_below_40():
+    for family in CHAIN:
+        for n in range(40):
+            sampler = FamilySampler(family, n)
+            for index in range(sampler.count):
+                assert sampler.unrank_blocks(index) == parity_split(sampler.unrank(index))
+
+
+@pytest.mark.parametrize("n", [200, 373, 374, 501])
+def test_unrank_blocks_split_unrank_at_seeded_indices(n):
+    rng = random.Random(n)
+    for family in CHAIN:
+        sampler = FamilySampler(family, n)
+        for _ in range(300):
+            index = rng.randrange(sampler.count)
+            evens, odds = sampler.unrank_blocks(index)
+            assert type(evens) is type(odds) is tuple
+            assert (evens, odds) == parity_split(sampler.unrank(index)), (family, index)
+
+
+def test_sample_blocks_draws_what_sample_draws():
+    for family in CHAIN:
+        sampler = FamilySampler(family, 101)
+        blocks_rng, parts_rng = random.Random(5), random.Random(5)
+        for _ in range(20):
+            assert sampler.sample_blocks(blocks_rng) == parity_split(sampler.sample(parts_rng))
 
 
 def test_sampler_rejects_weights_above_cutoff():

@@ -1,5 +1,6 @@
 """Tests for the verification drivers."""
 
+import hashlib
 import json
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 from parityparts import casemap
 from parityparts.casemap import WITNESS_CUTOFF, case_min_weight
 from parityparts.cli import run
+from parityparts.core import Partition
 from parityparts.families import MAX_DRAWS, CountTable
 from parityparts.verify import (
     verify_exhaustive,
@@ -79,6 +81,39 @@ class TestExhaustive:
         )
         assert checks == {"image-signature": 83, "count-equality": 12}
 
+    # (failures, sha256) of the JSON list of verify_exhaustive(n).to_dict()
+    # for n in 0..29 (indent 2) with case C's backward rewrite mutated,
+    # frozen from the verifier that split every rewrite output before
+    # comparing it; half of the failures are on each side
+    BROKEN_BACKWARD = {
+        (2, "wrong"): (110, "b9b285c7dc2ab1ae6ce2deaf7caa669c91ff7f6b0fe10080727e2fb0c5f67d9d"),
+        (2, "zero"): (110, "d602076389659e42b3b3c306bdeba4a7ed808368ea49abfd04268004e63b8784"),
+        (2, "minus3"): (110, "28ef2d1a4b7d989632c0d2a7e42d28890c8ef4ff99cdea63118b87ceb2464a46"),
+        (5, "wrong"): (262, "81b0f6432b59778aca91f8281600f458f828e1834fdd90c77d40a761abcbe89c"),
+        (5, "zero"): (262, "d95b58198f9ec06bdc9251ba9891b23f561e5e056e83f4e071ee665ab1342fbd"),
+        (5, "minus3"): (262, "6d07bcd3abfbfcf7d80f8dc8da4afb553af9dc52f9d276bde55a0edb4f05a9db"),
+        (11, "wrong"): (888, "d6014ac6af16a1718f4d68e8448cc8c71165d173cabc96a20b204129b081c774"),
+        (11, "zero"): (888, "ff7aaba7ff9fd2fcc5026d373db8ef3133d3833144ed57e87b21a46de13003b4"),
+        (11, "minus3"): (888, "525632a9c0a28f2844e981464f77065a6b6344a3022b4b50e682120408787df1"),
+    }
+
+    @pytest.mark.parametrize("case,mutation", BROKEN_BACKWARD)
+    def test_broken_backward_rewrite_reports_are_frozen(self, monkeypatch, case, mutation):
+        # a wrong part, an extra 0 and an extra -3 in the rewrite's output
+        mutate = {
+            "wrong": lambda parts: [parts[0] + 2, *parts[1:]],
+            "zero": lambda parts: [*parts, 0],
+            "minus3": lambda parts: [*parts, -3],
+        }[mutation]
+        row = casemap.CASES[case]
+        broken = row._replace(backward=lambda e, o: mutate(row.backward(e, o)))
+        monkeypatch.setitem(casemap.CASES, case, broken)
+        reports = [verify_exhaustive(n).to_dict() for n in range(30)]
+        failures, digest = self.BROKEN_BACKWARD[case, mutation]
+        assert sum(len(report["failures"]) for report in reports) == failures
+        text = json.dumps(reports, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestSampled:
     def test_deterministic_for_fixed_seed(self):
@@ -90,6 +125,21 @@ class TestSampled:
         report = verify_sampled(90, 200, seed=3)
         assert report.ok
         assert sum(t.tested for t in report.per_case.values()) == 200
+
+    def test_draws_build_no_partition(self, monkeypatch):
+        # draws reach the checks as blocks; only the witness is a Partition
+        built = Counter()
+        new = Partition.__new__
+
+        def counting_new(cls, *args):
+            built["partitions"] += 1
+            return new(cls, *args)
+
+        monkeypatch.setattr(Partition, "__new__", staticmethod(counting_new))
+        report = verify_sampled(373, 200, 0)
+        assert report.ok
+        assert sum(t.tested for t in report.per_case.values()) == 200
+        assert built["partitions"] <= 1
 
     def test_below_threshold_draws_are_skipped(self):
         report = verify_sampled(10, 50, seed=1)
