@@ -77,7 +77,8 @@ SAMPLE_CUTOFF = 5000
 # counts up to O(sqrt n) digits, built in O(n^2) additions (see the README).
 COUNT_CUTOFF = 10_000
 # Above this many draws a sampling run is refused: sampled verification
-# keeps every image it checks, about 3 KB a draw at n = 5000.
+# costs about 0.4 ms a draw at n = 5000, so a weight's draws stay within
+# about 40 s (see the README).
 MAX_DRAWS = 100_000
 # Above this many weights a sampled verification run is refused: it builds
 # one sampler per weight, about 1.1 s each near SAMPLE_CUTOFF, so the longest

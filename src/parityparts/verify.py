@@ -15,9 +15,11 @@ source side's backward rewrite: it is sorted and compared with the
 source's parts, and split only when it fails, to show it.  A
 ``Partition`` and its text form are built only when a failure is filed.
 
-``_check_source_member`` and ``_check_image_member`` classify a member and
-keep its tally, then file the first failed check that ``_source_fault``
-or ``_image_fault`` returns, each side from one place.
+``_check_source_member`` classifies a source member and keeps its tally,
+then files the first failed check that ``_source_fault`` returns.  The
+image side keeps nothing per member: ``verify_exhaustive`` classifies and
+counts each image member, and runs ``_image_fault`` on the members of a
+case only when that case's count does not prove them (see there).
 """
 
 from __future__ import annotations
@@ -65,8 +67,6 @@ INEQUALITY_METHODS = ("series", "dp", "both")
 
 # a member as its even and odd blocks
 Blocks = tuple[Block, Block]
-# image -> (source, case) for every image whose source passed every check
-Images = dict[Blocks, tuple[Blocks, int]]
 
 
 @dataclass
@@ -105,11 +105,13 @@ class InequalityRecord:
 class VerificationReport:
     """Outcome of one verification run.
 
-    ``per_case`` tallies source members by their case.  ``case_counts``
-    (exhaustive mode) maps each case to the pair (source members,
-    image-signature matches) at this weight.  ``inequalities`` (inequality
-    mode) records the two counts per weight.  ``ok`` is true exactly when
-    no check failed.
+    ``per_case`` tallies source members by their case; in exhaustive
+    mode a case's ``passed`` tally, set against its image-signature
+    matches, decides whether those matches get the image-side checks.
+    ``case_counts`` (exhaustive mode) maps each case to the pair (source
+    members, image-signature matches) at this weight.  ``inequalities``
+    (inequality mode) records the two counts per weight.  ``ok`` is true
+    exactly when no check failed.
     """
 
     mode: str
@@ -197,9 +199,7 @@ def _shown(blocks: Blocks) -> str:
     return format_partition(from_parts(evens + odds))
 
 
-def _check_source_member(
-    source: Blocks, n: int, report: VerificationReport, images: Images
-) -> None:
+def _check_source_member(source: Blocks, n: int, report: VerificationReport) -> None:
     """Classify one source member, given as its even and odd blocks, keep
     its case's tally and file its first fault; shared by both modes."""
     ev, od = source
@@ -218,7 +218,7 @@ def _check_source_member(
     if n < CASES[case].min_weight:
         tally.skipped += 1
         return
-    fault = _source_fault(source, case, n, images)
+    fault = _source_fault(source, case, n)
     if fault is None:
         tally.passed += 1
         return
@@ -226,12 +226,9 @@ def _check_source_member(
     report.record_failure(n, _shown(source), check, f"case {case}: {detail}")
 
 
-def _source_fault(source: Blocks, case: int, n: int, images: Images) -> tuple[str, str] | None:
+def _source_fault(source: Blocks, case: int, n: int) -> tuple[str, str] | None:
     """The first check that a source member of this case fails, as
-    (check, detail), or None when it passes them all.
-
-    Only a member that passes them all has its image stored in ``images``.
-    """
+    (check, detail), or None when it passes them all."""
     row = CASES[case]
     ev, od = source
     try:
@@ -257,47 +254,7 @@ def _source_fault(source: Blocks, case: int, n: int, images: Images) -> tuple[st
             return "roundtrip", f"image {_shown(image)} inverted to {_shown(recovered)}"
     except ValueError as exc:
         return "roundtrip", f"image {_shown(image)} inverts to no partition: {exc}"
-    first_source = images.setdefault(image, (source, case))[0]
-    if first_source != source:
-        detail = f"image {_shown(image)} already produced by {_shown(first_source)}"
-        return "distinct-images", detail
     return None
-
-
-def _check_image_member(
-    member: Blocks, n: int, report: VerificationReport, image_counts: Counter[int], images: Images
-) -> None:
-    """Match one image member, given as its even and odd blocks, against
-    the signatures, count it under its case and file its first fault.
-
-    A member in ``images`` is only counted under its source's case: the
-    source side has already checked everything ``_image_fault`` would for
-    it (see ``verify_exhaustive``).
-    """
-    verified = images.get(member)
-    if verified is not None:
-        image_counts[verified[1]] += 1
-        return
-    e, o = member
-    matches = image_cases(e, o)
-    if len(matches) > 1:
-        report.record_failure(
-            n,
-            _shown(member),
-            "signature-overlap",
-            f"signatures {list(matches)} all matched",
-        )
-        return
-    if not matches:
-        return
-    case = matches[0]
-    image_counts[case] += 1
-    if n < CASES[case].min_weight:
-        return
-    fault = _image_fault(member, case)
-    if fault is not None:
-        check, detail = fault
-        report.record_failure(n, _shown(member), check, f"case {case}: {detail}")
 
 
 def _image_fault(member: Blocks, case: int) -> tuple[str, str] | None:
@@ -345,26 +302,56 @@ def verify_exhaustive(n: int, *, cutoff: int = ENUMERATION_CUTOFF) -> Verificati
 
     Source side: unique classification and, at or above each case's
     minimum weight, weight preservation, image membership, image
-    signature agreement, inverse roundtrip, and distinctness of images.
-    Image side: at most one signature per member, signature-matched
-    members invert into the matching source case and map back to
-    themselves, and per-case member counts agree on both sides wherever
-    the map is defined.  Each member is classified once.
+    signature agreement and inverse roundtrip.  Image side: at most one
+    signature per member, signature-matched members invert into the
+    matching source case and map back to themselves, and per-case member
+    counts agree on both sides wherever the map is defined.  Each walk
+    classifies each member once.
 
-    An image member that some source mapped to with every check passed is
-    only counted under that source's case: the source side has already
-    found exactly that case's signature on it, the backward rewrite to
-    its source, that source in the source family with exactly that case,
-    and the forward rewrite back to it, which is all the image side would
-    check.  Every other image member gets the full image-side checks.
+    The image side first only classifies and counts; the per-member image
+    checks run where counting leaves them open.  A passing source of case
+    c lands on a member with signature c, from which ``backward``
+    recovers the source, so distinct passing sources have distinct
+    images: two passing sources with one image would both equal its
+    sorted backward rewrite, which is why no distinctness check exists.
+    When case c's passed tally equals its count of signature-c members,
+    those images are all the signature-c members, and each passes every
+    image check: ``backward`` gives its source, a case-c member of the
+    source family whose ``forward`` is that image.  Otherwise a second
+    walk runs ``_image_fault`` on every signature-c member; images of
+    passing sources pass it, so it files exactly the faults of the other
+    members.  The argument needs ``member_blocks`` to yield each member
+    exactly once.
     """
     report = VerificationReport(mode="exhaustive", n_lo=n, n_hi=n)
-    images: Images = {}
     for member in member_blocks(SOURCE_FAMILY, n, cutoff=cutoff):
-        _check_source_member(member, n, report, images)
+        _check_source_member(member, n, report)
     image_counts: Counter[int] = Counter()
     for member in member_blocks(IMAGE_FAMILY, n, cutoff=cutoff):
-        _check_image_member(member, n, report, image_counts, images)
+        matches = image_cases(*member)
+        if len(matches) > 1:
+            report.record_failure(
+                n, _shown(member), "signature-overlap", f"signatures {list(matches)} all matched"
+            )
+        elif matches:
+            image_counts[matches[0]] += 1
+    # per_case is read directly: report.tally would add empty tallies to it
+    unproven = {
+        case
+        for case, row in CASES.items()
+        if n >= row.min_weight
+        and report.per_case.get(case, CaseTally()).passed != image_counts[case]
+    }
+    if unproven:
+        for member in member_blocks(IMAGE_FAMILY, n, cutoff=cutoff):
+            matches = image_cases(*member)
+            if len(matches) == 1 and matches[0] in unproven:
+                fault = _image_fault(member, matches[0])
+                if fault is not None:
+                    check, detail = fault
+                    report.record_failure(
+                        n, _shown(member), check, f"case {matches[0]}: {detail}"
+                    )
     # every source member with exactly one case is tallied as tested
     source_counts = {case: tally.tested for case, tally in report.per_case.items()}
     report.case_counts = {
@@ -393,9 +380,8 @@ def verify_sampled(n: int, samples: int, seed: int) -> VerificationReport:
     report = VerificationReport(mode="sampled", n_lo=n, n_hi=n)
     sampler = FamilySampler(SOURCE_FAMILY, n)
     rng = random.Random(seed)
-    images: Images = {}
     for _ in range(samples):
-        _check_source_member(sampler.sample_blocks(rng), n, report, images)
+        _check_source_member(sampler.sample_blocks(rng), n, report)
     if n >= WITNESS_MIN_WEIGHT:
         _check_witness(n, report)
     return report.finish()

@@ -396,7 +396,7 @@ def test_boundary_atlas_below_min_weight(case):
     for n in range(1, min_weight + 40, 2):
         for source in _case_members(j, n, lowest_odd):
             assert source_cases(*source) == (case,)
-            fault = _source_fault(source, case, n, {})
+            fault = _source_fault(source, case, n)
             if n >= min_weight:
                 assert fault is None, (n, source, fault)
                 continue

@@ -6,11 +6,12 @@ from collections import Counter
 
 import pytest
 
+import parityparts.verify as verify_module
 from parityparts import casemap
-from parityparts.casemap import WITNESS_CUTOFF, case_min_weight
+from parityparts.casemap import IMAGE_FAMILY, SOURCE_FAMILY, WITNESS_CUTOFF, case_min_weight
 from parityparts.cli import run
 from parityparts.core import Partition
-from parityparts.families import MAX_DRAWS, CountTable
+from parityparts.families import MAX_DRAWS, CountTable, member_blocks
 from parityparts.verify import (
     verify_exhaustive,
     verify_inequality,
@@ -70,9 +71,11 @@ class TestExhaustive:
         assert {f["check"] for f in data["failures"]} == checks
 
     def test_image_side_reuse_hides_no_failure(self, monkeypatch):
-        # with case 11's image signature narrowed to u >= 3, its images with two
-        # even parts fail on the source side and are never stored as verified,
-        # so the image side recounts them and the case counts disagree
+        # with case 11's image signature narrowed to u >= 3, its sources whose
+        # images have two even parts fail image-signature and are not tallied
+        # as passed, so case 11's passed tally falls short of its signature
+        # count, the image side walks again with the full checks on every
+        # signature-11 member, and the case counts disagree
         row = casemap.CASES[11]
         narrowed = row._replace(image=lambda e, o, u, v, f2: u >= 3 and v == 1)
         monkeypatch.setitem(casemap.CASES, 11, narrowed)
@@ -80,6 +83,52 @@ class TestExhaustive:
             failure.check for n in range(31) for failure in verify_exhaustive(n).failures
         )
         assert checks == {"image-signature": 83, "count-equality": 12}
+
+    @staticmethod
+    def _collapse_case_11(monkeypatch):
+        # send every case-11 source at weight 21 to the image of the first one
+        row = casemap.CASES[11]
+        first = next(
+            m for m in member_blocks(SOURCE_FAMILY, 21) if casemap.source_cases(*m) == (11,)
+        )
+        image = row.forward(*first)
+        collapsed = row._replace(forward=lambda ev, od: list(image))
+        monkeypatch.setitem(casemap.CASES, 11, collapsed)
+
+    def test_non_injective_forward_fails_without_a_distinctness_check(self, monkeypatch):
+        # the other 35 sources fail their backward roundtrip, and the other
+        # 35 signature-11 members fail theirs on the image side; report
+        # frozen from the verifier that kept every verified image in a dict
+        self._collapse_case_11(monkeypatch)
+        report = verify_exhaustive(21)
+        assert Counter(f.check for f in report.failures) == {
+            "roundtrip": 35,
+            "inverse-roundtrip": 35,
+        }
+        assert (report.per_case[11].tested, report.per_case[11].passed) == (36, 1)
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == "0e5b695f237b737b89180399d209ec61d8b241f77f7818bd591887a1f25277c3"
+
+    @pytest.mark.parametrize(
+        "n,collapse,walks",
+        [(40, False, 1), (21, True, 2), (3, False, 1)],
+        ids=["clean", "non-injective", "below-min-weight"],
+    )
+    def test_image_family_is_walked_again_only_for_unproven_cases(
+        self, monkeypatch, n, collapse, walks
+    ):
+        # weight 3 holds only members below their cases' minimum weights
+        if collapse:
+            self._collapse_case_11(monkeypatch)
+        counted = Counter()
+
+        def counting_walk(family, weight, **kwargs):
+            counted[family] += 1
+            return member_blocks(family, weight, **kwargs)
+
+        monkeypatch.setattr(verify_module, "member_blocks", counting_walk)
+        verify_exhaustive(n)
+        assert counted == {SOURCE_FAMILY: 1, IMAGE_FAMILY: walks}
 
     # (failures, sha256) of the JSON list of verify_exhaustive(n).to_dict()
     # for n in 0..29 (indent 2) with case C's backward rewrite mutated,
