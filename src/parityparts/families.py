@@ -20,10 +20,11 @@ stored weight is below v, where a part v changes nothing, so those rows
 are the row before them, shared rather than copied.  Where the upper parts
 are even (``od_ed``, ``od_eu``, ``ou_ed``, ``ou_eu``), the weight left while
 the upper block is open always has n's parity, so the rows for that state
-hold only the weights of n's parity: about 3n²/8 cells in all, against
-9n²/16 in the odd-upper families.  Both tables are built by slice-add
-kernels (``_take``, and ``_cross`` for counting) that keep the per-cell
-additions in C.  A draw comes out as its two blocks (``unrank_blocks``):
+hold only the weights of n's parity: about 3n²/8 cells in all.  Where they
+are odd, the lower parts are even, so the rows for the state after the
+crossing hold only the even weights: about 15n²/32 cells.  Both tables are
+built by slice-add kernels (``_take``, and ``_cross`` for counting) that
+keep the per-cell additions in C.  A draw comes out as its two blocks (``unrank_blocks``):
 the upper block is the prefix of parts placed before the walk crosses into
 the lower block, so neither a ``Partition`` nor a split is needed.
 
@@ -31,7 +32,12 @@ Enumeration is an independent route, so counting, sampling and
 enumeration cross-check each other.  ``member_blocks`` walks each member
 as the two blocks it is made of: a generator places the upper parts, and
 each lower block comes from a list builder memoised per walk, so members
-share their block tuples and need no split.
+share their block tuples and need no split.  An unrestricted upper block
+is placed by part multiplicities (Knuth, TAOCP 7.2.1.4): each distinct
+value with all its copies in one step, and the least upper value (2 or 1)
+in place, with only the copy counts a lower block can complete.  A lower
+block is not looked for under a top whose heaviest block is lighter than
+the weight left.
 ``enumerate_family`` joins the two blocks into a ``Partition``; the
 exhaustive verifier consumes the blocks directly and builds a
 ``Partition`` only to show a failure.  Membership is decided on the two
@@ -45,7 +51,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, itemgetter
 from typing import Iterable, Iterator
 
@@ -68,10 +74,10 @@ __all__ = [
 # Above this weight enumeration is refused; counting and sampling still work.
 ENUMERATION_CUTOFF = 70
 # Above this weight a sampler is refused: its tables grow as n^2 cells of
-# O(sqrt n)-digit counts.  At 5000 one build takes 1.3 s and 384 MiB peak RSS
-# for ou_eu, and 1.8 s and 493 MiB for eu_ou, the largest odd-upper family,
-# whose rows keep both parities (Python 3.11.7, x86-64 Xeon VM; the README
-# lists smaller weights).
+# O(sqrt n)-digit counts.  At 5000 one build takes 1.0 s and 384 MiB peak RSS
+# for ou_eu, and 1.0 s and 401 MiB for eu_ou, the largest odd-upper family,
+# whose table keeps one parity only after the crossing (Python 3.11.7,
+# x86-64 Xeon VM; the README lists smaller weights).
 SAMPLE_CUTOFF = 5000
 # Above this weight counting is refused: a table is a list per weight of
 # counts up to O(sqrt n) digits, built in O(n^2) additions (see the README).
@@ -180,17 +186,32 @@ def member_blocks(
     """Yield every member at weight n as its ``(evens, odds)`` blocks, in the
     decreasing lexicographic order of ``enumerate_family``.
 
-    A generator walks the upper block part by part.  Where a lower part
-    comes next, it takes every lower block starting with that part from a
-    list builder that steps by 2 over the lower-parity values.  The builder
-    is memoised for the walk, so members that share a block share its
-    tuple; the memo holds at most the lower-parity partitions of weights up
-    to n.  Raises ValueError for negative n or when n exceeds the cutoff.
+    A generator walks the values from the largest down.  At an upper-parity
+    value v it places the upper parts: one copy of v and a step down to
+    v - 1 if the upper block is distinct, else k copies of v at once, for k
+    from ``remaining // v`` down to 1, each followed by the walk below v.
+    That is the order of the one-part-at-a-time walk: after one copy of v
+    it tried v again before any smaller value, so the members with more
+    copies of v come first, and among equal copies the rest decides.  The
+    least upper value (2 for even upper parts, 1 for odd ones) is resolved
+    in place: below it only a lower block of top 1 can follow, or nothing
+    when that value is 1, so the walk takes only the copy counts whose rest
+    that block can complete, one or two of them, with no deeper step.
+
+    Where a lower part t comes next, it takes every lower block starting
+    with t from a list builder that steps by 2 over the lower-parity values.
+    A top t is skipped when ``cap[t]``, the heaviest lower block with parts
+    at most t, is below the weight left: the builder would return nothing
+    there.  The builder is memoised for the walk, so members that share a
+    block share its tuple; the memo holds at most the lower-parity
+    partitions of weights up to n.  Raises ValueError for negative n or
+    when n exceeds the cutoff.
     """
     check_enumerable(n, cutoff)
     upper_rem = 1 if family.upper_odd else 0
     upper_distinct = family.upper_distinct
     lower_distinct = family.lower_distinct
+    least_upper, least_lower = 2 - upper_rem, 1 + upper_rem
     memo: dict[tuple[int, int], list[Block]] = {}
 
     def lower_blocks(remaining: int, value: int) -> list[Block]:
@@ -211,20 +232,39 @@ def member_blocks(
             memo[(remaining, value)] = blocks
         return blocks
 
+    # cap[t]: the heaviest lower block whose parts are at most t, or n when
+    # an unrestricted lower block has a part to repeat
+    if lower_distinct:
+        cap = list(accumulate(t if t % 2 != upper_rem else 0 for t in range(n + 1)))
+    else:
+        cap = [0] * least_lower + [n] * (n + 1 - least_lower)
+
     def segments(upper: Block, remaining: int, largest: int) -> Iterator[tuple[Block, list[Block]]]:
         """Pairs (upper block, its lower blocks) in member order."""
         if not remaining:
             yield upper, [()]
             return
         for value in range(min(largest, remaining), 0, -1):
-            if value % 2 == upper_rem:
-                yield from segments(
-                    upper + (value,), remaining - value, value - 1 if upper_distinct else value
-                )
+            if value % 2 != upper_rem:
+                if cap[value] >= remaining:
+                    lowers = lower_blocks(remaining, value)
+                    if lowers:
+                        yield upper, lowers
+            elif upper_distinct:
+                yield from segments(upper + (value,), remaining - value, value - 1)
+            elif value != least_upper:
+                for copies in range(remaining // value, 0, -1):
+                    yield from segments(
+                        upper + (value,) * copies, remaining - copies * value, value - 1
+                    )
             else:
-                lowers = lower_blocks(remaining, value)
-                if lowers:
-                    yield upper, lowers
+                # below the least upper value only a lower block of top 1
+                # can follow (none below 1, where cap[0] == 0 leaves rest 0):
+                # take just the copy counts whose rest that block completes
+                fewest = max(1, -((cap[value - 1] - remaining) // value))
+                for copies in range(remaining // value, fewest - 1, -1):
+                    rest = remaining - copies * value
+                    yield upper + (value,) * copies, lower_blocks(rest, 1) if rest else [()]
 
     if family.upper_odd:
         for upper, lowers in segments((), n, n):
@@ -391,8 +431,11 @@ class FamilySampler:
     to place while the upper block is open has n's parity.  So the
     ``before`` rows, the only ones read in that state, keep just the
     weights of n's parity in 0..n - v, weight m at index m // 2; an even
-    upper part v moves v // 2 indices.  The ``after`` rows, and both tables
-    of the odd-upper families, keep every weight at index m.  Draws do not
+    upper part v moves v // 2 indices.  In a family whose upper parts are
+    odd, the lower parts are even, so once a lower part is placed only even
+    weights can remain, and every odd-weight ``after`` cell is 0: the
+    ``after`` rows keep the even weights, weight m at index m // 2.  The
+    other table of each family keeps every weight at index m.  Draws do not
     depend on the layout.  Weights above ``SAMPLE_CUTOFF`` are refused with
     ValueError.
     """
@@ -402,58 +445,70 @@ class FamilySampler:
         self.family = family
         self.n = n
         upper_rem = 1 if family.upper_odd else 0
-        # by the parity rule the before rows keep the weights low, low + step, ...
-        step = 1 if family.upper_odd else 2
-        low = n % step
-        # before[v][m // step]: completions of weight m using values <= v,
+        # by the parity rule one table keeps every other weight: the before
+        # rows keep low, low + 2, ... when the upper parts are even, the
+        # after rows 0, 2, ... when the lower parts are
+        b_step, a_step = 2 - upper_rem, 1 + upper_rem
+        low = n % b_step
+        # before[v][m // b_step]: completions of weight m using values <= v,
         # lower block untouched
-        # after[v][m]: the same once some lower part has been placed; the
-        # empty completion is valid there, the crossing part already exists
+        # after[v][m // a_step]: the same once some lower part has been
+        # placed; the empty completion is valid there, the crossing part
+        # already exists
         # Rows are never written once stored, so equal rows are shared objects.
-        after = [[1] + [0] * n]
-        before = [after[0][low::step]]
+        # row 0 at every weight: only the empty completion, of weight 0
+        row0 = [1] + [0] * n
+        after = [row0[::a_step]]
+        before = [row0[low::b_step]]
         # top[v] = before[v] at weight n, the one cell past the triangle
-        top = [after[0][n]]
+        top = [row0[n]]
         for value in range(1, n + 1):
             b_last, a_last = before[-1], after[-1]
-            if len(a_last) <= value and (len(b_last) - 1) * step + low < value:
+            if (len(a_last) - 1) * a_step < value and (len(b_last) - 1) * b_step + low < value:
                 # every stored weight is below value, and a part equal to
                 # value changes no weight below it: row value is row
                 # value - 1 on its whole triangle, so it is the same object.
                 # Only column n still moves.
-                before.append(b_last)
-                after.append(a_last)
-                if value % 2 == upper_rem:
-                    top.append(top[-1] + b_last[(n - value) // step])
-                else:
-                    top.append(top[-1] + a_last[n - value])
-                continue
-            size = n + 1 - value
-            # the kept weights up to n - value
-            b_row = b_last[: (size - 1 - low) // step + 1]
-            # before[value] at weight m gains source at weight m - value: the
-            # members whose first part is value
-            if value % 2 == upper_rem:
-                a_row = a_last
-                # value is a multiple of step, so it moves value // step indices
-                shift = value // step
-                _take(b_row, shift, family.upper_distinct, shift)
-                source = b_last if family.upper_distinct else b_row
-                top.append(top[-1] + source[(n - value) // step])
+                b_row, a_row = b_last, a_last
+                source = b_last if value % 2 == upper_rem else a_last
             else:
-                a_row = a_last[:size]
-                _take(a_row, value, family.lower_distinct, value)
-                source = a_last if family.lower_distinct else a_row
-                # from an untouched state, placing this value crosses the
-                # blocks; first is the least kept weight >= value
-                first = value + (n - value) % step
-                b_row[first // step :] = map(
-                    add, b_row[first // step :], source[first - value :: step]
-                )
-                top.append(top[-1] + source[n - value])
+                size = n + 1 - value
+                # the kept weights up to n - value
+                b_row = b_last[: (size - 1 - low) // b_step + 1]
+                # before[value] at weight m gains source at weight m - value:
+                # the members whose first part is value.  value is a multiple
+                # of its table's step, so it moves value // step indices.
+                if value % 2 == upper_rem:
+                    a_row = a_last
+                    shift = value // b_step
+                    _take(b_row, shift, family.upper_distinct, shift)
+                    source = b_last if family.upper_distinct else b_row
+                else:
+                    a_row = a_last[: (size - 1) // a_step + 1]
+                    shift = value // a_step
+                    _take(a_row, shift, family.lower_distinct, shift)
+                    source = a_last if family.lower_distinct else a_row
+                    # from an untouched state, placing this value crosses the
+                    # blocks; first is the least kept weight >= value, and
+                    # exactly one of the steps is 2
+                    first = value + (n - value) % b_step
+                    b_row[first // b_step :: a_step] = map(
+                        add,
+                        b_row[first // b_step :: a_step],
+                        source[(first - value) // a_step :: b_step],
+                    )
             before.append(b_row)
             after.append(a_row)
-        self._step = step
+            # column n gains source at weight n - value; an after row of
+            # step 2 keeps no odd weight, whose cell is 0
+            if value % 2 == upper_rem:
+                top.append(top[-1] + source[(n - value) // b_step])
+            elif (n - value) % a_step:
+                top.append(top[-1])
+            else:
+                top.append(top[-1] + source[(n - value) // a_step])
+        self._before_step = b_step
+        self._after_step = a_step
         self._before = before
         self._after = after
         self._top = top
@@ -468,14 +523,15 @@ class FamilySampler:
         upper_rem = 1 if family.upper_odd else 0
         upper_distinct = family.upper_distinct
         lower_distinct = family.lower_distinct
-        before, after, step = self._before, self._after, self._step
+        before, after = self._before, self._after
+        b_step, a_step = self._before_step, self._after_step
         parts: list[int] = []
         # the upper block is parts[:upper_end], the parts placed before the
         # walk switches from the before table to the after table
         upper_end = 0
         remaining = limit = self.n
         # the current block's table holds weight m at index m // scale
-        table, scale = before, step
+        table, scale = before, b_step
         # total: members of the current block; index counts from its first
         total = self.count
         while remaining:
@@ -492,9 +548,9 @@ class FamilySampler:
                 value = bisect_left(self._top, total - index, 1, high)
                 index -= total - self._top[value]
             if value % 2 == upper_rem:
-                table, scale, distinct = before, step, upper_distinct
+                table, scale, distinct = before, b_step, upper_distinct
             else:
-                table, scale, distinct = after, 1, lower_distinct
+                table, scale, distinct = after, a_step, lower_distinct
             if distinct:
                 rest = remaining - value
             else:

@@ -13,6 +13,7 @@ from parityparts.families import (
     CountTable,
     Family,
     FamilySampler,
+    blocks_in_family,
     count_family,
     counts_csv,
     enumerate_family,
@@ -138,7 +139,9 @@ def reference_unrank(sampler, index):
     """The linear walk that bisection replaced: every part value from n
     down to 1, and every multiplicity from the largest down to 1.  It reads
     the sampler's own rows, which the per-cell reference test pins down;
-    ``_before`` rows hold weight m at index m // ``_step``."""
+    ``_before`` rows hold weight m at index m // ``_before_step``, and
+    ``_after`` rows at index m // ``_after_step``, keeping no weight whose
+    cell is 0."""
     family = sampler.family
     upper_rem = 1 if family.upper_odd else 0
     parts = []
@@ -153,7 +156,8 @@ def reference_unrank(sampler, index):
                 if family.upper_distinct:
                     cap = min(cap, 1)
                 for copies in range(cap, 0, -1):
-                    ways = sampler._before[value - 1][(remaining - copies * value) // sampler._step]
+                    rest = remaining - copies * value
+                    ways = sampler._before[value - 1][rest // sampler._before_step]
                     if index < ways:
                         parts.extend([value] * copies)
                         remaining -= copies * value
@@ -164,7 +168,10 @@ def reference_unrank(sampler, index):
             if family.lower_distinct:
                 cap = min(cap, 1)
             for copies in range(cap, 0, -1):
-                ways = sampler._after[value - 1][remaining - copies * value]
+                rest = remaining - copies * value
+                step = sampler._after_step
+                # a weight the after rows drop has no completion
+                ways = sampler._after[value - 1][rest // step] if rest % step == 0 else 0
                 if index < ways:
                     parts.extend([value] * copies)
                     remaining -= copies * value
@@ -242,16 +249,47 @@ def test_enumerate_matches_brute_force(family):
         assert list(enumerate_family(family, n)) == brute_members(family, n)
 
 
+def assert_walk_matches_reference(family, n):
+    reference = list(reference_enumerate(family, n))
+    pairs = list(member_blocks(family, n))
+    assert list(enumerate_family(family, n)) == reference, n
+    assert len(pairs) == len(reference), n
+    for (evens, odds), member in zip(pairs, reference):
+        assert evens == tuple(part for part in member if part % 2 == 0), (n, member)
+        assert odds == tuple(part for part in member if part % 2 == 1), (n, member)
+
+
 @pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
 def test_block_walk_matches_reference_enumeration(family):
     for n in range(0, 41):
-        reference = list(reference_enumerate(family, n))
-        pairs = list(member_blocks(family, n))
-        assert list(enumerate_family(family, n)) == reference, n
-        assert len(pairs) == len(reference), n
-        for (evens, odds), member in zip(pairs, reference):
-            assert evens == tuple(part for part in member if part % 2 == 0), (n, member)
-            assert odds == tuple(part for part in member if part % 2 == 1), (n, member)
+        assert_walk_matches_reference(family, n)
+
+
+@pytest.mark.parametrize(
+    "family,reach",
+    [(Family.OD_EU, 50), (Family.OU_EU, 43), (Family.ED_OU, 48), (Family.EU_OU, 46)],
+    ids=lambda arg: arg.value if isinstance(arg, Family) else str(arg),
+)
+def test_multiplicity_walk_matches_reference_enumeration_past_40(family, reach):
+    """The unrestricted-upper families, whose walk places each upper value
+    with all its copies in one step, checked past the all-family range; the
+    four reaches cost about 2 s together."""
+    for n in range(41, reach + 1):
+        assert_walk_matches_reference(family, n)
+
+
+@pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
+def test_block_walk_yields_every_member_once_in_order_at_the_cutoff(family):
+    n = ENUMERATION_CUTOFF
+    count = 0
+    previous = None
+    for evens, odds in member_blocks(family, n):
+        assert blocks_in_family(evens, odds, family), (evens, odds)
+        member = odds + evens if family.upper_odd else evens + odds
+        assert previous is None or member < previous, (previous, member)
+        previous = member
+        count += 1
+    assert count == count_family(family, n)
 
 
 @pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
@@ -292,34 +330,42 @@ def test_count_table_matches_per_cell_reference_at_1000(family):
 
 @pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
 def test_sampler_tables_match_per_cell_reference(family):
-    """Every stored cell equals the full reference row at its weight.
+    """Every stored cell equals the full reference row at its weight, and
+    every weight an ``_after`` row does not store is 0 in the reference (the
+    weights a ``_before`` row drops can never remain).
 
-    Each ``_after`` row v is a prefix of weights 0.. that covers the
-    triangle (weights 0..n - v).  Each ``_before`` row v holds weight m at
-    index m // step, where step is 2 when the upper parts are even and 1
-    otherwise: it is a prefix of n's parity class of weights (of all
-    weights for step 1) that covers the triangle's weights of that class.
-    ``_top`` is column n.  From n // 2 + 2 on, every row is the very object
-    stored for the value before it.  The band edges are n = 0, 1 and 2,
-    where a parity row can be empty, and v at and around n / 2, where the
-    slice-adds first reach past the end of row v and the rows start to be
-    shared; every row of every n below 121, and of n = 400 and 401, is
-    checked, so both parities of n meet each edge.
+    Each row v of a table with step s holds weight m at index m // s: a
+    ``_before`` row holds the weights of n's parity (all weights for s = 1),
+    an ``_after`` row the even weights (all for s = 1).  The before step is
+    2 when the upper parts are even, the after step when the lower parts
+    are; the other step is 1.  Each row is a prefix of its weights that
+    covers the triangle's weights (0..n - v) of that class.  ``_top`` is
+    column n.  From n // 2 + 2 on, every row is the very object stored for
+    the value before it.  The band edges are n = 0, 1 and 2, where a parity
+    row can be empty, and v at and around n / 2, where the slice-adds first
+    reach past the end of row v and the rows start to be shared; every row
+    of every n below 121, and of n = 400 and 401, is checked, so both
+    parities of n meet each edge.
     """
-    step = 1 if family.upper_odd else 2
+    b_step = 1 if family.upper_odd else 2
+    a_step = 2 if family.upper_odd else 1
     for n in (*range(121), 400, 401):
         sampler = FamilySampler(family, n)
         before, after = reference_sampler_tables(family, n)
-        assert sampler._step == step
+        assert (sampler._before_step, sampler._after_step) == (b_step, a_step)
         assert len(sampler._before) == len(sampler._after) == n + 1, n
-        for v, (row, full) in enumerate(zip(sampler._after, after)):
-            assert n + 1 - v <= len(row) <= n + 1, (n, v)
-            assert row == full[: len(row)], (n, v)
-        for v, (row, full) in enumerate(zip(sampler._before, before)):
-            stored = range(n % step, n % step + step * len(row), step)
-            assert len(range(n % step, n + 1 - v, step)) <= len(row), (n, v)
-            assert not stored or stored[-1] <= n, (n, v)
-            assert row == [full[m] for m in stored], (n, v)
+        for rows, full_rows, step, low in (
+            (sampler._before, before, b_step, n % b_step),
+            (sampler._after, after, a_step, 0),
+        ):
+            for v, (row, full) in enumerate(zip(rows, full_rows)):
+                stored = range(low, low + step * len(row), step)
+                assert len(range(low, n + 1 - v, step)) <= len(row), (n, v)
+                assert not stored or stored[-1] <= n, (n, v)
+                assert row == [full[m] for m in stored], (n, v)
+        for v, full in enumerate(after):
+            # with step 2 the after rows drop the odd weights, all 0
+            assert not any(full[m] for m in range(n + 1) if m % a_step), (n, v)
         for v in range(n // 2 + 2, n + 1):
             assert sampler._before[v] is sampler._before[v - 1], (n, v)
             assert sampler._after[v] is sampler._after[v - 1], (n, v)
