@@ -6,15 +6,24 @@ partition falls in exactly one structural case, decided by its block
 lengths and a few gap conditions.  ``forward`` rewrites it into an image
 partition of the same weight whose shape satisfies that case's image
 signature, and ``backward`` undoes the rewrite exactly.  Both directions
-are defined only at or above the case's minimum weight.
+are defined only at or above the case's minimum weight, and ``forward``
+refuses a weight above ``MAX_MAP_WEIGHT``.
 
 Each case is one row of ``CASES``.  The case code reads a partition as
 its two blocks, the even parts and the odd parts, which come from
-``core.parity_split``.  Cases 2, 3 and 4 are one block swap and share one
-rewrite pair, ``_fwd_swap`` and ``_bwd_swap``; their conditions,
-signatures and minimum weights stay separate.  The public functions take
-a ``Partition``: each splits it once, checks membership on the blocks
-and looks its case up once.  The verifier, whose members arrive as their two blocks, calls the
+``core.parity_split``.  Cases of one shape share one rewrite pair, and
+their rows bind its constants:
+
+- cases 2, 3 and 4 are one block swap, ``_fwd_swap`` and ``_bwd_swap``;
+- cases 10, 12, 13 and 14 (j evens above one odd part) are one affine
+  tower, ``_fwd_tower`` and ``_bwd_tower``;
+- case 17 is case 16 with 12 moved from the top part into six parts 2,
+  and both use ``_fwd_long`` and ``_bwd_long``.
+
+In each group the conditions, signatures and minimum weights stay
+separate.  The public functions take a ``Partition``: each splits it
+once, checks membership on the blocks and looks its case up once.  The
+verifier, whose members arrive as their two blocks, calls the
 block-level helpers ``source_cases`` and ``image_cases`` directly and
 splits each rewrite's output with ``parity_split``, without building a
 ``Partition``.
@@ -26,9 +35,10 @@ no signature, which is what makes the map strictly non-surjective there.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
-from .core import Block, Partition, format_partition, parity_split
+from .core import MAX_PARTS, Block, Partition, format_partition, parity_split
 from .families import Family, blocks_in_family
 
 __all__ = [
@@ -48,6 +58,10 @@ __all__ = [
 SOURCE_FAMILY = Family.OD_EU
 IMAGE_FAMILY = Family.EU_OD
 NUM_CASES = 17
+
+# forward refuses a heavier member: an image of weight w has at most about
+# w/2 + sqrt(w) parts, so this keeps it near the parse bound
+MAX_MAP_WEIGHT = 2 * MAX_PARTS
 
 WITNESS_MIN_WEIGHT = 373
 # A witness scan ending above this weight is refused; each weight costs a
@@ -113,26 +127,16 @@ def _fwd_9(ev, od):
     return [4 * half - 15, 5, 3, 2, 2, 2]
 
 
-def _fwd_10(ev, od):
-    return [ev[1] + 7, od[0] + 6, 5] + [2] * ((ev[0] - 18) // 2)
+def _fwd_tower(inc, tail, drop, ev, od):
+    """Cases 10 and 12-14: the evens below the top one and the odd part gain
+    inc, part by part, and join the fixed odd parts tail; the top even, less
+    drop, becomes parts 2."""
+    rest = ev[1:] + od
+    return [rest[k] + c for k, c in enumerate(inc)] + list(tail) + [2] * ((ev[0] - drop) // 2)
 
 
 def _fwd_11(ev, od):
     return [ev[0] + 1] + list(ev[1:])
-
-
-def _fwd_12(ev, od):
-    return [ev[1] + 7, ev[2] + 5, od[0] + 4] + [2] * ((ev[0] - 16) // 2)
-
-
-def _fwd_13(ev, od):
-    return [ev[1] + 7, ev[2] + 5, ev[3] + 3, od[0] + 2, 3] + [2] * ((ev[0] - 20) // 2)
-
-
-def _fwd_14(ev, od):
-    return [ev[1] + 9, ev[2] + 7, ev[3] + 5, ev[4] + 3, od[0] + 2] + [2] * (
-        (ev[0] - 26) // 2
-    )
 
 
 def _fwd_15(ev, od):
@@ -144,22 +148,16 @@ def _fwd_15(ev, od):
     )
 
 
-def _fwd_16(ev, od):
+def _fwd_long(top, twos, ev, od):
+    """Cases 16 and 17: the three top evens turn odd, the top one taking
+    top, the four bottom evens move down by 2 and the odd part becomes
+    even; case 17 also turns 12 of its top even into six parts 2."""
     return (
-        [ev[0] + 5, ev[1] + 3, ev[2] + 1]
+        [ev[0] + top, ev[1] + 3, ev[2] + 1]
         + list(ev[3:-4])
         + [part - 2 for part in ev[-4:]]
         + [od[0] - 1]
-    )
-
-
-def _fwd_17(ev, od):
-    return (
-        [ev[0] - 7, ev[1] + 3, ev[2] + 1]
-        + list(ev[3:-4])
-        + [part - 2 for part in ev[-4:]]
-        + [od[0] - 1]
-        + [2] * 6
+        + [2] * twos
     )
 
 
@@ -202,24 +200,13 @@ def _bwd_9(e, o):
     return [2 * half, 2 * half - 1]
 
 
-def _bwd_10(e, o):
-    return [2 * len(e) + 18, o[0] - 7, o[1] - 6]
+def _bwd_tower(inc, drop, e, o):
+    """The inverse of ``_fwd_tower``; the count of image evens restores the top even."""
+    return [2 * len(e) + drop] + [o[k] - c for k, c in enumerate(inc)]
 
 
 def _bwd_11(e, o):
     return [o[0] - 1] + list(e) + [1]
-
-
-def _bwd_12(e, o):
-    return [2 * len(e) + 16, o[0] - 7, o[1] - 5, o[2] - 4]
-
-
-def _bwd_13(e, o):
-    return [2 * len(e) + 20, o[0] - 7, o[1] - 5, o[2] - 3, o[3] - 2]
-
-
-def _bwd_14(e, o):
-    return [2 * len(e) + 26, o[0] - 9, o[1] - 7, o[2] - 5, o[3] - 3, o[4] - 2]
 
 
 def _bwd_15(e, o):
@@ -232,29 +219,21 @@ def _bwd_15(e, o):
     )
 
 
-def _bwd_16(e, o):
-    u = len(e)
+def _bwd_long(top, twos, e, o):
+    """The inverse of ``_fwd_long``, read from the evens above the last twos parts 2."""
+    k = len(e) - twos
     return (
-        [o[0] - 5, o[1] - 3, o[2] - 1]
-        + list(e[: u - 5])
-        + [part + 2 for part in e[u - 5 : u - 1]]
-        + [e[-1] + 1]
+        [o[0] - top, o[1] - 3, o[2] - 1]
+        + list(e[: k - 5])
+        + [part + 2 for part in e[k - 5 : k - 1]]
+        + [e[k - 1] + 1]
     )
 
 
-def _bwd_17(e, o):
-    u = len(e)
-    return (
-        [o[0] + 7, o[1] - 3, o[2] - 1]
-        + list(e[: u - 11])
-        + [part + 2 for part in e[u - 11 : u - 7]]
-        + [e[u - 7] + 1]
-    )
-
-
-# One row per case.  The first line holds the source side: minimum
-# weight, condition and forward rewrite.  The rest holds the image side:
-# signature and backward rewrite.  ev/e are the even blocks, od/o the odd
+# One row per case.  The first lines hold the source side: minimum
+# weight, condition and forward rewrite.  The rest hold the image side:
+# signature and backward rewrite.  Cases 10 and 12-14 bind their constants
+# into the tower pair, cases 16 and 17 into the long pair.  ev/e are the even blocks, od/o the odd
 # blocks, u and v the image block lengths, f2 the number of image parts
 # equal to 2.  In a source member the cross gap ev[-1] - od[0] is odd and
 # at least 1, by strict block separation.
@@ -285,31 +264,35 @@ CASES: dict[int, Case] = {
     9: Case(23, lambda ev, od: len(ev) == 1 and len(od) == 1 and ev[-1] - od[0] == 1, _fwd_9,
             lambda e, o, u, v, f2: e == (2, 2, 2) and o[1:] == (5, 3)
             and o[0] >= 9 and o[0] % 4 == 1, _bwd_9),
-    10: Case(83, lambda ev, od: len(ev) == 2 and len(od) == 1, _fwd_10,
+    10: Case(83, lambda ev, od: len(ev) == 2 and len(od) == 1,
+             partial(_fwd_tower, (7, 6), (5,), 18),
              lambda e, o, u, v, f2: v == 3 and u >= 5 and o[2] == 5 and e[0] == 2
-             and 2 * u + 25 >= o[0], _bwd_10),
+             and 2 * u + 25 >= o[0], partial(_bwd_tower, (7, 6), 18)),
     11: Case(7, lambda ev, od: len(ev) >= 3 and len(od) == 1 and od[0] == 1, _fwd_11,
              lambda e, o, u, v, f2: u >= 2 and v == 1, _bwd_11),
-    12: Case(95, lambda ev, od: len(ev) == 3 and len(od) == 1 and od[0] >= 3, _fwd_12,
+    12: Case(95, lambda ev, od: len(ev) == 3 and len(od) == 1 and od[0] >= 3,
+             partial(_fwd_tower, (7, 5, 4), (), 16),
              lambda e, o, u, v, f2: v == 3 and u >= 4 and o[2] >= 7 and e[0] == 2
-             and 2 * u + 23 >= o[0], _bwd_12),
-    13: Case(159, lambda ev, od: len(ev) == 4 and len(od) == 1 and od[0] >= 3, _fwd_13,
+             and 2 * u + 23 >= o[0], partial(_bwd_tower, (7, 5, 4), 16)),
+    13: Case(159, lambda ev, od: len(ev) == 4 and len(od) == 1 and od[0] >= 3,
+             partial(_fwd_tower, (7, 5, 3, 2), (3,), 20),
              lambda e, o, u, v, f2: u >= 6 and v == 5 and o[4] == 3 and e[0] == 2
-             and 2 * u + 27 >= o[0], _bwd_13),
-    14: Case(227, lambda ev, od: len(ev) == 5 and len(od) == 1 and od[0] >= 3, _fwd_14,
+             and 2 * u + 27 >= o[0], partial(_bwd_tower, (7, 5, 3, 2), 20)),
+    14: Case(227, lambda ev, od: len(ev) == 5 and len(od) == 1 and od[0] >= 3,
+             partial(_fwd_tower, (9, 7, 5, 3, 2), (), 26),
              lambda e, o, u, v, f2: u >= 6 and v == 5 and o[4] >= 5 and e[0] == 2
-             and 2 * u + 35 >= o[0], _bwd_14),
+             and 2 * u + 35 >= o[0], partial(_bwd_tower, (9, 7, 5, 3, 2), 26)),
     15: Case(373, lambda ev, od: 6 <= len(ev) <= 10 and len(od) == 1 and od[0] >= 3, _fwd_15,
              lambda e, o, u, v, f2: f2 > 12 and v == 3 and 3 <= u - f2 <= 7
              and e[u - f2 - 1] >= 4 and 2 * f2 + 15 >= o[0], _bwd_15),
     16: Case(47, lambda ev, od: len(ev) >= 11 and len(od) == 1 and od[0] >= 3
-             and ev[0] - ev[1] <= 10, _fwd_16,
+             and ev[0] - ev[1] <= 10, partial(_fwd_long, 5, 0),
              lambda e, o, u, v, f2: u >= 9 and v == 3 and f2 <= 5 and o[0] - o[1] <= 12
-             and e[u - 6] - e[u - 5] >= 2, _bwd_16),
+             and e[u - 6] - e[u - 5] >= 2, partial(_bwd_long, 5, 0)),
     17: Case(59, lambda ev, od: len(ev) >= 11 and len(od) == 1 and od[0] >= 3
-             and ev[0] - ev[1] >= 12, _fwd_17,
+             and ev[0] - ev[1] >= 12, partial(_fwd_long, -7, 6),
              lambda e, o, u, v, f2: u >= 15 and v == 3 and 6 <= f2 <= 11
-             and e[u - 12] - e[u - 11] >= 2, _bwd_17),
+             and e[u - 12] - e[u - 11] >= 2, partial(_bwd_long, -7, 6)),
 }
 
 
@@ -382,8 +365,10 @@ def forward(p: Partition) -> Partition:
     """Map a source-family partition to its image partition.
 
     Raises ValueError when the weight sits below the case's minimum, where
-    the rewrite is not defined.
+    the rewrite is not defined, or above ``MAX_MAP_WEIGHT``.
     """
+    if p.weight > MAX_MAP_WEIGHT:
+        raise ValueError(f"weight {p.weight} exceeds the map cutoff {MAX_MAP_WEIGHT}")
     ev, od = _member_blocks(p, SOURCE_FAMILY)
     case = _one_source_case(p, ev, od)
     row = CASES[case]

@@ -43,16 +43,12 @@ from .verify import (
 
 __all__ = ["build_parser", "run", "main"]
 
-FAMILY_TOKENS = [family.value for family in Family]
-
 
 def _family(token: str) -> Family:
     try:
         return Family.from_token(token)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"unknown family {token!r}, expected one of {', '.join(FAMILY_TOKENS)}"
-        )
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _nonnegative(text: str) -> int:
@@ -180,6 +176,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_map(args) -> int:
     p = parse_partition(args.input)
+    # the map keeps the weight, so drawing the input checks both diagrams
+    # against the glyph bound before anything is mapped or printed
+    drawing = render_ferrers(p) if args.ferrers else None
     if args.inverse:
         case = classify_image(p)
         if case is None:
@@ -192,12 +191,11 @@ def _cmd_map(args) -> int:
         case = classify_source(p)
         other = forward(p)
         line = f"case={case} image={format_partition(other)}"
-    # both diagrams are drawn, and so checked against the glyph bound,
-    # before anything is printed
-    drawings = (render_ferrers(p), "->", render_ferrers(other)) if args.ferrers else ()
     print(line)
-    for drawing in drawings:
+    if drawing is not None:
         print(drawing)
+        print("->")
+        print(render_ferrers(other))
     return 0
 
 

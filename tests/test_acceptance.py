@@ -17,6 +17,8 @@ from parityparts.families import Family, count_family, enumerate_family, in_fami
 from parityparts.series import diff_series, series_p_eu_od, series_p_od_eu
 from parityparts.verify import verify_exhaustive, verify_sampled, verify_witnesses
 
+from partition_oracle import all_partitions
+
 # criterion 2: hand-checked coefficients of count_eu_od - count_od_eu
 DIFF_GOLDEN = {
     3: -1,
@@ -61,18 +63,6 @@ def announce(capsys):
             print(f"\nACCEPTANCE {number} PASS: {text}")
 
     return _announce
-
-
-def all_partitions(n, largest=None):
-    """Reference generator, independent of the library's enumeration."""
-    if largest is None:
-        largest = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in all_partitions(n - first, first):
-            yield (first,) + rest
 
 
 def test_criterion_1_family_ground_truth(announce, capsys):

@@ -7,14 +7,19 @@ from hypothesis import strategies as st
 from parityparts.casemap import (
     CASES,
     IMAGE_FAMILY,
+    MAX_MAP_WEIGHT,
     NUM_CASES,
     SOURCE_FAMILY,
     backward,
     case_min_weight,
     classify_image,
     classify_source,
+    _bwd_long,
     _bwd_swap,
+    _bwd_tower,
+    _fwd_long,
     _fwd_swap,
+    _fwd_tower,
     _slide,
     forward,
     image_case_matches,
@@ -23,7 +28,7 @@ from parityparts.casemap import (
     source_cases,
     witness,
 )
-from parityparts.core import parity_split, parse_partition
+from parityparts.core import Partition, parity_split, parse_partition
 from parityparts.families import (
     Family,
     FamilySampler,
@@ -125,6 +130,13 @@ def test_forward_rejects_below_min_weight():
         forward(parse_partition("2,1"))  # weight 3, case 9 starts at 23
     with pytest.raises(ValueError):
         forward(parse_partition("4,3,1"))  # weight 8, case 8 starts at 20
+
+
+def test_forward_refuses_weight_above_the_map_cutoff():
+    # one part is case 1, the identity; only the refusal is tested
+    assert forward(Partition([MAX_MAP_WEIGHT])) == (MAX_MAP_WEIGHT,)
+    with pytest.raises(ValueError, match="exceeds the map cutoff"):
+        forward(Partition([MAX_MAP_WEIGHT + 1]))
 
 
 def test_forward_works_at_min_weight():
@@ -277,6 +289,91 @@ def _bwd_4(e, o):
 REFERENCE_SWAPS = {2: (_fwd_2, _bwd_2), 3: (_fwd_3, _bwd_3), 4: (_fwd_4, _bwd_4)}
 
 
+# The per-case rewrites that cases 10, 12-14, 16 and 17 used before they
+# shared the tower pair (_fwd_tower, _bwd_tower) and the long pair
+# (_fwd_long, _bwd_long), kept as the reference for the shared pairs.
+def _fwd_10(ev, od):
+    return [ev[1] + 7, od[0] + 6, 5] + [2] * ((ev[0] - 18) // 2)
+
+
+def _fwd_12(ev, od):
+    return [ev[1] + 7, ev[2] + 5, od[0] + 4] + [2] * ((ev[0] - 16) // 2)
+
+
+def _fwd_13(ev, od):
+    return [ev[1] + 7, ev[2] + 5, ev[3] + 3, od[0] + 2, 3] + [2] * ((ev[0] - 20) // 2)
+
+
+def _fwd_14(ev, od):
+    return [ev[1] + 9, ev[2] + 7, ev[3] + 5, ev[4] + 3, od[0] + 2] + [2] * (
+        (ev[0] - 26) // 2
+    )
+
+
+def _fwd_16(ev, od):
+    return (
+        [ev[0] + 5, ev[1] + 3, ev[2] + 1]
+        + list(ev[3:-4])
+        + [part - 2 for part in ev[-4:]]
+        + [od[0] - 1]
+    )
+
+
+def _fwd_17(ev, od):
+    return (
+        [ev[0] - 7, ev[1] + 3, ev[2] + 1]
+        + list(ev[3:-4])
+        + [part - 2 for part in ev[-4:]]
+        + [od[0] - 1]
+        + [2] * 6
+    )
+
+
+def _bwd_10(e, o):
+    return [2 * len(e) + 18, o[0] - 7, o[1] - 6]
+
+
+def _bwd_12(e, o):
+    return [2 * len(e) + 16, o[0] - 7, o[1] - 5, o[2] - 4]
+
+
+def _bwd_13(e, o):
+    return [2 * len(e) + 20, o[0] - 7, o[1] - 5, o[2] - 3, o[3] - 2]
+
+
+def _bwd_14(e, o):
+    return [2 * len(e) + 26, o[0] - 9, o[1] - 7, o[2] - 5, o[3] - 3, o[4] - 2]
+
+
+def _bwd_16(e, o):
+    u = len(e)
+    return (
+        [o[0] - 5, o[1] - 3, o[2] - 1]
+        + list(e[: u - 5])
+        + [part + 2 for part in e[u - 5 : u - 1]]
+        + [e[-1] + 1]
+    )
+
+
+def _bwd_17(e, o):
+    u = len(e)
+    return (
+        [o[0] + 7, o[1] - 3, o[2] - 1]
+        + list(e[: u - 11])
+        + [part + 2 for part in e[u - 11 : u - 7]]
+        + [e[u - 7] + 1]
+    )
+
+
+REFERENCE_TOWERS = {
+    10: (_fwd_10, _bwd_10),
+    12: (_fwd_12, _bwd_12),
+    13: (_fwd_13, _bwd_13),
+    14: (_fwd_14, _bwd_14),
+}
+REFERENCE_LONGS = {16: (_fwd_16, _bwd_16), 17: (_fwd_17, _bwd_17)}
+
+
 def _swap_case(evens, odds):
     """Which of cases 2-4 rewrites blocks of these lengths, on either side."""
     return 2 if len(evens) == len(odds) else 3 if len(evens) > len(odds) else 4
@@ -290,9 +387,18 @@ def _backward_matches_reference(e, o):
     return sorted(_bwd_swap(e, o)) == sorted(REFERENCE_SWAPS[_swap_case(e, o)][1](e, o))
 
 
-def test_cases_2_to_4_share_one_rewrite_pair():
-    assert {CASES[case].forward for case in REFERENCE_SWAPS} == {_fwd_swap}
-    assert {CASES[case].backward for case in REFERENCE_SWAPS} == {_bwd_swap}
+@pytest.mark.parametrize(
+    "cases,fwd,bwd",
+    [
+        pytest.param(REFERENCE_SWAPS, _fwd_swap, _bwd_swap, id="swap"),
+        pytest.param(REFERENCE_TOWERS, _fwd_tower, _bwd_tower, id="tower"),
+        pytest.param(REFERENCE_LONGS, _fwd_long, _bwd_long, id="long"),
+    ],
+)
+def test_cases_of_one_shape_share_one_rewrite_pair(cases, fwd, bwd):
+    """Each group's rows hold one function, bare or with bound constants."""
+    assert {getattr(CASES[case].forward, "func", CASES[case].forward) for case in cases} == {fwd}
+    assert {getattr(CASES[case].backward, "func", CASES[case].backward) for case in cases} == {bwd}
 
 
 def test_block_swap_matches_reference_up_to_50():
@@ -360,8 +466,8 @@ def _even_blocks(j, total, lowest):
 
 def _case_members(j, n, lowest_odd):
     """Source blocks of weight n with j even parts strictly above one odd
-    part of at least lowest_odd: cases 10 (j = 2) and 12 (j = 3, odd part
-    at least 3)."""
+    part of at least lowest_odd: cases 10 (j = 2), 12-14 (j = 3 to 5, odd
+    part at least 3) and, with j from 11, cases 16 and 17."""
     for odd in range(lowest_odd, n, 2):
         for evens in _even_blocks(j, n - odd, odd + 1):
             yield evens, (odd,)
@@ -408,3 +514,77 @@ def test_boundary_atlas_below_min_weight(case):
     last_weight = max(failed)
     assert [parity_split(parse_partition(last))] == failed[last_weight]
     assert last_weight == parse_partition(last).weight
+
+
+REFERENCE_SHARED = {**REFERENCE_TOWERS, **REFERENCE_LONGS}
+
+# case: the even-block lengths of its members and their smallest odd part
+SHARED_WALKS = {
+    10: ([2], 1),
+    12: ([3], 3),
+    13: ([4], 3),
+    14: ([5], 3),
+    16: (range(11, 18), 3),
+    17: (range(11, 18), 3),
+}
+
+
+def _outcome(rewrite, a, b):
+    try:
+        return sorted(rewrite(a, b))
+    except Exception as exc:
+        return type(exc)
+
+
+def _check_shared(case, backward, a, b):
+    """The shared rewrite's parts in increasing order, after checking that
+    the case's reference gives the same parts or raises the same type."""
+    row = CASES[case]
+    shared = _outcome(row.backward if backward else row.forward, a, b)
+    assert shared == _outcome(REFERENCE_SHARED[case][backward], a, b), (case, a, b)
+    return shared
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_SHARED))
+def test_shared_pairs_match_reference_on_case_walks(case):
+    """Every member of the case at odd weights up to 71, most of them below
+    its minimum weight, and the blocks of each forward image."""
+    lengths, lowest_odd = SHARED_WALKS[case]
+    checked = 0
+    for n in range(1, 72, 2):
+        for j in lengths:
+            for ev, od in _case_members(j, n, lowest_odd):
+                if source_cases(ev, od) == (case,):
+                    image = _check_shared(case, 0, ev, od)
+                    _check_shared(case, 1, *parity_split(image[::-1]))
+                    checked += 1
+    assert checked > 20
+
+
+def _block(parts):
+    return parts.map(lambda drawn: tuple(sorted(drawn, reverse=True)))
+
+
+_even_parts = st.integers(1, 120).map(lambda half: 2 * half)
+_odd_parts = st.integers(0, 120).map(lambda half: 2 * half + 1)
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_SHARED))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shared_forward_matches_reference_on_drawn_blocks(case, data):
+    """Blocks of the case's lengths with any parts, so most sit below the
+    case's minimum weight or outside its condition."""
+    j = data.draw(st.sampled_from(SHARED_WALKS[case][0]))
+    ev = data.draw(_block(st.lists(_even_parts, min_size=j, max_size=j)))
+    od = (data.draw(_odd_parts),)
+    _check_shared(case, 0, ev, od)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block(st.lists(_even_parts, max_size=20)), _block(st.lists(_odd_parts, max_size=8)))
+def test_shared_backward_matches_reference_on_any_image_blocks(e, o):
+    """An odd block shorter than the rewrite reads must raise as the
+    reference does."""
+    for case in REFERENCE_SHARED:
+        _check_shared(case, 1, e, o)

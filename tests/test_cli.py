@@ -288,6 +288,14 @@ class TestMap:
         assert err.count("\n") == 1
         assert err.startswith("error: a Ferrers diagram of weight 1000000000 exceeds")
 
+    def test_input_above_the_map_cutoff_fails_before_mapping(self, capsys):
+        # a case-6 input whose image would hold 10**10 parts 2
+        code, out, err = invoke(capsys, "map", "--input", "20000000000,19999999999,7,5,3,1")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: weight 40000000015 exceeds the map cutoff")
+
     def test_nonmember_input_fails(self, capsys):
         code, _, err = invoke(capsys, "map", "--input", "3,1,1")
         assert code == 1

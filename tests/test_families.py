@@ -22,19 +22,9 @@ from parityparts.families import (
     sample_family,
 )
 
+from partition_oracle import all_partitions
+
 CHAIN = tuple(Family)
-
-
-def all_partitions(n, largest=None):
-    """Textbook generator of every partition of n, the oracle route."""
-    if largest is None:
-        largest = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(largest, n), 0, -1):
-        for rest in all_partitions(n - first, first):
-            yield (first, *rest)
 
 
 def brute_members(family, n):

@@ -16,23 +16,14 @@ from parityparts.series import (
     theta_squares,
 )
 
+from partition_oracle import all_partitions
+
 units = st.sampled_from([1, -1])
 small_series = st.builds(
     lambda lead, rest: Series([lead] + rest),
     units,
     st.lists(st.integers(-9, 9), min_size=1, max_size=12),
 )
-
-
-def all_partitions(n, largest=None):
-    if largest is None:
-        largest = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(largest, n), 0, -1):
-        for rest in all_partitions(n - first, first):
-            yield (first, *rest)
 
 
 def test_series_requires_constant_term():
