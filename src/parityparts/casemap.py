@@ -45,6 +45,7 @@ __all__ = [
     "SOURCE_FAMILY",
     "IMAGE_FAMILY",
     "NUM_CASES",
+    "WITNESS_MIN_WEIGHT",
     "case_min_weight",
     "source_case_matches",
     "classify_source",
@@ -57,7 +58,6 @@ __all__ = [
 
 SOURCE_FAMILY = Family.OD_EU
 IMAGE_FAMILY = Family.EU_OD
-NUM_CASES = 17
 
 # forward refuses a heavier member: an image of weight w has at most about
 # w/2 + sqrt(w) parts, so this keeps it near the parse bound
@@ -87,7 +87,8 @@ def _slide(count: int) -> list[int]:
     return [2 * count - 2 * k - 3 for k in range(count - 1)]
 
 
-def _fwd_1(ev, od):
+def _join(ev, od):
+    """Case 1, both ways: one block is empty, so the parts stay as they are."""
     return ev + od
 
 
@@ -159,10 +160,6 @@ def _fwd_long(top, twos, ev, od):
         + [od[0] - 1]
         + [2] * twos
     )
-
-
-def _bwd_1(e, o):
-    return e + o
 
 
 def _bwd_swap(e, o):
@@ -238,8 +235,8 @@ def _bwd_long(top, twos, e, o):
 # equal to 2.  In a source member the cross gap ev[-1] - od[0] is odd and
 # at least 1, by strict block separation.
 CASES: dict[int, Case] = {
-    1: Case(1, lambda ev, od: not ev or not od, _fwd_1,
-            lambda e, o, u, v, f2: u == 0 or v == 0, _bwd_1),
+    1: Case(1, lambda ev, od: not ev or not od, _join,
+            lambda e, o, u, v, f2: u == 0 or v == 0, _join),
     2: Case(12, lambda ev, od: len(ev) == len(od) >= 2, _fwd_swap,
             lambda e, o, u, v, f2: u == v >= 2 and o[-1] - e[0] >= 2 * v - 3, _bwd_swap),
     3: Case(16, lambda ev, od: len(ev) > len(od) >= 2, _fwd_swap,
@@ -294,6 +291,7 @@ CASES: dict[int, Case] = {
              lambda e, o, u, v, f2: u >= 15 and v == 3 and 6 <= f2 <= 11
              and e[u - 12] - e[u - 11] >= 2, partial(_bwd_long, -7, 6)),
 }
+NUM_CASES = len(CASES)
 
 
 def case_min_weight(case: int) -> int:
@@ -402,7 +400,7 @@ def backward(p: Partition) -> Partition:
     e, o = _member_blocks(p, IMAGE_FAMILY)
     case = _one_image_case(p, e, o)
     if case is None:
-        raise ValueError(f"{format_partition(p)} matches no image-side case signature")
+        raise ValueError(f"{format_partition(p)} matches none of the {NUM_CASES} image signatures")
     row = CASES[case]
     if p.weight < row.min_weight:
         raise ValueError(

@@ -114,8 +114,8 @@ def parity_split(parts: Iterable[int]) -> tuple[Block, Block]:
     return tuple(evens), tuple(odds)
 
 
-def render_ferrers(p: Partition, glyph: str = "#") -> str:
-    """Ferrers diagram, one row of glyphs per part.
+def render_ferrers(p: Partition) -> str:
+    """Ferrers diagram, one row of ``#`` glyphs per part.
 
     Raises ValueError when the diagram would have more than ``MAX_GLYPHS``
     glyphs, one per unit of weight.
@@ -125,4 +125,4 @@ def render_ferrers(p: Partition, glyph: str = "#") -> str:
         raise ValueError(
             f"a Ferrers diagram of weight {weight} exceeds the cutoff of {MAX_GLYPHS} glyphs"
         )
-    return "\n".join(glyph * part for part in p)
+    return "\n".join("#" * part for part in p)

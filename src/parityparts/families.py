@@ -103,6 +103,12 @@ def check_enumerable(n: int, cutoff: int = ENUMERATION_CUTOFF) -> None:
         )
 
 
+def check_range(lo: int, hi: int) -> None:
+    """Raise ValueError unless lo..hi is a weight range: 0 <= lo <= hi."""
+    if lo < 0 or hi < lo:
+        raise ValueError(f"bad weight range {lo}..{hi}")
+
+
 def check_samplable(n: int) -> None:
     """Raise ValueError unless weight n is nonnegative and at most ``SAMPLE_CUTOFF``."""
     if n < 0:
@@ -274,15 +280,13 @@ def member_blocks(
             yield from zip(repeat(upper), lowers)
 
 
-def enumerate_family(
-    family: Family, n: int, *, cutoff: int = ENUMERATION_CUTOFF
-) -> Iterator[Partition]:
+def enumerate_family(family: Family, n: int) -> Iterator[Partition]:
     """Yield every member of the family at weight n in decreasing lexicographic order.
 
-    Raises ValueError for negative n or when n exceeds the cutoff; use
-    counting or sampling beyond it.
+    Raises ValueError for negative n or when n exceeds ``ENUMERATION_CUTOFF``;
+    use counting or sampling beyond it.
     """
-    blocks = member_blocks(family, n, cutoff=cutoff)
+    blocks = member_blocks(family, n)
     if family.upper_odd:
         for evens, odds in blocks:
             yield Partition(odds + evens)
@@ -393,15 +397,13 @@ def count_family(family: Family, n: int) -> int:
 
 def counts_csv(lo: int, hi: int, families: Iterable[Family] | None = None) -> str:
     """CSV table of counts, one row per weight, columns in chain order."""
-    if lo < 0 or hi < lo:
-        raise ValueError(f"bad weight range {lo}..{hi}")
+    check_range(lo, hi)
     chosen = tuple(Family) if families is None else tuple(families)
     header = "n," + ",".join(f"p_{fam.value}" for fam in chosen)
     rows = [header]
-    for fam in chosen:
-        count_family(fam, hi)  # one table per family, sized for the whole range
+    tables = [CountTable.build(fam, hi) for fam in chosen]
     for n in range(lo, hi + 1):
-        rows.append(f"{n}," + ",".join(str(count_family(fam, n)) for fam in chosen))
+        rows.append(f"{n}," + ",".join(str(table[n]) for table in tables))
     return "\n".join(rows)
 
 

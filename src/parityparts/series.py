@@ -25,8 +25,6 @@ from .families import check_countable
 
 __all__ = [
     "Series",
-    "series_mul",
-    "series_invert",
     "euler_inverse_even",
     "theta_squares",
     "series_p_eu_od",

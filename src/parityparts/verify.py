@@ -48,6 +48,7 @@ from .families import (
     FamilySampler,
     blocks_in_family,
     check_draws,
+    check_range,
     member_blocks,
 )
 from .series import series_p_eu_od, series_p_od_eu
@@ -396,8 +397,7 @@ def verify_inequality(lo: int, hi: int, method: str = "both") -> VerificationRep
     """
     if method not in INEQUALITY_METHODS:
         raise ValueError(f"method must be one of {INEQUALITY_METHODS}, got {method!r}")
-    if lo < 0 or hi < lo:
-        raise ValueError(f"bad weight range {lo}..{hi}")
+    check_range(lo, hi)
     report = VerificationReport(mode="inequality", n_lo=lo, n_hi=hi)
     report.inequalities = []
     series_counts = None
@@ -440,8 +440,7 @@ def verify_witnesses(lo: int, hi: int) -> VerificationReport:
     and hi at most ``casemap.WITNESS_CUTOFF``."""
     if lo < WITNESS_MIN_WEIGHT:
         raise ValueError(f"witness range starts at {WITNESS_MIN_WEIGHT}, got {lo}")
-    if hi < lo:
-        raise ValueError(f"bad weight range {lo}..{hi}")
+    check_range(lo, hi)
     if hi > WITNESS_CUTOFF:
         raise ValueError(f"witness scan to n={hi} exceeds the cutoff {WITNESS_CUTOFF}")
     report = VerificationReport(mode="witnesses", n_lo=lo, n_hi=hi)

@@ -159,6 +159,12 @@ def test_backward_rejects_unmatched_image():
         backward(witness(373))
 
 
+def test_backward_names_the_signatures_it_misses():
+    # the one message for an unmatched image, shown as is by map --inverse
+    with pytest.raises(ValueError, match="matches none of the 17 image signatures"):
+        backward(witness(373))
+
+
 def test_case_15_gap_at_373():
     assert CASE_15_GAP.weight == 373
     assert classify_source(CASE_15_GAP) == 15

@@ -4,6 +4,8 @@ Everything goes through run(argv) so exit codes and output are checked
 exactly as a shell user would see them.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,16 +13,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parityparts import cli
 from parityparts.casemap import WITNESS_CUTOFF
 from parityparts.cli import run
-from parityparts.core import format_partition, parse_partition
+from parityparts.core import MAX_PARTS, format_partition, parse_partition
 from parityparts.families import (
     ENUMERATION_CUTOFF,
     MAX_DRAWS,
     MAX_SAMPLED_WEIGHTS,
     SAMPLE_CUTOFF,
+    Family,
 )
 from test_casemap import KNOWN_PAIRS
 
@@ -91,6 +96,14 @@ class TestTable:
         assert code == 1
         assert "bad weight range" in err
 
+    @pytest.mark.parametrize("tokens", ["xx_yy", "od_eu,xx"])
+    def test_unknown_family_is_a_usage_error(self, capsys, tokens):
+        # as for --family: an unknown token is refused by the parser
+        code, out, err = invoke(capsys, "table", "--from", "0", "--to", "2", "--families", tokens)
+        assert code == 2
+        assert out == ""
+        assert "unknown family" in err
+
 
 class TestEnumerate:
     def test_od_eu_5(self, capsys):
@@ -104,20 +117,18 @@ class TestEnumerate:
         assert out.splitlines() == ["5", "3,2"]
 
     def test_cutoff_guard(self, capsys):
-        code, _, err = invoke(
-            capsys, "enumerate", "--family", "od_eu", "--n", "80", "--cutoff", "70"
-        )
+        code, _, err = invoke(capsys, "enumerate", "--family", "od_eu", "--n", "80")
         assert code == 1
         assert "cutoff" in err
 
-    def test_cutoff_flag_cannot_raise_the_guard(self, capsys):
-        code, out, err = invoke(
+    def test_cutoff_flag_is_a_usage_error(self, capsys):
+        # the guard is families.check_enumerable's alone; no flag moves it
+        code, out, _ = invoke(
             capsys, "enumerate", "--family", "ou_eu", "--n", "5",
-            "--cutoff", str(ENUMERATION_CUTOFF + 1),
+            "--cutoff", str(ENUMERATION_CUTOFF),
         )
-        assert code == 1
+        assert code == 2
         assert out == ""
-        assert err.count("\n") == 1 and "cutoff" in err
 
 
 # The first three draws of ``sample --count 3 --seed 3`` per family, at an
@@ -497,3 +508,66 @@ def test_module_entry_point_runs_the_command():
     )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
+
+
+# Fuzzed refusals: every input ends in exit 0, 1 or 2 without an exception,
+# and an exit 1 is one "error: " line.  Part values are small, or above the
+# map cutoff so that forward refuses them at once; repetition counts are
+# below 10^4, or above MAX_PARTS so that the parser refuses them before
+# building a part.
+FAMILY_TOKENS = [fam.value for fam in Family]
+family_token = st.one_of(
+    st.sampled_from(FAMILY_TOKENS),
+    st.sampled_from(["all", " od_eu ", "OD_EU", "od-eu", ""]),
+    st.text(max_size=8),
+)
+family_text = st.one_of(family_token, st.lists(family_token, min_size=2, max_size=4).map(",".join))
+part_value = st.one_of(st.integers(-2, 60), st.integers(10**7, 10**40))
+repetition = st.one_of(st.integers(-1, 9999), st.integers(MAX_PARTS + 1, 10**15))
+partition_token = st.one_of(
+    part_value.map(str),
+    st.tuples(part_value, repetition).map(lambda pair: f"{pair[0]}^{pair[1]}"),
+    st.text(max_size=6),
+)
+partition_text = st.one_of(
+    st.lists(partition_token, max_size=8).map(",".join), st.text(max_size=20)
+)
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, out, err):
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestRefusalFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(text=family_text)
+    def test_family_tokens_are_usage_errors(self, text):
+        code, out, err = run_quietly(["count", "--n", "3", f"--family={text}"])
+        assert_clean_exit(code, out, err)
+        assert code == (0 if text in FAMILY_TOKENS else 2)
+
+        code, out, err = run_quietly(["table", "--from", "0", "--to", "3", f"--families={text}"])
+        assert_clean_exit(code, out, err)
+        valid = text == "all" or all(token.strip() in FAMILY_TOKENS for token in text.split(","))
+        assert code == (0 if valid else 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=partition_text)
+    def test_partition_texts_end_in_a_clean_exit(self, text):
+        for argv in (
+            ["map", f"--input={text}"],
+            ["map", "--inverse", f"--input={text}"],
+            ["classify", f"--input={text}", "--side", "source"],
+            ["classify", f"--input={text}", "--side", "image"],
+        ):
+            assert_clean_exit(*run_quietly(argv))
