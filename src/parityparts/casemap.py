@@ -21,12 +21,27 @@ their rows bind its constants:
   and both use ``_fwd_long`` and ``_bwd_long``.
 
 In each group the conditions, signatures and minimum weights stay
-separate.  The public functions take a ``Partition``: each splits it
-once, checks membership on the blocks and looks its case up once.  The
-verifier, whose members arrive as their two blocks, calls the
-block-level helpers ``source_cases`` and ``image_cases`` directly and
-splits each rewrite's output with ``parity_split``, without building a
-``Partition``.
+separate.
+
+A source condition reads five features of the member, its shape
+``(a, b, gap, od0, top_gap)`` from ``source_shape``: the two block
+lengths, the cross gap ``ev[-1] - od[0]``, the top odd part and the gap
+``ev[0] - ev[1]`` between the two top evens, None where those parts do
+not exist.  An image signature is its gate, the leading conjuncts on
+the block lengths u and v and the count f2 of parts 2, then the rest on
+the blocks (none for cases 1, 5 and 11).  So ``shape_cases`` gives a
+source member's matches from its shape alone, and ``gated_rows`` the
+candidate signatures from ``(u, v, f2)`` alone, each by evaluating all 17
+rows; ``rest_cases`` then runs the candidates' rests on the blocks.
+``source_cases`` and ``image_cases`` compose them for one pair of blocks;
+the exhaustive verifier, which meets each shape many times at one
+weight, keeps their values per shape.
+
+The public functions take a ``Partition``: each splits it once, checks
+membership on the blocks and looks its case up once.  The verifier,
+whose members arrive as their two blocks, classifies the blocks directly
+and splits each rewrite's output with ``parity_split``, without building
+a ``Partition``.
 
 Image signatures do not cover the whole image family: ``witness``
 produces, for any weight from 373 up, an image-family member that matches
@@ -69,16 +84,30 @@ WITNESS_MIN_WEIGHT = 373
 WITNESS_CUTOFF = 1_000_000
 
 
-class Case(NamedTuple):
-    """Everything about one case, as functions of a member's even and odd blocks.
+# A source member's shape (a, b, gap, od0, top_gap); see ``source_shape``.
+Shape = tuple[int, int, int | None, int | None, int | None]
+# The signature rest of a case: e, o, u, v, f2 -> bool, or None.
+Rest = Callable[[Block, Block, int, int, int], bool]
 
-    The rewrites return the other side's parts in any order.
+
+class Case(NamedTuple):
+    """Everything about one case.
+
+    ``source`` is the case's condition on a source member's shape
+    (``source_shape``), and the rewrites are functions of a member's even
+    and odd blocks, returning the other side's parts in any order.  The
+    image signature has two parts: ``gate``, its leading conjuncts on the
+    image's block lengths u, v and its count f2 of parts 2, and ``image``,
+    the rest on the blocks, ``(e, o, u, v, f2) -> bool``, or None where
+    nothing remains.  A member matches the signature when the gate holds
+    and then the rest does.
     """
 
     min_weight: int
-    source: Callable[[Block, Block], bool]
+    source: Callable[..., bool]
     forward: Callable[[Block, Block], list[int]]
-    image: Callable[[Block, Block, int, int, int], bool]
+    gate: Callable[[int, int, int], bool]
+    image: Rest | None
     backward: Callable[[Block, Block], list[int]]
 
 
@@ -229,67 +258,82 @@ def _bwd_long(top, twos, e, o):
 
 # One row per case.  The first lines hold the source side: minimum
 # weight, condition and forward rewrite.  The rest hold the image side:
-# signature and backward rewrite.  Cases 10 and 12-14 bind their constants
-# into the tower pair, cases 16 and 17 into the long pair.  ev/e are the even blocks, od/o the odd
-# blocks, u and v the image block lengths, f2 the number of image parts
-# equal to 2.  In a source member the cross gap ev[-1] - od[0] is odd and
-# at least 1, by strict block separation.
+# gate, the rest of the signature and backward rewrite.  Cases 10 and 12-14
+# bind their constants into the tower pair, cases 16 and 17 into the long
+# pair.  A source condition reads the shape (a, b, gap, od0, top_gap) of
+# ``source_shape``; in a source member the cross gap ev[-1] - od[0] is odd
+# and at least 1, by strict block separation.  ev/e are the even blocks,
+# od/o the odd blocks, u and v the image block lengths, f2 the number of
+# image parts equal to 2.
 CASES: dict[int, Case] = {
-    1: Case(1, lambda ev, od: not ev or not od, _join,
-            lambda e, o, u, v, f2: u == 0 or v == 0, _join),
-    2: Case(12, lambda ev, od: len(ev) == len(od) >= 2, _fwd_swap,
-            lambda e, o, u, v, f2: u == v >= 2 and o[-1] - e[0] >= 2 * v - 3, _bwd_swap),
-    3: Case(16, lambda ev, od: len(ev) > len(od) >= 2, _fwd_swap,
-            lambda e, o, u, v, f2: u > v >= 2
-            and o[0] - o[1] >= 2 * (u - v + 1)
+    1: Case(1, lambda a, b, gap, od0, top_gap: a == 0 or b == 0, _join,
+            lambda u, v, f2: u == 0 or v == 0, None, _join),
+    2: Case(12, lambda a, b, gap, od0, top_gap: a == b >= 2, _fwd_swap,
+            lambda u, v, f2: u == v >= 2,
+            lambda e, o, u, v, f2: o[-1] - e[0] >= 2 * v - 3, _bwd_swap),
+    3: Case(16, lambda a, b, gap, od0, top_gap: a > b >= 2, _fwd_swap,
+            lambda u, v, f2: u > v >= 2,
+            lambda e, o, u, v, f2: o[0] - o[1] >= 2 * (u - v + 1)
             and e[u - v - 1] - e[u - v] >= 2 * v - 4, _bwd_swap),
-    4: Case(21, lambda ev, od: len(od) > len(ev) >= 2, _fwd_swap,
-            lambda e, o, u, v, f2: v > u >= 2
-            and o[0] - o[1] >= 2 * (v - u + 1)
+    4: Case(21, lambda a, b, gap, od0, top_gap: b > a >= 2, _fwd_swap,
+            lambda u, v, f2: v > u >= 2,
+            lambda e, o, u, v, f2: o[0] - o[1] >= 2 * (v - u + 1)
             and o[-1] - e[0] >= 2 * u - 3, _bwd_swap),
-    5: Case(5, lambda ev, od: len(ev) == 1 and len(od) >= 1 and ev[-1] - od[0] >= 3, _fwd_5,
-            lambda e, o, u, v, f2: u == 1 and v >= 1, _bwd_5),
-    6: Case(35, lambda ev, od: len(ev) == 1 and len(od) >= 5 and ev[-1] - od[0] == 1, _fwd_6,
-            lambda e, o, u, v, f2: v >= 3 and u - v >= 3 and 2 * u - 3 == o[0]
-            and e[0] - e[1] >= 2 and e[2] == 2, _bwd_6),
-    7: Case(54, lambda ev, od: len(ev) == 1 and len(od) in (3, 4) and ev[-1] - od[0] == 1, _fwd_7,
-            lambda e, o, u, v, f2: v in (3, 4) and u >= 6 and u % 2 == 0 and o[-1] == 3
-            and e[0] == 2 and 2 * v + 1 <= o[0] <= u + 2 * v + 1, _bwd_7),
-    8: Case(20, lambda ev, od: len(ev) == 1 and len(od) == 2 and ev[-1] - od[0] == 1, _fwd_8,
-            lambda e, o, u, v, f2: v == 2 and u >= 4 and o[0] - o[1] == 2 and e[0] == 2
+    5: Case(5, lambda a, b, gap, od0, top_gap: a == 1 and b >= 1 and gap >= 3, _fwd_5,
+            lambda u, v, f2: u == 1 and v >= 1, None, _bwd_5),
+    6: Case(35, lambda a, b, gap, od0, top_gap: a == 1 and b >= 5 and gap == 1, _fwd_6,
+            lambda u, v, f2: v >= 3 and u - v >= 3,
+            lambda e, o, u, v, f2: 2 * u - 3 == o[0] and e[0] - e[1] >= 2 and e[2] == 2,
+            _bwd_6),
+    7: Case(54, lambda a, b, gap, od0, top_gap: a == 1 and b in (3, 4) and gap == 1, _fwd_7,
+            lambda u, v, f2: v in (3, 4) and u >= 6 and u % 2 == 0,
+            lambda e, o, u, v, f2: o[-1] == 3 and e[0] == 2
+            and 2 * v + 1 <= o[0] <= u + 2 * v + 1, _bwd_7),
+    8: Case(20, lambda a, b, gap, od0, top_gap: a == 1 and b == 2 and gap == 1, _fwd_8,
+            lambda u, v, f2: v == 2 and u >= 4,
+            lambda e, o, u, v, f2: o[0] - o[1] == 2 and e[0] == 2
             and o[1] - 2 * u + 11 > 0 and o[0] >= 5, _bwd_8),
-    9: Case(23, lambda ev, od: len(ev) == 1 and len(od) == 1 and ev[-1] - od[0] == 1, _fwd_9,
+    # the rest implies the gate: three parts 2 below three odd parts
+    9: Case(23, lambda a, b, gap, od0, top_gap: a == 1 and b == 1 and gap == 1, _fwd_9,
+            lambda u, v, f2: u == 3 and v == 3,
             lambda e, o, u, v, f2: e == (2, 2, 2) and o[1:] == (5, 3)
             and o[0] >= 9 and o[0] % 4 == 1, _bwd_9),
-    10: Case(83, lambda ev, od: len(ev) == 2 and len(od) == 1,
+    10: Case(83, lambda a, b, gap, od0, top_gap: a == 2 and b == 1,
              partial(_fwd_tower, (7, 6), (5,), 18),
-             lambda e, o, u, v, f2: v == 3 and u >= 5 and o[2] == 5 and e[0] == 2
-             and 2 * u + 25 >= o[0], partial(_bwd_tower, (7, 6), 18)),
-    11: Case(7, lambda ev, od: len(ev) >= 3 and len(od) == 1 and od[0] == 1, _fwd_11,
-             lambda e, o, u, v, f2: u >= 2 and v == 1, _bwd_11),
-    12: Case(95, lambda ev, od: len(ev) == 3 and len(od) == 1 and od[0] >= 3,
+             lambda u, v, f2: v == 3 and u >= 5,
+             lambda e, o, u, v, f2: o[2] == 5 and e[0] == 2 and 2 * u + 25 >= o[0],
+             partial(_bwd_tower, (7, 6), 18)),
+    11: Case(7, lambda a, b, gap, od0, top_gap: a >= 3 and b == 1 and od0 == 1, _fwd_11,
+             lambda u, v, f2: u >= 2 and v == 1, None, _bwd_11),
+    12: Case(95, lambda a, b, gap, od0, top_gap: a == 3 and b == 1 and od0 >= 3,
              partial(_fwd_tower, (7, 5, 4), (), 16),
-             lambda e, o, u, v, f2: v == 3 and u >= 4 and o[2] >= 7 and e[0] == 2
-             and 2 * u + 23 >= o[0], partial(_bwd_tower, (7, 5, 4), 16)),
-    13: Case(159, lambda ev, od: len(ev) == 4 and len(od) == 1 and od[0] >= 3,
+             lambda u, v, f2: v == 3 and u >= 4,
+             lambda e, o, u, v, f2: o[2] >= 7 and e[0] == 2 and 2 * u + 23 >= o[0],
+             partial(_bwd_tower, (7, 5, 4), 16)),
+    13: Case(159, lambda a, b, gap, od0, top_gap: a == 4 and b == 1 and od0 >= 3,
              partial(_fwd_tower, (7, 5, 3, 2), (3,), 20),
-             lambda e, o, u, v, f2: u >= 6 and v == 5 and o[4] == 3 and e[0] == 2
-             and 2 * u + 27 >= o[0], partial(_bwd_tower, (7, 5, 3, 2), 20)),
-    14: Case(227, lambda ev, od: len(ev) == 5 and len(od) == 1 and od[0] >= 3,
+             lambda u, v, f2: u >= 6 and v == 5,
+             lambda e, o, u, v, f2: o[4] == 3 and e[0] == 2 and 2 * u + 27 >= o[0],
+             partial(_bwd_tower, (7, 5, 3, 2), 20)),
+    14: Case(227, lambda a, b, gap, od0, top_gap: a == 5 and b == 1 and od0 >= 3,
              partial(_fwd_tower, (9, 7, 5, 3, 2), (), 26),
-             lambda e, o, u, v, f2: u >= 6 and v == 5 and o[4] >= 5 and e[0] == 2
-             and 2 * u + 35 >= o[0], partial(_bwd_tower, (9, 7, 5, 3, 2), 26)),
-    15: Case(373, lambda ev, od: 6 <= len(ev) <= 10 and len(od) == 1 and od[0] >= 3, _fwd_15,
-             lambda e, o, u, v, f2: f2 > 12 and v == 3 and 3 <= u - f2 <= 7
-             and e[u - f2 - 1] >= 4 and 2 * f2 + 15 >= o[0], _bwd_15),
-    16: Case(47, lambda ev, od: len(ev) >= 11 and len(od) == 1 and od[0] >= 3
-             and ev[0] - ev[1] <= 10, partial(_fwd_long, 5, 0),
-             lambda e, o, u, v, f2: u >= 9 and v == 3 and f2 <= 5 and o[0] - o[1] <= 12
-             and e[u - 6] - e[u - 5] >= 2, partial(_bwd_long, 5, 0)),
-    17: Case(59, lambda ev, od: len(ev) >= 11 and len(od) == 1 and od[0] >= 3
-             and ev[0] - ev[1] >= 12, partial(_fwd_long, -7, 6),
-             lambda e, o, u, v, f2: u >= 15 and v == 3 and 6 <= f2 <= 11
-             and e[u - 12] - e[u - 11] >= 2, partial(_bwd_long, -7, 6)),
+             lambda u, v, f2: u >= 6 and v == 5,
+             lambda e, o, u, v, f2: o[4] >= 5 and e[0] == 2 and 2 * u + 35 >= o[0],
+             partial(_bwd_tower, (9, 7, 5, 3, 2), 26)),
+    15: Case(373, lambda a, b, gap, od0, top_gap: 6 <= a <= 10 and b == 1 and od0 >= 3,
+             _fwd_15,
+             lambda u, v, f2: f2 > 12 and v == 3 and 3 <= u - f2 <= 7,
+             lambda e, o, u, v, f2: e[u - f2 - 1] >= 4 and 2 * f2 + 15 >= o[0], _bwd_15),
+    16: Case(47, lambda a, b, gap, od0, top_gap: a >= 11 and b == 1 and od0 >= 3
+             and top_gap <= 10, partial(_fwd_long, 5, 0),
+             lambda u, v, f2: u >= 9 and v == 3 and f2 <= 5,
+             lambda e, o, u, v, f2: o[0] - o[1] <= 12 and e[u - 6] - e[u - 5] >= 2,
+             partial(_bwd_long, 5, 0)),
+    17: Case(59, lambda a, b, gap, od0, top_gap: a >= 11 and b == 1 and od0 >= 3
+             and top_gap >= 12, partial(_fwd_long, -7, 6),
+             lambda u, v, f2: u >= 15 and v == 3 and 6 <= f2 <= 11,
+             lambda e, o, u, v, f2: e[u - 12] - e[u - 11] >= 2,
+             partial(_bwd_long, -7, 6)),
 }
 NUM_CASES = len(CASES)
 
@@ -306,15 +350,47 @@ def from_parts(parts: Iterable[int]) -> Partition:
     return Partition(sorted(parts, reverse=True))
 
 
+def source_shape(ev: Block, od: Block) -> Shape:
+    """The five features the source conditions read: ``len(ev)``,
+    ``len(od)``, the cross gap ``ev[-1] - od[0]``, ``od[0]`` and the top
+    gap ``ev[0] - ev[1]``, each None where its parts do not exist."""
+    a, b = len(ev), len(od)
+    return (
+        a,
+        b,
+        ev[-1] - od[0] if a and b else None,
+        od[0] if b else None,
+        ev[0] - ev[1] if a > 1 else None,
+    )
+
+
+def shape_cases(shape: Shape) -> tuple[int, ...]:
+    """Every case whose source condition holds on this shape, in case order."""
+    return tuple([case for case, row in CASES.items() if row.source(*shape)])
+
+
+def gated_rows(lengths: tuple[int, int, int]) -> tuple[tuple[int, Rest | None], ...]:
+    """(case, signature rest) for every case whose gate holds at the image
+    block lengths and count of parts 2 ``(u, v, f2)``, in case order."""
+    return tuple([(case, row.image) for case, row in CASES.items() if row.gate(*lengths)])
+
+
+def rest_cases(
+    rows: tuple[tuple[int, Rest | None], ...], e: Block, o: Block, u: int, v: int, f2: int
+) -> tuple[int, ...]:
+    """The cases of the gated rows whose signature rest holds for these blocks."""
+    return tuple([case for case, rest in rows if rest is None or rest(e, o, u, v, f2)])
+
+
 def source_cases(ev: Block, od: Block) -> tuple[int, ...]:
     """Every case whose source condition holds for these blocks, in case order."""
-    return tuple([case for case, row in CASES.items() if row.source(ev, od)])
+    return shape_cases(source_shape(ev, od))
 
 
 def image_cases(e: Block, o: Block) -> tuple[int, ...]:
     """Every case whose image signature holds for these blocks, in case order."""
-    u, v, f2 = len(e), len(o), e.count(2)
-    return tuple([case for case, row in CASES.items() if row.image(e, o, u, v, f2)])
+    lengths = len(e), len(o), e.count(2)
+    return rest_cases(gated_rows(lengths), e, o, *lengths)
 
 
 def _member_blocks(p: Partition, family: Family) -> tuple[Block, Block]:

@@ -37,7 +37,8 @@ is placed by part multiplicities (Knuth, TAOCP 7.2.1.4): each distinct
 value with all its copies in one step, and the least upper value (2 or 1)
 in place, with only the copy counts a lower block can complete.  A lower
 block is not looked for under a top whose heaviest block is lighter than
-the weight left.
+the weight left, nor at all when the lower parts are even and the weight
+left is odd.
 ``enumerate_family`` joins the two blocks into a ``Partition``; the
 exhaustive verifier consumes the blocks directly and builds a
 ``Partition`` only to show a failure.  Membership is decided on the two
@@ -208,7 +209,9 @@ def member_blocks(
     with t from a list builder that steps by 2 over the lower-parity values.
     A top t is skipped when ``cap[t]``, the heaviest lower block with parts
     at most t, is below the weight left: the builder would return nothing
-    there.  The builder is memoised for the walk, so members that share a
+    there.  Where the lower parts are even and the weight left is odd, the
+    walk steps over the odd upper values alone, since no lower block can
+    come next.  The builder is memoised for the walk, so members that share a
     block share its tuple; the memo holds at most the lower-parity
     partitions of weights up to n.  Raises ValueError for negative n or
     when n exceeds the cutoff.
@@ -250,7 +253,14 @@ def member_blocks(
         if not remaining:
             yield upper, [()]
             return
-        for value in range(min(largest, remaining), 0, -1):
+        top = min(largest, remaining)
+        if upper_rem and remaining % 2:
+            # even lower parts never weigh an odd amount: only the odd
+            # upper values can come next
+            values = range(top - 1 + top % 2, 0, -2)
+        else:
+            values = range(top, 0, -1)
+        for value in values:
             if value % 2 != upper_rem:
                 if cap[value] >= remaining:
                     lowers = lower_blocks(remaining, value)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +25,10 @@ from parityparts.casemap import (
     forward,
     image_case_matches,
     image_cases,
+    shape_cases,
     source_case_matches,
     source_cases,
+    source_shape,
     witness,
 )
 from parityparts.core import Partition, parity_split, parse_partition
@@ -36,7 +39,7 @@ from parityparts.families import (
     in_family,
     member_blocks,
 )
-from parityparts.verify import _source_fault
+from parityparts.verify import _Classes, _source_fault
 
 # (case, source, image) triples with hand-checked weights; the map must
 # reproduce each image exactly and invert it back to the source.
@@ -505,10 +508,11 @@ def test_boundary_atlas_below_min_weight(case):
     min_weight = CASES[case].min_weight
     below = 0
     failed = {}
+    classes = _Classes()
     for n in range(1, min_weight + 40, 2):
         for source in _case_members(j, n, lowest_odd):
             assert source_cases(*source) == (case,)
-            fault = _source_fault(source, case, n)
+            fault = _source_fault(source, case, n, classes)
             if n >= min_weight:
                 assert fault is None, (n, source, fault)
                 continue
@@ -594,3 +598,197 @@ def test_shared_backward_matches_reference_on_any_image_blocks(e, o):
     reference does."""
     for case in REFERENCE_SHARED:
         _check_shared(case, 1, e, o)
+
+
+# The source conditions and image signatures as they read before each
+# condition took the five-feature shape and each signature its (u, v, f2)
+# gate, kept as the reference for source_cases and image_cases.
+REFERENCE_SOURCE = {
+    1: lambda ev, od: not ev or not od,
+    2: lambda ev, od: len(ev) == len(od) >= 2,
+    3: lambda ev, od: len(ev) > len(od) >= 2,
+    4: lambda ev, od: len(od) > len(ev) >= 2,
+    5: lambda ev, od: len(ev) == 1 and len(od) >= 1 and ev[-1] - od[0] >= 3,
+    6: lambda ev, od: len(ev) == 1 and len(od) >= 5 and ev[-1] - od[0] == 1,
+    7: lambda ev, od: len(ev) == 1 and len(od) in (3, 4) and ev[-1] - od[0] == 1,
+    8: lambda ev, od: len(ev) == 1 and len(od) == 2 and ev[-1] - od[0] == 1,
+    9: lambda ev, od: len(ev) == 1 and len(od) == 1 and ev[-1] - od[0] == 1,
+    10: lambda ev, od: len(ev) == 2 and len(od) == 1,
+    11: lambda ev, od: len(ev) >= 3 and len(od) == 1 and od[0] == 1,
+    12: lambda ev, od: len(ev) == 3 and len(od) == 1 and od[0] >= 3,
+    13: lambda ev, od: len(ev) == 4 and len(od) == 1 and od[0] >= 3,
+    14: lambda ev, od: len(ev) == 5 and len(od) == 1 and od[0] >= 3,
+    15: lambda ev, od: 6 <= len(ev) <= 10 and len(od) == 1 and od[0] >= 3,
+    16: lambda ev, od: len(ev) >= 11 and len(od) == 1 and od[0] >= 3 and ev[0] - ev[1] <= 10,
+    17: lambda ev, od: len(ev) >= 11 and len(od) == 1 and od[0] >= 3 and ev[0] - ev[1] >= 12,
+}
+REFERENCE_SIGNATURES = {
+    1: lambda e, o, u, v, f2: u == 0 or v == 0,
+    2: lambda e, o, u, v, f2: u == v >= 2 and o[-1] - e[0] >= 2 * v - 3,
+    3: lambda e, o, u, v, f2: u > v >= 2
+    and o[0] - o[1] >= 2 * (u - v + 1)
+    and e[u - v - 1] - e[u - v] >= 2 * v - 4,
+    4: lambda e, o, u, v, f2: v > u >= 2
+    and o[0] - o[1] >= 2 * (v - u + 1)
+    and o[-1] - e[0] >= 2 * u - 3,
+    5: lambda e, o, u, v, f2: u == 1 and v >= 1,
+    6: lambda e, o, u, v, f2: v >= 3 and u - v >= 3 and 2 * u - 3 == o[0]
+    and e[0] - e[1] >= 2 and e[2] == 2,
+    7: lambda e, o, u, v, f2: v in (3, 4) and u >= 6 and u % 2 == 0 and o[-1] == 3
+    and e[0] == 2 and 2 * v + 1 <= o[0] <= u + 2 * v + 1,
+    8: lambda e, o, u, v, f2: v == 2 and u >= 4 and o[0] - o[1] == 2 and e[0] == 2
+    and o[1] - 2 * u + 11 > 0 and o[0] >= 5,
+    9: lambda e, o, u, v, f2: e == (2, 2, 2) and o[1:] == (5, 3)
+    and o[0] >= 9 and o[0] % 4 == 1,
+    10: lambda e, o, u, v, f2: v == 3 and u >= 5 and o[2] == 5 and e[0] == 2
+    and 2 * u + 25 >= o[0],
+    11: lambda e, o, u, v, f2: u >= 2 and v == 1,
+    12: lambda e, o, u, v, f2: v == 3 and u >= 4 and o[2] >= 7 and e[0] == 2
+    and 2 * u + 23 >= o[0],
+    13: lambda e, o, u, v, f2: u >= 6 and v == 5 and o[4] == 3 and e[0] == 2
+    and 2 * u + 27 >= o[0],
+    14: lambda e, o, u, v, f2: u >= 6 and v == 5 and o[4] >= 5 and e[0] == 2
+    and 2 * u + 35 >= o[0],
+    15: lambda e, o, u, v, f2: f2 > 12 and v == 3 and 3 <= u - f2 <= 7
+    and e[u - f2 - 1] >= 4 and 2 * f2 + 15 >= o[0],
+    16: lambda e, o, u, v, f2: u >= 9 and v == 3 and f2 <= 5 and o[0] - o[1] <= 12
+    and e[u - 6] - e[u - 5] >= 2,
+    17: lambda e, o, u, v, f2: u >= 15 and v == 3 and 6 <= f2 <= 11
+    and e[u - 12] - e[u - 11] >= 2,
+}
+
+
+def _reference_source_cases(ev, od):
+    return tuple([case for case, condition in REFERENCE_SOURCE.items() if condition(ev, od)])
+
+
+def _reference_image_cases(e, o):
+    u, v, f2 = len(e), len(o), e.count(2)
+    return tuple(
+        [case for case, signature in REFERENCE_SIGNATURES.items() if signature(e, o, u, v, f2)]
+    )
+
+
+def _classified(classify, a, b):
+    try:
+        return classify(a, b)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_source_cases_match_reference_on_every_source_and_its_image_to_70():
+    """Every source member and the forward rewrite of each, below its
+    case's minimum weight too, whenever the rewrite gives a partition."""
+    sources = images = 0
+    for n in range(71):
+        for ev, od in member_blocks(SOURCE_FAMILY, n):
+            [case] = source_cases(ev, od)
+            assert (case,) == _reference_source_cases(ev, od), (ev, od)
+            sources += 1
+            try:
+                e, o = parity_split(CASES[case].forward(ev, od))
+            except ValueError:
+                continue
+            assert image_cases(e, o) == _reference_image_cases(e, o), (ev, od)
+            images += 1
+    # four rewrites below their case's minimum weight give a part below 1
+    assert (sources, images) == (202786, 202782)
+
+
+def test_image_cases_match_reference_on_every_image_member_to_70():
+    members = 0
+    for n in range(71):
+        for e, o in member_blocks(IMAGE_FAMILY, n):
+            assert image_cases(e, o) == _reference_image_cases(e, o), (e, o)
+            members += 1
+    assert members == 250629
+
+
+@st.composite
+def _any_blocks(draw):
+    """An even and an odd block of any lengths, empty ones included, in
+    decreasing order, with enough parts 2 to reach every f2 gate."""
+    twos = draw(st.integers(0, 20))
+    evens = draw(st.lists(st.integers(1, 40).map(lambda half: 2 * half), max_size=20))
+    odds = draw(st.lists(st.integers(0, 40).map(lambda half: 2 * half + 1), max_size=8))
+    return (
+        tuple(sorted(evens + [2] * twos, reverse=True)),
+        tuple(sorted(odds, reverse=True)),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_any_blocks())
+def test_classifiers_match_reference_on_any_blocks(blocks):
+    """Both classifiers give the reference's matches or raise its exception type."""
+    a, b = blocks
+    assert _classified(source_cases, a, b) == _classified(_reference_source_cases, a, b)
+    assert _classified(image_cases, a, b) == _classified(_reference_image_cases, a, b)
+
+
+def test_source_shape_reads_five_features():
+    assert source_shape((8, 6, 6), (5, 3)) == (3, 2, 1, 5, 2)
+    assert source_shape((4,), (3, 1)) == (1, 2, 1, 3, None)
+    assert source_shape((), (3, 1)) == (0, 2, None, 3, None)
+    assert source_shape((6, 2), ()) == (2, 0, None, None, 4)
+    assert source_shape((), ()) == (0, 0, None, None, None)
+
+
+def _shape_lattice():
+    """Every lattice shape (a, b, gap, od0, top_gap), None where the
+    feature's parts do not exist."""
+    for a in range(14):
+        for b in range(8):
+            gaps = (1, 3, 5) if a and b else (None,)
+            # b distinct odd parts put the largest at 2b - 1 or above
+            tops = range(max(1, 2 * b - 1), 16, 2) if b else (None,)
+            top_gaps = range(0, 15, 2) if a >= 2 else (None,)
+            for gap in gaps:
+                for od0 in tops:
+                    for top_gap in top_gaps:
+                        yield a, b, gap, od0, top_gap
+
+
+def test_shape_lattice_has_exactly_one_source_case_everywhere():
+    """The source conditions are total and exclusive on every shape.
+
+    Each condition compares a feature with a threshold, or a with b, and
+    the lattice takes both sides of every threshold, with a "≥" bucket
+    past the last: a at 0, 1, 2, 3, 4, 5, 6..10 and 11 (to 13); b at 0, 1,
+    2, 3, 4 and 5 (to 7); the cross gap at 1 and 3 (and 5); od0 at 1 and 3
+    (to 15); the top gap at 10 and 12 (0 to 14).  A shape outside the
+    lattice with a and b both at least 2 meets only the conditions of
+    cases 2-4, which read the order of a and b alone, and the lattice
+    holds all three orders.  Any other shape meets the same conditions as
+    the lattice point that clamps a to 13, b to 7, the gap to 5, od0 to 15
+    and the top gap to 14.  So the conditions are total and exclusive at
+    every weight.
+    """
+    shapes = list(_shape_lattice())
+    assert len(shapes) == 10318
+    assert [shape for shape in shapes if len(shape_cases(shape)) != 1] == []
+
+
+# Case pairs whose (u, v, f2) gates both hold somewhere with f2 <= u <= 40
+# and v <= 12: the gates alone do not make these signatures disjoint, so
+# their rests must.
+GATE_OVERLAPS = [
+    (2, 9), (3, 6), (3, 7), (3, 8), (3, 10), (3, 12), (3, 13), (3, 14), (3, 15), (3, 16),
+    (3, 17), (6, 7), (6, 10), (6, 12), (6, 13), (6, 14), (6, 15), (6, 16), (6, 17), (7, 10),
+    (7, 12), (7, 15), (7, 16), (7, 17), (10, 12), (10, 15), (10, 16), (10, 17), (12, 15),
+    (12, 16), (12, 17), (13, 14),
+]
+
+
+def test_gate_overlaps_are_frozen():
+    overlaps = set()
+    for u in range(41):
+        for v in range(13):
+            for f2 in range(u + 1):
+                held = [case for case, row in CASES.items() if row.gate(u, v, f2)]
+                overlaps.update(combinations(held, 2))
+    assert sorted(overlaps) == GATE_OVERLAPS
+
+
+def test_only_cases_1_5_and_11_have_no_signature_rest():
+    assert [case for case, row in CASES.items() if row.image is None] == [1, 5, 11]

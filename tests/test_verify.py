@@ -130,6 +130,49 @@ class TestExhaustive:
         verify_exhaustive(n)
         assert counted == {SOURCE_FAMILY: 1, IMAGE_FAMILY: walks}
 
+    # A widened condition or gate, as a row of CASES and as the same
+    # widening of the signature as one function, with the failures per
+    # check and the sha256 of the JSON list of verify_exhaustive(n).to_dict()
+    # for n in 0..40 (indent 2), frozen from the verifier that ran all 17
+    # conditions and signatures on every member.  Case 5's source condition
+    # with gap >= 1 overlaps cases 6-9; case 11's gate with u >= 1 overlaps
+    # case 5.
+    WIDENED = {
+        "case-5-source": (
+            5,
+            {"source": lambda a, b, gap, od0, top_gap: a == 1 and b >= 1 and gap >= 1},
+            {"classify": 94, "count-equality": 18, "inverse-roundtrip": 32},
+            "a17736f3a3e8e9ad7379d4d6d6d1e07bccc374af4ecbd7f5a15daffa0689650a",
+        ),
+        "case-11-gate": (
+            11,
+            {"gate": lambda u, v, f2: u >= 1 and v == 1},
+            {"count-equality": 18, "image-signature": 90, "signature-overlap": 90},
+            "49d3a68fcb5eae536c6fb68d3deb2b877821bf40aa287e70b5d795e5fbe9ae46",
+        ),
+    }
+
+    @pytest.mark.parametrize("widened", WIDENED)
+    def test_shape_memo_hides_no_overlap(self, monkeypatch, widened):
+        case, fields, checks, digest = self.WIDENED[widened]
+        monkeypatch.setitem(casemap.CASES, case, casemap.CASES[case]._replace(**fields))
+        reports = [verify_exhaustive(n).to_dict() for n in range(41)]
+        assert Counter(f["check"] for r in reports for f in r["failures"]) == checks
+        text = json.dumps(reports, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("widened", WIDENED)
+    def test_no_shape_memo_survives_a_call(self, monkeypatch, widened):
+        # a row mutated after a first call at the same weight shows in the
+        # next call, and the row restored shows in the one after
+        case, fields, _, _ = self.WIDENED[widened]
+        assert verify_exhaustive(39).ok
+        monkeypatch.setitem(casemap.CASES, case, casemap.CASES[case]._replace(**fields))
+        mutated = verify_exhaustive(39)
+        monkeypatch.undo()
+        assert not mutated.ok
+        assert verify_exhaustive(39).ok
+
     # (failures, sha256) of the JSON list of verify_exhaustive(n).to_dict()
     # for n in 0..29 (indent 2) with case C's backward rewrite mutated,
     # frozen from the verifier that split every rewrite output before
