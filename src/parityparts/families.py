@@ -389,20 +389,10 @@ class CountTable:
         return cls(family=family, counts=tuple(map(add, open_block, crossed)))
 
 
-_tables: dict[Family, CountTable] = {}
-
-
 def count_family(family: Family, n: int) -> int:
-    """Exact number of members at weight n, never by enumeration."""
-    check_countable(n)
-    table = _tables.get(family)
-    if table is None or table.max_n < n:
-        # grow geometrically so ascending queries cost O(n^2) overall, but
-        # never past the cutoff, so a legal query is never refused
-        target = min(max(n, 2 * table.max_n if table else 0, 64), COUNT_CUTOFF)
-        table = CountTable.build(family, target)
-        _tables[family] = table
-    return table[n]
+    """Exact number of members at weight n, never by enumeration; each call
+    builds a table, so read many weights from one ``CountTable.build``."""
+    return CountTable.build(family, n)[n]
 
 
 def counts_csv(lo: int, hi: int, families: Iterable[Family] | None = None) -> str:

@@ -122,15 +122,16 @@ def euler_inverse_even(order: int) -> Series:
     The partition numbers ``_even_partitions(order)`` sit on the even
     indices; every odd coefficient is zero.
     """
+    p = _even_partitions(order)
     coeffs = [0] * (order + 1)
-    coeffs[::2] = _even_partitions(order)
+    coeffs[::2] = p
     return Series(coeffs)
 
 
 def theta_squares(order: int) -> Series:
-    """Indicator series of the perfect squares, constant term included."""
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    """Indicator series of the perfect squares, constant term included;
+    ``order`` is bounded by ``families.COUNT_CUTOFF``."""
+    check_countable(order)
     coeffs = [0] * (order + 1)
     k = 0
     while k * k <= order:

@@ -20,15 +20,8 @@ then files the first failed check that ``_source_fault`` returns.  The
 image side keeps nothing per member: ``verify_exhaustive`` classifies and
 counts each image member, and runs ``_image_fault`` on the members of a
 case only when that case's count does not prove them (see there).
-
-Classification goes through one ``_Classes`` per weight, which works
-each source shape and each image ``(u, v, f2)`` out once
-(``casemap.source_shape``, ``casemap.gated_rows``).  This is exact, not a
-dispatch that assumes the cases exclusive: a source member's matches are
-a function of its shape alone, and which gates hold a function of
-``(u, v, f2)`` alone, each computed with all 17 rows of the live
-``CASES``.  So every member still gets every condition and every
-signature, and overlaps are still filed.
+The exhaustive and sampled drivers classify through one
+``casemap.Classifier`` per call.
 """
 
 from __future__ import annotations
@@ -42,17 +35,11 @@ from .casemap import (
     CASES,
     IMAGE_FAMILY,
     SOURCE_FAMILY,
-    Rest,
-    Shape,
     WITNESS_CUTOFF,
     WITNESS_MIN_WEIGHT,
-    case_min_weight,
+    Classifier,
     from_parts,
-    gated_rows,
     image_cases,
-    rest_cases,
-    shape_cases,
-    source_shape,
     witness,
 )
 from .core import Block, format_partition, parity_split
@@ -208,32 +195,6 @@ class VerificationReport:
         return lines
 
 
-class _Classes:
-    """``casemap.source_cases`` and ``image_cases`` for one weight's
-    members, keeping the source matches per shape and the gated rows per
-    ``(u, v, f2)``; why that is exact is in the module docstring."""
-
-    def __init__(self) -> None:
-        self.shapes: dict[Shape, tuple[int, ...]] = {}
-        self.gates: dict[tuple[int, int, int], tuple[tuple[int, Rest | None], ...]] = {}
-
-    def source(self, ev: Block, od: Block) -> tuple[int, ...]:
-        """``casemap.source_cases(ev, od)``."""
-        shape = source_shape(ev, od)
-        matches = self.shapes.get(shape)
-        if matches is None:
-            matches = self.shapes[shape] = shape_cases(shape)
-        return matches
-
-    def image(self, e: Block, o: Block) -> tuple[int, ...]:
-        """``casemap.image_cases(e, o)``."""
-        lengths = len(e), len(o), e.count(2)
-        rows = self.gates.get(lengths)
-        if rows is None:
-            rows = self.gates[lengths] = gated_rows(lengths)
-        return rest_cases(rows, e, o, *lengths)
-
-
 def _shown(blocks: Blocks) -> str:
     """The text form of the partition with these even and odd blocks."""
     evens, odds = blocks
@@ -241,11 +202,11 @@ def _shown(blocks: Blocks) -> str:
 
 
 def _check_source_member(
-    source: Blocks, n: int, report: VerificationReport, classes: _Classes
+    source: Blocks, n: int, report: VerificationReport, classifier: Classifier
 ) -> None:
     """Classify one source member, given as its even and odd blocks, keep
     its case's tally and file its first fault; shared by both modes."""
-    matches = classes.source(*source)
+    matches = classifier.source(*source)
     if len(matches) != 1:
         report.record_failure(
             n,
@@ -260,7 +221,7 @@ def _check_source_member(
     if n < CASES[case].min_weight:
         tally.skipped += 1
         return
-    fault = _source_fault(source, case, n, classes)
+    fault = _source_fault(source, case, n, classifier)
     if fault is None:
         tally.passed += 1
         return
@@ -269,7 +230,7 @@ def _check_source_member(
 
 
 def _source_fault(
-    source: Blocks, case: int, n: int, classes: _Classes
+    source: Blocks, case: int, n: int, classifier: Classifier
 ) -> tuple[str, str] | None:
     """The first check that a source member of this case fails, as
     (check, detail), or None when it passes them all."""
@@ -285,7 +246,7 @@ def _source_fault(
         return "weight", f"image {_shown(image)} weighs {weight}"
     if not blocks_in_family(e, o, IMAGE_FAMILY):
         return "membership", f"image {_shown(image)} is outside {IMAGE_FAMILY.value}"
-    image_matches = classes.image(e, o)
+    image_matches = classifier.image(e, o)
     if image_matches != (case,):
         matched = list(image_matches) or "nothing"
         return "image-signature", f"image {_shown(image)} matched {matched}"
@@ -301,7 +262,9 @@ def _source_fault(
     return None
 
 
-def _image_fault(member: Blocks, case: int, classes: _Classes) -> tuple[str, str] | None:
+def _image_fault(
+    member: Blocks, case: int, classifier: Classifier
+) -> tuple[str, str] | None:
     """The first check that an image member matching this case's signature
     fails, inverse or inverse roundtrip, as (check, detail), or None."""
     row = CASES[case]
@@ -314,7 +277,7 @@ def _image_fault(member: Blocks, case: int, classes: _Classes) -> tuple[str, str
     try:
         if (
             blocks_in_family(ev, od, SOURCE_FAMILY)
-            and classes.source(ev, od) == (case,)
+            and classifier.source(ev, od) == (case,)
             and parity_split(row.forward(ev, od)) == member
         ):
             return None
@@ -367,23 +330,18 @@ def verify_exhaustive(n: int, *, cutoff: int = ENUMERATION_CUTOFF) -> Verificati
     members.  The argument needs ``member_blocks`` to yield each member
     exactly once.
 
-    Both walks and both per-member checks share one ``_Classes`` memo,
-    keyed by source shape and by image ``(u, v, f2)``: over the weights
-    55..60, the 34 905 sources have 8 097 shapes and the 42 447 image
-    members 2 274 keys, counted per weight.  Its values are pure
-    functions of their keys, so each member's matches are what all 17
-    conditions or signatures give, and a source or image overlap is
-    still filed.  It is built from the live ``CASES`` on each call and
-    freed when the call returns, so it holds one weight's shapes at a
-    time and a row changed between calls shows in the next.
+    Both walks and both per-member checks share one ``Classifier``, made
+    on each call and freed when it returns, so it holds one weight's keys
+    at a time and a row of ``CASES`` changed between calls shows in the
+    next.
     """
     report = VerificationReport(mode="exhaustive", n_lo=n, n_hi=n)
-    classes = _Classes()
+    classifier = Classifier()
     for member in member_blocks(SOURCE_FAMILY, n, cutoff=cutoff):
-        _check_source_member(member, n, report, classes)
+        _check_source_member(member, n, report, classifier)
     image_counts: Counter[int] = Counter()
     for member in member_blocks(IMAGE_FAMILY, n, cutoff=cutoff):
-        matches = classes.image(*member)
+        matches = classifier.image(*member)
         if len(matches) > 1:
             report.record_failure(
                 n, _shown(member), "signature-overlap", f"signatures {list(matches)} all matched"
@@ -393,15 +351,15 @@ def verify_exhaustive(n: int, *, cutoff: int = ENUMERATION_CUTOFF) -> Verificati
     # per_case is read directly: report.tally would add empty tallies to it
     unproven = {
         case
-        for case, row in CASES.items()
-        if n >= row.min_weight
+        for case in CASES
+        if n >= CASES[case].min_weight
         and report.per_case.get(case, CaseTally()).passed != image_counts[case]
     }
     if unproven:
         for member in member_blocks(IMAGE_FAMILY, n, cutoff=cutoff):
-            matches = classes.image(*member)
+            matches = classifier.image(*member)
             if len(matches) == 1 and matches[0] in unproven:
-                fault = _image_fault(member, matches[0], classes)
+                fault = _image_fault(member, matches[0], classifier)
                 if fault is not None:
                     check, detail = fault
                     report.record_failure(
@@ -414,7 +372,7 @@ def verify_exhaustive(n: int, *, cutoff: int = ENUMERATION_CUTOFF) -> Verificati
         for case in sorted(set(source_counts) | set(image_counts))
     }
     for case, (source_total, image_total) in report.case_counts.items():
-        if n >= case_min_weight(case) and source_total != image_total:
+        if n >= CASES[case].min_weight and source_total != image_total:
             report.record_failure(
                 n,
                 f"case {case}",
@@ -435,9 +393,9 @@ def verify_sampled(n: int, samples: int, seed: int) -> VerificationReport:
     report = VerificationReport(mode="sampled", n_lo=n, n_hi=n)
     sampler = FamilySampler(SOURCE_FAMILY, n)
     rng = random.Random(seed)
-    classes = _Classes()
+    classifier = Classifier()
     for _ in range(samples):
-        _check_source_member(sampler.sample_blocks(rng), n, report, classes)
+        _check_source_member(sampler.sample_blocks(rng), n, report, classifier)
     if n >= WITNESS_MIN_WEIGHT:
         _check_witness(n, report)
     return report.finish()

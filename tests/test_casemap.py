@@ -11,6 +11,7 @@ from parityparts.casemap import (
     MAX_MAP_WEIGHT,
     NUM_CASES,
     SOURCE_FAMILY,
+    Classifier,
     backward,
     case_min_weight,
     classify_image,
@@ -39,7 +40,7 @@ from parityparts.families import (
     in_family,
     member_blocks,
 )
-from parityparts.verify import _Classes, _source_fault
+from parityparts.verify import _source_fault
 
 # (case, source, image) triples with hand-checked weights; the map must
 # reproduce each image exactly and invert it back to the source.
@@ -508,11 +509,11 @@ def test_boundary_atlas_below_min_weight(case):
     min_weight = CASES[case].min_weight
     below = 0
     failed = {}
-    classes = _Classes()
+    classifier = Classifier()
     for n in range(1, min_weight + 40, 2):
         for source in _case_members(j, n, lowest_odd):
             assert source_cases(*source) == (case,)
-            fault = _source_fault(source, case, n, classes)
+            fault = _source_fault(source, case, n, classifier)
             if n >= min_weight:
                 assert fault is None, (n, source, fault)
                 continue
@@ -724,6 +725,20 @@ def test_classifiers_match_reference_on_any_blocks(blocks):
     a, b = blocks
     assert _classified(source_cases, a, b) == _classified(_reference_source_cases, a, b)
     assert _classified(image_cases, a, b) == _classified(_reference_image_cases, a, b)
+
+
+SHARED_CLASSIFIER = Classifier()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_any_blocks())
+def test_shared_classifier_matches_reference_on_any_blocks(blocks):
+    """One classifier across all examples, so most keys are met warm,
+    gives the reference's matches or raises its exception type."""
+    a, b = blocks
+    source, image = SHARED_CLASSIFIER.source, SHARED_CLASSIFIER.image
+    assert _classified(source, a, b) == _classified(_reference_source_cases, a, b)
+    assert _classified(image, a, b) == _classified(_reference_image_cases, a, b)
 
 
 def test_source_shape_reads_five_features():

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parityparts import families
 from parityparts.core import Partition, parity_split, parse_partition
 from parityparts.families import (
     COUNT_CUTOFF,
@@ -416,7 +415,6 @@ def test_counts_csv_builds_one_table_per_family(monkeypatch):
         built.append((family, max_n))
         return build(cls, family, max_n)
 
-    monkeypatch.setattr(families, "_tables", {})
     monkeypatch.setattr(CountTable, "build", classmethod(recording_build))
     csv = counts_csv(0, 300, families=[Family.OD_EU, Family.EU_OD])
     assert built == [(Family.OD_EU, 300), (Family.EU_OD, 300)]
@@ -500,18 +498,6 @@ def test_counting_rejects_weights_above_cutoff():
             CountTable.build(family, COUNT_CUTOFF + 1)
         with pytest.raises(ValueError, match="cutoff"):
             count_family(family, 10**12)
-
-
-def test_count_family_growth_stops_at_the_cutoff(monkeypatch):
-    expected = CountTable.build(Family.OD_EU, 90)
-    monkeypatch.setattr(families, "COUNT_CUTOFF", 100)
-    monkeypatch.setattr(families, "_tables", {})
-    assert count_family(Family.OD_EU, 60) == expected[60]
-    # the doubled target 128 is cut to 100, so this legal query is answered
-    assert count_family(Family.OD_EU, 90) == expected[90]
-    assert families._tables[Family.OD_EU].max_n == 100
-    with pytest.raises(ValueError, match="cutoff"):
-        count_family(Family.OD_EU, 101)
 
 
 def test_unrank_range_errors():

@@ -1,4 +1,9 @@
-"""The package's export list is the union of its modules' ``__all__`` lists."""
+"""The package's export list is the union of its modules' ``__all__``
+lists, and the package imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
 
 import parityparts
 from parityparts import casemap, core, families, series, verify
@@ -31,3 +36,19 @@ def test_each_export_is_its_module_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(parityparts, name) is getattr(module, name), (module.__name__, name)
+
+
+def test_src_imports_only_stdlib():
+    sources = sorted(Path(parityparts.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, (path.name, name)

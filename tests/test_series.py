@@ -192,6 +192,7 @@ def test_diff_series_matches_family_counts():
 
 def test_series_rejects_orders_above_the_count_cutoff():
     # only the rejection is tested: nothing of this size is allocated
-    for route in (euler_inverse_even, series_p_eu_od, series_p_od_eu, diff_series):
-        with pytest.raises(ValueError, match="cutoff"):
-            route(COUNT_CUTOFF + 1)
+    for route in (euler_inverse_even, theta_squares, series_p_eu_od, series_p_od_eu, diff_series):
+        for order in (COUNT_CUTOFF + 1, 10**12):
+            with pytest.raises(ValueError, match="cutoff"):
+                route(order)
