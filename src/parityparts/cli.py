@@ -4,13 +4,14 @@ Every subcommand prints plain text or CSV to stdout and reserves stderr
 for errors.  Exit status: 0 on success (and on verify runs with no
 failures), 1 on domain errors or verify failures, 2 on usage errors.
 
-The refusals are the library's: an unknown family token is
-``Family.from_token``'s message, raised as a usage error, and every other
-bad input is a library ``ValueError``, printed as one ``error:`` line.
-The CLI adds only the range-wide refusals that the library cannot make
-before its per-weight loop: ``check_enumerable(hi)``,
-``check_samplable(hi)`` and the ``MAX_SAMPLED_WEIGHTS`` bound on a
-sampled range, all made before any weight is verified.
+A malformed token, such as an unknown family or a number that is not an
+integer, is a usage error.  Every out-of-range value is the library's
+refusal: a ``ValueError`` raised before any output, printed as one
+``error:`` line.  The CLI adds only the range-wide refusals that the
+library cannot make before its per-weight loop: ``check_enumerable(hi)``,
+``check_samplable(hi)``, and the ``MAX_SAMPLED_WEIGHTS`` and
+``MAX_DRAWS`` bounds on a sampled range, all made before any weight is
+verified.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import sys
 from .casemap import backward, classify_image, classify_source, forward, witness
 from .core import format_partition, parse_partition, render_ferrers
 from .families import (
+    MAX_DRAWS,
     MAX_SAMPLED_WEIGHTS,
     Family,
     FamilySampler,
@@ -58,18 +60,8 @@ def _families(text: str) -> list[Family]:
     return [_family(token.strip()) for token in text.split(",")]
 
 
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
-
-
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+_SIDES = {"source": classify_source, "image": classify_image}
+_SERIES = {"eu_od": series_p_eu_od, "od_eu": series_p_od_eu, "diff": diff_series}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,11 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     count = sub.add_parser("count", help="count family members of one weight")
     count.add_argument("--family", type=_family, required=True)
-    count.add_argument("--n", type=_nonnegative, required=True)
+    count.add_argument("--n", type=int, required=True)
 
     table = sub.add_parser("table", help="CSV of family counts over a weight range")
-    table.add_argument("--from", dest="lo", type=_nonnegative, required=True)
-    table.add_argument("--to", dest="hi", type=_nonnegative, required=True)
+    table.add_argument("--from", dest="lo", type=int, required=True)
+    table.add_argument("--to", dest="hi", type=int, required=True)
     table.add_argument(
         "--families",
         type=_families,
@@ -96,12 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     enum = sub.add_parser("enumerate", help="list every member of one weight")
     enum.add_argument("--family", type=_family, required=True)
-    enum.add_argument("--n", type=_nonnegative, required=True)
+    enum.add_argument("--n", type=int, required=True)
 
     sample = sub.add_parser("sample", help="draw members uniformly at random")
     sample.add_argument("--family", type=_family, required=True)
-    sample.add_argument("--n", type=_nonnegative, required=True)
-    sample.add_argument("--count", type=_positive, default=1)
+    sample.add_argument("--n", type=int, required=True)
+    sample.add_argument("--count", type=int, default=1)
     sample.add_argument("--seed", type=int, default=0)
 
     mapper = sub.add_parser("map", help="apply the case map, or invert it")
@@ -113,17 +105,17 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--input", required=True)
     classify.add_argument(
         "--side",
-        choices=["source", "image"],
+        choices=list(_SIDES),
         default="source",
         help="classify as a map source (default) or against image signatures",
     )
 
     series = sub.add_parser("series", help="print counting series coefficients as CSV")
-    series.add_argument("--target", choices=["eu_od", "od_eu", "diff"], required=True)
-    series.add_argument("--order", type=_nonnegative, default=1000)
+    series.add_argument("--target", choices=list(_SERIES), required=True)
+    series.add_argument("--order", type=int, default=1000)
 
     wit = sub.add_parser("witness", help="print the unmatched image member at one weight")
-    wit.add_argument("--n", type=_positive, required=True)
+    wit.add_argument("--n", type=int, required=True)
 
     verify = sub.add_parser("verify", help="run one of the verification drivers")
     verify.add_argument(
@@ -131,9 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["exhaustive", "sampled", "inequality", "witnesses"],
         required=True,
     )
-    verify.add_argument("--from", dest="lo", type=_nonnegative, required=True)
-    verify.add_argument("--to", dest="hi", type=_nonnegative, required=True)
-    verify.add_argument("--samples", type=_positive, default=1000)
+    verify.add_argument("--from", dest="lo", type=int, required=True)
+    verify.add_argument("--to", dest="hi", type=int, required=True)
+    verify.add_argument("--samples", type=int, default=1000)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--method", choices=list(INEQUALITY_METHODS), default="both")
     verify.add_argument("--format", choices=["text", "json"], default="text")
@@ -187,22 +179,13 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    p = parse_partition(args.input)
-    if args.side == "source":
-        case = classify_source(p)
-    else:
-        case = classify_image(p)
+    case = _SIDES[args.side](parse_partition(args.input))
     print(f"case={case if case is not None else 'none'}")
     return 0
 
 
 def _cmd_series(args) -> int:
-    if args.target == "eu_od":
-        coeffs = series_p_eu_od(args.order)
-    elif args.target == "od_eu":
-        coeffs = series_p_od_eu(args.order)
-    else:
-        coeffs = diff_series(args.order)
+    coeffs = _SERIES[args.target](args.order)
     print("k,coefficient")
     for k in range(args.order + 1):
         print(f"{k},{coeffs[k]}")
@@ -225,6 +208,8 @@ def _cmd_verify(args) -> int:
         weights = args.hi - args.lo + 1
         if weights > MAX_SAMPLED_WEIGHTS:
             raise ValueError(f"{weights} sampled weights exceed the cutoff {MAX_SAMPLED_WEIGHTS}")
+        if weights * args.samples > MAX_DRAWS:
+            raise ValueError(f"{weights * args.samples} draws in all exceed the cutoff {MAX_DRAWS}")
         reports = [
             verify_sampled(n, args.samples, args.seed) for n in range(args.lo, args.hi + 1)
         ]

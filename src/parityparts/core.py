@@ -78,8 +78,6 @@ def parse_partition(text: str) -> Partition:
             count = int(exponent) if caret else 1
         except ValueError:
             raise ValueError(f"malformed partition token {token!r}") from None
-        if value < 1:
-            raise ValueError(f"parts must be at least 1, got {value}")
         if count < 1:
             raise ValueError(f"repetition count must be at least 1 in {token!r}")
         if len(parts) + count > MAX_PARTS:

@@ -83,13 +83,14 @@ SAMPLE_CUTOFF = 5000
 # Above this weight counting is refused: a table is a list per weight of
 # counts up to O(sqrt n) digits, built in O(n^2) additions (see the README).
 COUNT_CUTOFF = 10_000
-# Above this many draws a sampling run is refused: sampled verification
-# costs about 0.4 ms a draw at n = 5000, so a weight's draws stay within
-# about 40 s (see the README).
+# Above this many draws a sampling run is refused, counting the draws of all
+# weights of a sampled verification run together: a draw costs 0.3-0.4 ms
+# at n = 5000, so a run's draws stay within about 40 s (see the README).
 MAX_DRAWS = 100_000
 # Above this many weights a sampled verification run is refused: it builds
-# one sampler per weight, about 1.1 s each near SAMPLE_CUTOFF, so the longest
-# legal run, ending at the cutoff, takes about a minute (see the README).
+# one sampler per weight, about 1 s each near SAMPLE_CUTOFF.  With both bounds
+# at their limits, 50 weights ending at the cutoff and MAX_DRAWS draws in all,
+# the longest legal run takes about a minute (see the README).
 MAX_SAMPLED_WEIGHTS = 50
 
 
@@ -583,17 +584,12 @@ class FamilySampler:
 
     def sample_blocks(self, rng: random.Random) -> tuple[Block, Block]:
         """Draw one member uniformly at random, as its ``(evens, odds)`` blocks."""
-        return self.unrank_blocks(self._draw(rng))
+        return self.unrank_blocks(rng.randrange(self.count))
 
     def sample(self, rng: random.Random) -> Partition:
         """Draw one member uniformly at random; the draw of ``sample_blocks``
         for the same generator state."""
-        return self.unrank(self._draw(rng))
-
-    def _draw(self, rng: random.Random) -> int:
-        if self.count == 0:
-            raise ValueError(f"family {self.family.value} has no members at n={self.n}")
-        return rng.randrange(self.count)
+        return self.unrank(rng.randrange(self.count))
 
 
 def sample_family(family: Family, n: int, seed: int) -> Partition:

@@ -451,8 +451,6 @@ def verify_inequality(lo: int, hi: int, method: str = "both") -> VerificationRep
 def verify_witnesses(lo: int, hi: int) -> VerificationReport:
     """Check the witness at every weight in lo..hi; lo must be at least 373
     and hi at most ``casemap.WITNESS_CUTOFF``."""
-    if lo < WITNESS_MIN_WEIGHT:
-        raise ValueError(f"witness range starts at {WITNESS_MIN_WEIGHT}, got {lo}")
     check_range(lo, hi)
     if hi > WITNESS_CUTOFF:
         raise ValueError(f"witness scan to n={hi} exceeds the cutoff {WITNESS_CUTOFF}")

@@ -527,6 +527,28 @@ def test_boundary_atlas_below_min_weight(case):
     assert last_weight == parse_partition(last).weight
 
 
+# case: (even parts, smallest odd part, {weight: members at that weight}),
+# at and just above the case's minimum weight
+TOWERS_ABOVE_MIN = {13: (4, 3, {159: 12470, 161: 13125}), 14: (5, 3, {227: 207338})}
+
+
+@pytest.mark.parametrize("case", sorted(TOWERS_ABOVE_MIN))
+def test_tower_members_pass_at_min_weight(case):
+    """Every member of cases 13 and 14 at its minimum weight (and for case
+    13 the next odd weight) is classified as that case and passes every
+    source check."""
+    j, lowest_odd, members = TOWERS_ABOVE_MIN[case]
+    classifier = Classifier()
+    walked = {}
+    for n in members:
+        assert n >= CASES[case].min_weight
+        for source in _case_members(j, n, lowest_odd):
+            assert source_cases(*source) == (case,)
+            assert _source_fault(source, case, n, classifier) is None, (n, source)
+            walked[n] = walked.get(n, 0) + 1
+    assert walked == members
+
+
 REFERENCE_SHARED = {**REFERENCE_TOWERS, **REFERENCE_LONGS}
 
 # case: the even-block lengths of its members and their smallest odd part

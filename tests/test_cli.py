@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parityparts import cli
-from parityparts.casemap import WITNESS_CUTOFF
+from parityparts import cli, verify
+from parityparts.casemap import WITNESS_CUTOFF, WITNESS_MIN_WEIGHT
 from parityparts.cli import run
 from parityparts.core import MAX_PARTS, format_partition, parse_partition
 from parityparts.families import (
@@ -430,6 +430,26 @@ class TestVerify:
         assert err.count("\n") == 1 and "cutoff" in err
         assert calls == []
 
+    @pytest.mark.parametrize("samples", [MAX_DRAWS // MAX_SAMPLED_WEIGHTS + 1, MAX_DRAWS])
+    def test_sampled_draws_above_the_run_bound_fail_before_sampling(
+        self, capsys, monkeypatch, samples
+    ):
+        # the weights and the per-weight count are each legal, but the run's
+        # draws in all exceed MAX_DRAWS, so no sampler is built
+        def no_sampler(*args):
+            raise AssertionError(f"sampler built for {args}")
+
+        monkeypatch.setattr(verify, "FamilySampler", no_sampler)
+        lo = SAMPLE_CUTOFF - MAX_SAMPLED_WEIGHTS + 1
+        code, out, err = invoke(
+            capsys, "verify", "--mode", "sampled", "--from", str(lo),
+            "--to", str(SAMPLE_CUTOFF), "--samples", str(samples),
+        )
+        assert code == 1
+        assert out == ""
+        total = MAX_SAMPLED_WEIGHTS * samples
+        assert err == f"error: {total} draws in all exceed the cutoff {MAX_DRAWS}\n"
+
     def test_exhaustive_above_cutoff_fails_before_verifying(self, capsys, monkeypatch):
         # the range is refused as a whole, so no weight below the cutoff is verified
         calls = []
@@ -571,3 +591,121 @@ class TestRefusalFuzz:
             ["classify", f"--input={text}", "--side", "image"],
         ):
             assert_clean_exit(*run_quietly(argv))
+
+
+# Fuzzed numeric options: a value is a small negative, 0, a small positive
+# or a huge integer.  Accepted runs stay cheap (weights up to 12, witness
+# weights up to 380, at most 5 draws).  A huge weight or draw count is
+# refused before anything of its size is allocated; only `witness --n`,
+# whose member has at most six parts at any weight, and `--samples` outside
+# sampled mode, which is ignored, accept one.
+HUGE = 10**7
+negative = st.integers(-5, -1)
+huge = st.integers(HUGE, 10**30)
+
+
+def numbers(*accepted):
+    return st.one_of(negative, st.just(0), *accepted, huge)
+
+
+weight = numbers(st.integers(1, 12))
+draws = numbers(st.integers(1, 5))
+witness_weight = numbers(st.integers(1, 12), st.integers(373, 380))
+# below 50 the inequality fails by design, so accepted ranges start there
+inequality_weight = st.one_of(negative, st.integers(50, 62), huge)
+
+
+def in_reach(*values):
+    return all(0 <= value < HUGE for value in values)
+
+
+def assert_outcome(argv, accepted):
+    code, out, err = run_quietly(argv)
+    assert_clean_exit(code, out, err)
+    assert code == (0 if accepted else 1), (argv, err)
+
+
+def not_an_integer(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# every numeric option of every subcommand, with {} for its value
+NUMERIC_OPTIONS = [
+    ["count", "--family", "od_eu", "--n={}"],
+    ["table", "--from={}", "--to=3"],
+    ["table", "--from=0", "--to={}"],
+    ["enumerate", "--family", "od_eu", "--n={}"],
+    ["sample", "--family", "od_eu", "--n={}"],
+    ["sample", "--family", "od_eu", "--n=3", "--count={}"],
+    ["series", "--target", "diff", "--order={}"],
+    ["witness", "--n={}"],
+    ["verify", "--mode", "exhaustive", "--from={}", "--to=3"],
+    ["verify", "--mode", "exhaustive", "--from=0", "--to={}"],
+    ["verify", "--mode", "sampled", "--from=3", "--to=3", "--samples={}"],
+]
+
+
+class TestNumericFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(n=weight, count=draws, seed=st.integers(0, 3))
+    def test_weights(self, n, count, seed):
+        assert_outcome(["count", "--family", "od_eu", f"--n={n}"], in_reach(n))
+        assert_outcome(["enumerate", "--family", "eu_od", f"--n={n}"], in_reach(n))
+        assert_outcome(["series", "--target", "diff", f"--order={n}"], in_reach(n))
+        assert_outcome(
+            ["sample", "--family", "ou_eu", f"--n={n}", f"--count={count}", f"--seed={seed}"],
+            in_reach(n, count) and count > 0,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=witness_weight)
+    def test_witness_weight(self, n):
+        assert_outcome(["witness", f"--n={n}"], n >= WITNESS_MIN_WEIGHT)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lo=weight, hi=weight, count=draws)
+    def test_weight_ranges(self, lo, hi, count):
+        in_range = in_reach(lo, hi) and lo <= hi
+        bounds = [f"--from={lo}", f"--to={hi}"]
+        assert_outcome(["table", *bounds], in_range)
+        # --samples only counts in sampled mode
+        assert_outcome(["verify", "--mode", "exhaustive", *bounds, f"--samples={count}"], in_range)
+        assert_outcome(
+            ["verify", "--mode", "sampled", *bounds, f"--samples={count}"],
+            in_range and in_reach(count) and count > 0,
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(lo=inequality_weight, hi=inequality_weight)
+    def test_inequality_ranges(self, lo, hi):
+        assert_outcome(
+            ["verify", "--mode", "inequality", f"--from={lo}", f"--to={hi}"],
+            in_reach(lo, hi) and lo <= hi,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(lo=witness_weight, hi=witness_weight)
+    def test_witness_ranges(self, lo, hi):
+        assert_outcome(
+            ["verify", "--mode", "witnesses", f"--from={lo}", f"--to={hi}"],
+            WITNESS_MIN_WEIGHT <= lo <= hi < HUGE,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        text=st.one_of(
+            st.text(max_size=6),
+            st.floats().map(str),
+            st.sampled_from(["", "1.5", "1e3", "0x10", "-", "five"]),
+        ).filter(not_an_integer)
+    )
+    def test_non_integer_text_is_a_usage_error(self, text):
+        for template in NUMERIC_OPTIONS:
+            argv = [arg.format(text) for arg in template]
+            code, out, err = run_quietly(argv)
+            assert_clean_exit(code, out, err)
+            assert code == 2 and out == "", argv

@@ -377,6 +377,14 @@ def test_sampler_count_matches_count_table(family, n):
     assert FamilySampler(family, n).count == TABLES_300[family][n]
 
 
+def test_every_family_has_a_member_at_every_weight():
+    # the empty member at 0 and the one-part member (n) above it, so a
+    # sampler always has a member to draw
+    assert len(TABLES_300) == len(Family)
+    for family, table in TABLES_300.items():
+        assert all(table[n] > 0 for n in range(301)), family.value
+
+
 def test_chain_ordering_50_to_400():
     """The eight counts are weakly increasing along the chain, strictly at
     the asserted links, for every weight from 50 to 400."""

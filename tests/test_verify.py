@@ -207,6 +207,22 @@ class TestExhaustive:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# weight: sha256 of verify_exhaustive(n, cutoff=n).to_json(), past the
+# enumeration cutoff.  At 120 one run takes about 21 s and 340 MiB.
+DEEP_EXHAUSTIVE_REPORTS = {
+    105: "8480185a51074d457728263d26ada9b0d4fccaf3f4320921f70530f5d5b998dd",
+    120: "fad06e522971ea12615f1e0f50c2df213190fecb9c26aed3ca3f63fb63e3340f",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", sorted(DEEP_EXHAUSTIVE_REPORTS))
+def test_deep_exhaustive_reports_are_frozen(n):
+    report = verify_exhaustive(n, cutoff=n)
+    assert report.ok
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == DEEP_EXHAUSTIVE_REPORTS[n]
+
+
 class TestSampled:
     def test_deterministic_for_fixed_seed(self):
         first = verify_sampled(120, 80, seed=7)
@@ -332,7 +348,8 @@ class TestWitnesses:
         assert report.ok
 
     def test_rejects_starts_below_373(self):
-        with pytest.raises(ValueError):
+        # the refusal is witness's own, at the first weight of the range
+        with pytest.raises(ValueError, match="^witness construction starts at weight 373, got 100"):
             verify_witnesses(100, 400)
 
     def test_rejects_reversed_range(self):
