@@ -35,11 +35,13 @@ the gated signatures per ``(u, v, f2)``; why that is exact is in its
 docstring.  ``source_cases`` and ``image_cases`` use a fresh one per
 call, the verifier one per driver call.
 
-The public functions take a ``Partition``: each splits it once, checks
-membership on the blocks and looks its case up once.  The verifier,
-whose members arrive as their two blocks, classifies the blocks directly
-and splits each rewrite's output with ``parity_split``, without building
-a ``Partition``.
+The public functions take a ``Partition`` and check membership on its
+blocks.  ``classify_source`` and ``classify_image`` hold the match-count
+rules, exactly one source case and at most one image signature, and
+``forward`` and ``backward`` classify through them, then split the
+partition again for the rewrite.  The verifier, whose members arrive as
+their two blocks, classifies the blocks directly and splits each
+rewrite's output with ``parity_split``, without building a ``Partition``.
 
 Image signatures do not cover the whole image family: ``witness``
 produces, for any weight from 373 up, an image-family member that matches
@@ -419,27 +421,8 @@ def _member_blocks(p: Partition, family: Family) -> tuple[Block, Block]:
     """The even and odd blocks of p; raises ValueError unless p is in the family."""
     blocks = parity_split(p)
     if not blocks_in_family(*blocks, family):
-        shown = format_partition(p) or "(empty)"
-        raise ValueError(f"{shown} is not in family {family.value}")
+        raise ValueError(f"{format_partition(p)} is not in family {family.value}")
     return blocks
-
-
-def _one_source_case(p: Partition, ev: Block, od: Block) -> int:
-    matches = source_cases(ev, od)
-    if len(matches) == 1:
-        return matches[0]
-    shown = format_partition(p) or "(empty)"
-    raise ValueError(f"{shown} matched source cases {list(matches)}, expected exactly one")
-
-
-def _one_image_case(p: Partition, e: Block, o: Block) -> int | None:
-    matches = image_cases(e, o)
-    if len(matches) > 1:
-        raise ValueError(
-            f"{format_partition(p)} matched image signatures {list(matches)},"
-            " expected at most one"
-        )
-    return matches[0] if matches else None
 
 
 def source_case_matches(p: Partition) -> tuple[int, ...]:
@@ -453,8 +436,13 @@ def source_case_matches(p: Partition) -> tuple[int, ...]:
 
 
 def classify_source(p: Partition) -> int:
-    """The unique case of a source-family partition."""
-    return _one_source_case(p, *_member_blocks(p, SOURCE_FAMILY))
+    """The unique case of a source-family partition, or ValueError."""
+    matches = source_case_matches(p)
+    if len(matches) != 1:
+        raise ValueError(
+            f"{format_partition(p)} matched source cases {list(matches)}, expected exactly one"
+        )
+    return matches[0]
 
 
 def forward(p: Partition) -> Partition:
@@ -465,14 +453,13 @@ def forward(p: Partition) -> Partition:
     """
     if p.weight > MAX_MAP_WEIGHT:
         raise ValueError(f"weight {p.weight} exceeds the map cutoff {MAX_MAP_WEIGHT}")
-    ev, od = _member_blocks(p, SOURCE_FAMILY)
-    case = _one_source_case(p, ev, od)
+    case = classify_source(p)
     row = CASES[case]
     if p.weight < row.min_weight:
         raise ValueError(
             f"case {case} is undefined below weight {row.min_weight}, got {p.weight}"
         )
-    return from_parts(row.forward(ev, od))
+    return from_parts(row.forward(*parity_split(p)))
 
 
 def image_case_matches(p: Partition) -> tuple[int, ...]:
@@ -485,8 +472,15 @@ def image_case_matches(p: Partition) -> tuple[int, ...]:
 
 
 def classify_image(p: Partition) -> int | None:
-    """The case whose image signature p matches, or None when none does."""
-    return _one_image_case(p, *_member_blocks(p, IMAGE_FAMILY))
+    """The case whose image signature p matches, None when none does, or
+    ValueError when more than one does."""
+    matches = image_case_matches(p)
+    if len(matches) > 1:
+        raise ValueError(
+            f"{format_partition(p)} matched image signatures {list(matches)},"
+            " expected at most one"
+        )
+    return matches[0] if matches else None
 
 
 def backward(p: Partition) -> Partition:
@@ -495,8 +489,7 @@ def backward(p: Partition) -> Partition:
     Raises ValueError when no signature matches or the weight sits below
     the matched case's minimum.
     """
-    e, o = _member_blocks(p, IMAGE_FAMILY)
-    case = _one_image_case(p, e, o)
+    case = classify_image(p)
     if case is None:
         raise ValueError(f"{format_partition(p)} matches none of the {NUM_CASES} image signatures")
     row = CASES[case]
@@ -504,7 +497,7 @@ def backward(p: Partition) -> Partition:
         raise ValueError(
             f"case {case} inverse is undefined below weight {row.min_weight}, got {p.weight}"
         )
-    return from_parts(row.backward(e, o))
+    return from_parts(row.backward(*parity_split(p)))
 
 
 def witness(n: int) -> Partition:

@@ -138,11 +138,10 @@ class VerificationReport:
         self.failures.append(Failure(n=n, partition=partition, check=check, detail=detail))
 
     def finish(self) -> "VerificationReport":
-        """Sort everything so equal runs serialize identically."""
+        """Sort the failures and tallies so equal runs serialize identically;
+        ``case_counts`` is built in case order."""
         self.failures.sort(key=lambda f: (f.n, f.check, f.partition, f.detail))
         self.per_case = dict(sorted(self.per_case.items()))
-        if self.case_counts is not None:
-            self.case_counts = dict(sorted(self.case_counts.items()))
         return self
 
     def to_dict(self) -> dict:
@@ -348,13 +347,25 @@ def verify_exhaustive(n: int, *, cutoff: int = ENUMERATION_CUTOFF) -> Verificati
             )
         elif matches:
             image_counts[matches[0]] += 1
-    # per_case is read directly: report.tally would add empty tallies to it
-    unproven = {
-        case
-        for case in CASES
-        if n >= CASES[case].min_weight
-        and report.per_case.get(case, CaseTally()).passed != image_counts[case]
-    }
+    # one verdict per case met on either side; per_case is read directly,
+    # as report.tally would add empty tallies to it
+    report.case_counts = {}
+    unproven = set()
+    for case in sorted(set(report.per_case) | set(image_counts)):
+        tally = report.per_case.get(case, CaseTally())
+        image_total = image_counts[case]
+        report.case_counts[case] = (tally.tested, image_total)
+        if n < CASES[case].min_weight:
+            continue
+        if tally.passed != image_total:
+            unproven.add(case)
+        if tally.tested != image_total:
+            report.record_failure(
+                n,
+                f"case {case}",
+                "count-equality",
+                f"{tally.tested} source members but {image_total} signature matches",
+            )
     if unproven:
         for member in member_blocks(IMAGE_FAMILY, n, cutoff=cutoff):
             matches = classifier.image(*member)
@@ -365,20 +376,6 @@ def verify_exhaustive(n: int, *, cutoff: int = ENUMERATION_CUTOFF) -> Verificati
                     report.record_failure(
                         n, _shown(member), check, f"case {matches[0]}: {detail}"
                     )
-    # every source member with exactly one case is tallied as tested
-    source_counts = {case: tally.tested for case, tally in report.per_case.items()}
-    report.case_counts = {
-        case: (source_counts.get(case, 0), image_counts.get(case, 0))
-        for case in sorted(set(source_counts) | set(image_counts))
-    }
-    for case, (source_total, image_total) in report.case_counts.items():
-        if n >= CASES[case].min_weight and source_total != image_total:
-            report.record_failure(
-                n,
-                f"case {case}",
-                "count-equality",
-                f"{source_total} source members but {image_total} signature matches",
-            )
     return report.finish()
 
 
@@ -413,34 +410,27 @@ def verify_inequality(lo: int, hi: int, method: str = "both") -> VerificationRep
     check_range(lo, hi)
     report = VerificationReport(mode="inequality", n_lo=lo, n_hi=hi)
     report.inequalities = []
-    series_counts = None
+    # one list of (image, source) counts per weight for each route, series first
+    routes = []
     if method in ("series", "both"):
         upper = series_p_eu_od(hi)
         lower = series_p_od_eu(hi)
-        series_counts = [(upper[n], lower[n]) for n in range(lo, hi + 1)]
-    dp_counts = None
+        routes.append([(upper[n], lower[n]) for n in range(lo, hi + 1)])
     if method in ("dp", "both"):
         image_table = CountTable.build(IMAGE_FAMILY, hi)
         source_table = CountTable.build(SOURCE_FAMILY, hi)
-        dp_counts = [(image_table[n], source_table[n]) for n in range(lo, hi + 1)]
-    if series_counts is not None and dp_counts is not None:
-        for offset, (from_series, from_dp) in enumerate(zip(series_counts, dp_counts)):
-            if from_series != from_dp:
-                report.record_failure(
-                    lo + offset,
-                    "-",
-                    "count-mismatch",
-                    f"series gives {from_series}, dynamic program gives {from_dp}",
-                )
-    chosen = series_counts if series_counts is not None else dp_counts
-    for offset, (image_count, source_count) in enumerate(chosen):
-        record = InequalityRecord(
-            n=lo + offset, count_eu_od=image_count, count_od_eu=source_count
-        )
+        routes.append([(image_table[n], source_table[n]) for n in range(lo, hi + 1)])
+    for n, counts, other in zip(range(lo, hi + 1), routes[0], routes[-1]):
+        if counts != other:
+            report.record_failure(
+                n, "-", "count-mismatch", f"series gives {counts}, dynamic program gives {other}"
+            )
+        image_count, source_count = counts
+        record = InequalityRecord(n=n, count_eu_od=image_count, count_od_eu=source_count)
         report.inequalities.append(record)
         if not record.strict:
             report.record_failure(
-                record.n,
+                n,
                 "-",
                 "inequality",
                 f"count_eu_od={image_count} is not above count_od_eu={source_count}",

@@ -8,8 +8,10 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -249,6 +251,10 @@ class TestSample:
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and "cutoff" in err
+
+    def test_negative_weight_fails(self, capsys):
+        code, out, err = invoke(capsys, "sample", "--family", "od_eu", "--n", "-1")
+        assert (code, out, err) == (1, "", "error: weight must be nonnegative, got -1\n")
 
     def test_count_above_cutoff_fails_before_drawing(self, capsys):
         code, out, err = invoke(
@@ -518,16 +524,46 @@ def test_help_exits_zero(capsys):
     assert "subcommand" in out or "count" in out
 
 
-def test_module_entry_point_runs_the_command():
+ENTRY_POINT_RUNS = [
+    (["count", "--family", "od_eu", "--n", "5"], 0, "3\n", ""),
+    (["count", "--family", "od_eu", "--n", "-1"], 1, "", "error: weight must be nonnegative, got -1\n"),
+]
+
+
+def run_module(argv):
+    """(exit code, stdout, stderr) of ``python -m parityparts.cli`` in a child."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
-        [sys.executable, "-m", "parityparts.cli", "count", "--family", "od_eu", "--n", "5"],
+        [sys.executable, "-m", "parityparts.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert proc.returncode == 0
-    assert proc.stdout == "3\n"
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point_runs_the_command():
+    argv, *result = ENTRY_POINT_RUNS[0]
+    assert run_module(argv) == tuple(result)
+
+
+def test_module_entry_point_refuses_with_one_error_line():
+    argv, *result = ENTRY_POINT_RUNS[1]
+    assert run_module(argv) == tuple(result)
+
+
+@pytest.mark.parametrize("argv,code,out,err", ENTRY_POINT_RUNS, ids=["count", "refusal"])
+def test_module_entry_point_in_process(monkeypatch, capsys, argv, code, out, err):
+    # the same runs through main() and the __main__ guard in this process,
+    # where a line trace of the test run sees them
+    monkeypatch.setattr(sys, "argv", ["parityparts.cli", *argv])
+    with warnings.catch_warnings():
+        # runpy warns that this process has imported the module already
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("parityparts.cli", run_name="__main__")
+    assert exited.value.code == code
+    assert capsys.readouterr() == (out, err)
 
 
 # Fuzzed refusals: every input ends in exit 0, 1 or 2 without an exception,

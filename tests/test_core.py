@@ -34,6 +34,10 @@ def test_weight_is_cached_sum():
     assert p.weight == 35
 
 
+def test_repr_shows_the_parts():
+    assert repr(Partition((3, 1))) == "Partition([3, 1])"
+
+
 def test_empty_partition():
     p = Partition()
     assert p.weight == 0

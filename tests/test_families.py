@@ -499,6 +499,11 @@ def test_sampler_rejects_weights_above_cutoff():
         sample_family(Family.OD_EU, 10**9, 0)
 
 
+def test_sampler_rejects_negative_weights():
+    with pytest.raises(ValueError, match="^weight must be nonnegative, got -1$"):
+        FamilySampler(Family.OD_EU, -1)
+
+
 def test_counting_rejects_weights_above_cutoff():
     # only the rejection is tested: nothing of this size is allocated
     for family in CHAIN:

@@ -10,8 +10,9 @@ import parityparts.verify as verify_module
 from parityparts import casemap
 from parityparts.casemap import IMAGE_FAMILY, SOURCE_FAMILY, WITNESS_CUTOFF, case_min_weight
 from parityparts.cli import run
-from parityparts.core import Partition
+from parityparts.core import Partition, parse_partition
 from parityparts.families import MAX_DRAWS, CountTable, member_blocks
+from parityparts.series import Series
 from parityparts.verify import (
     verify_exhaustive,
     verify_inequality,
@@ -69,6 +70,23 @@ class TestExhaustive:
         assert code == 1
         [data] = json.loads(capsys.readouterr().out)
         assert {f["check"] for f in data["failures"]} == checks
+
+    def test_image_outside_the_family_is_recorded(self, monkeypatch):
+        # case 1's forward sends each of its 4 members at weight 6 to 1^6,
+        # whose repeated odd parts put it outside eu_od; no source passes,
+        # so the image side walks again, and each of the 4 signature-1
+        # members fails to come back from its source
+        row = casemap.CASES[1]
+        ones = row._replace(forward=lambda ev, od: [1] * (sum(ev) + sum(od)))
+        monkeypatch.setitem(casemap.CASES, 1, ones)
+        report = verify_exhaustive(6)
+        assert Counter(f.check for f in report.failures) == {
+            "membership": 4,
+            "inverse-roundtrip": 4,
+        }
+        assert {f.detail for f in report.failures if f.check == "membership"} == {
+            "case 1: image 1,1,1,1,1,1 is outside eu_od"
+        }
 
     def test_image_side_reuse_hides_no_failure(self, monkeypatch):
         # with case 11's image signature narrowed to u >= 3, its sources whose
@@ -172,6 +190,31 @@ class TestExhaustive:
         monkeypatch.undo()
         assert not mutated.ok
         assert verify_exhaustive(39).ok
+
+    # the member each widened row gives two matches, the Partition-level
+    # classifier and rewrite of that side, and the refusal both raise
+    WIDENED_REFUSALS = {
+        "case-5-source": (
+            "2,1",
+            (casemap.classify_source, casemap.forward),
+            "2,1 matched source cases [5, 9], expected exactly one",
+        ),
+        "case-11-gate": (
+            "3,2",
+            (casemap.classify_image, casemap.backward),
+            "3,2 matched image signatures [5, 11], expected at most one",
+        ),
+    }
+
+    @pytest.mark.parametrize("widened", WIDENED)
+    def test_widened_row_is_refused_by_classify_and_its_rewrite(self, monkeypatch, widened):
+        case, fields, _, _ = self.WIDENED[widened]
+        text, functions, message = self.WIDENED_REFUSALS[widened]
+        monkeypatch.setitem(casemap.CASES, case, casemap.CASES[case]._replace(**fields))
+        for function in functions:
+            with pytest.raises(ValueError) as refused:
+                function(parse_partition(text))
+            assert str(refused.value) == message
 
     # (failures, sha256) of the JSON list of verify_exhaustive(n).to_dict()
     # for n in 0..29 (indent 2) with case C's backward rewrite mutated,
@@ -333,6 +376,26 @@ class TestInequality:
         assert sorted(fam.value for fam, _ in built) == ["eu_od", "od_eu"]
         assert [max_n for _, max_n in built] == [400, 400]
 
+    def test_routes_that_disagree_are_recorded_once(self, monkeypatch):
+        # one more od_eu member at 60 by the series route; the records
+        # come from the series route, where 60 is still strict; the hash is
+        # frozen from the verifier that read the two routes in two loops
+        counted = verify_module.series_p_od_eu
+
+        def bumped(order):
+            coeffs = list(counted(order).coeffs)
+            coeffs[60] += 1
+            return Series(coeffs)
+
+        monkeypatch.setattr(verify_module, "series_p_od_eu", bumped)
+        report = verify_inequality(50, 70)
+        assert [(f.n, f.check, f.detail) for f in report.failures] == [
+            (60, "count-mismatch", "series gives (10401, 7599), dynamic program gives (10401, 7598)")
+        ]
+        assert report.inequalities[10].count_od_eu == 7599
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == "b8cb3e320d002b76b560e2a03b6020b6a7cb8a3e872798135929b0473ffcdbdb"
+
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             verify_inequality(0, 10, method="magic")
@@ -346,6 +409,24 @@ class TestWitnesses:
     def test_clean_on_a_small_range(self):
         report = verify_witnesses(373, 420)
         assert report.ok
+
+    @pytest.mark.parametrize(
+        "unmatched,check,partition,detail",
+        [
+            (lambda n: casemap.witness(n + 2), "witness-weight", "127,125,119,2,2", "weighs 375"),
+            (lambda n: parse_partition("125,125,123"), "witness-membership", "125,125,123",
+             "outside eu_od"),
+            (lambda n: parse_partition("189,184"), "witness-unmatched", "189,184",
+             "matched signatures [5]"),
+        ],
+        ids=["weight", "membership", "unmatched"],
+    )
+    def test_broken_witness_is_recorded(self, monkeypatch, unmatched, check, partition, detail):
+        monkeypatch.setattr(verify_module, "witness", unmatched)
+        report = verify_witnesses(373, 373)
+        assert [(f.n, f.partition, f.check, f.detail) for f in report.failures] == [
+            (373, partition, check, detail)
+        ]
 
     def test_rejects_starts_below_373(self):
         # the refusal is witness's own, at the first weight of the range
