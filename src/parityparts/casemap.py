@@ -32,8 +32,8 @@ the block lengths u and v and the count f2 of parts 2, then the rest on
 the blocks (none for cases 1, 5 and 11).  Every classification goes
 through a ``Classifier``, which keeps the source matches per shape and
 the gated signatures per ``(u, v, f2)``; why that is exact is in its
-docstring.  ``source_cases`` and ``image_cases`` use a fresh one per
-call, the verifier one per driver call.
+docstring.  ``source_case_matches`` and ``image_case_matches`` use a
+fresh one per call, the verifier one per driver call.
 
 The public functions take a ``Partition`` and check membership on its
 blocks.  ``classify_source`` and ``classify_image`` hold the match-count
@@ -407,16 +407,6 @@ class Classifier:
         return tuple([case for case, rest in rows if rest is None or rest(e, o, u, v, f2)])
 
 
-def source_cases(ev: Block, od: Block) -> tuple[int, ...]:
-    """Every case whose source condition holds for these blocks, in case order."""
-    return Classifier().source(ev, od)
-
-
-def image_cases(e: Block, o: Block) -> tuple[int, ...]:
-    """Every case whose image signature holds for these blocks, in case order."""
-    return Classifier().image(e, o)
-
-
 def _member_blocks(p: Partition, family: Family) -> tuple[Block, Block]:
     """The even and odd blocks of p; raises ValueError unless p is in the family."""
     blocks = parity_split(p)
@@ -432,7 +422,7 @@ def source_case_matches(p: Partition) -> tuple[int, ...]:
     tree, so totality and mutual exclusion can be verified instead of
     assumed.  ``classify_source`` gives the single-case view.
     """
-    return source_cases(*_member_blocks(p, SOURCE_FAMILY))
+    return Classifier().source(*_member_blocks(p, SOURCE_FAMILY))
 
 
 def classify_source(p: Partition) -> int:
@@ -468,7 +458,7 @@ def image_case_matches(p: Partition) -> tuple[int, ...]:
     Signatures are checked independently so pairwise disjointness can be
     verified; on signature-covered members exactly one should hold.
     """
-    return image_cases(*_member_blocks(p, IMAGE_FAMILY))
+    return Classifier().image(*_member_blocks(p, IMAGE_FAMILY))
 
 
 def classify_image(p: Partition) -> int | None:

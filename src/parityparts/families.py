@@ -15,9 +15,9 @@ weight 2v on, about half the additions of a full pass.  Sampling unranks
 against completion counts tabulated in increasing part order, where no
 such band exists: each next part and its multiplicity are found by
 bisection, and the table is triangular, row v holding only the weights
-0..n - v that can remain once v is placed.  Past about n / 2 every
-stored weight is below v, where a part v changes nothing, so those rows
-are the row before them, shared rather than copied.  Where the upper parts
+0..n - v that can remain once v is placed.  Past about n / 2, once every
+weight that a table's row v - 1 stores is below v, a part v changes none
+of it, so that table shares it as row v, not a copy.  Where the upper parts
 are even (``od_ed``, ``od_eu``, ``ou_ed``, ``ou_eu``), the weight left while
 the upper block is open always has n's parity, so the rows for that state
 hold only the weights of n's parity: about 3n²/8 cells in all.  Where they
@@ -426,9 +426,10 @@ class FamilySampler:
     so row v keeps only weights 0..n - v and the tables are triangular;
     the first part reads column n, which is kept apart as ``_top``.  Rows
     may hold more than their triangle, never less, and every stored cell is
-    exact.  Once every weight stored in the last rows is below v, from
-    about v = n / 2 + 2, taking v changes no stored cell: row v is the
-    row before it, the same object, and only ``_top`` still grows.
+    exact.  Each table decides its sharing alone: once every weight its
+    row v - 1 stores is below v, from about v = n / 2 + 1, taking v
+    changes none of that row's cells, so its row v is row v - 1, the same
+    object.  Past that point in both tables only ``_top`` still grows.
 
     Parity rule: in a family whose upper parts are even, every weight left
     to place while the upper block is open has n's parity.  So the
@@ -466,40 +467,36 @@ class FamilySampler:
         # top[v] = before[v] at weight n, the one cell past the triangle
         top = [row0[n]]
         for value in range(1, n + 1):
-            b_last, a_last = before[-1], after[-1]
-            if (len(a_last) - 1) * a_step < value and (len(b_last) - 1) * b_step + low < value:
-                # every stored weight is below value, and a part equal to
-                # value changes no weight below it: row value is row
-                # value - 1 on its whole triangle, so it is the same object.
-                # Only column n still moves.
-                b_row, a_row = b_last, a_last
-                source = b_last if value % 2 == upper_rem else a_last
+            b_row, a_row = b_last, a_last = before[-1], after[-1]
+            # a part equal to value changes no weight below it, so a row whose
+            # stored weights are all below value is the row before it, the
+            # same object; a row that stores a weight from value up is copied,
+            # keeping its weights up to n - value
+            if (len(b_last) - 1) * b_step + low >= value:
+                b_row = b_last[: (n - value - low) // b_step + 1]
+            # before[value] at weight m gains source at weight m - value: the
+            # members whose first part is value.  value is a multiple of its
+            # table's step, so it moves value // step indices; a shared row
+            # holds no index that far, so it is never written.
+            if value % 2 == upper_rem:
+                shift = value // b_step
+                _take(b_row, shift, family.upper_distinct, shift)
+                source = b_last if family.upper_distinct else b_row
             else:
-                size = n + 1 - value
-                # the kept weights up to n - value
-                b_row = b_last[: (size - 1 - low) // b_step + 1]
-                # before[value] at weight m gains source at weight m - value:
-                # the members whose first part is value.  value is a multiple
-                # of its table's step, so it moves value // step indices.
-                if value % 2 == upper_rem:
-                    a_row = a_last
-                    shift = value // b_step
-                    _take(b_row, shift, family.upper_distinct, shift)
-                    source = b_last if family.upper_distinct else b_row
-                else:
-                    a_row = a_last[: (size - 1) // a_step + 1]
-                    shift = value // a_step
-                    _take(a_row, shift, family.lower_distinct, shift)
-                    source = a_last if family.lower_distinct else a_row
-                    # from an untouched state, placing this value crosses the
-                    # blocks; first is the least kept weight >= value, and
-                    # exactly one of the steps is 2
-                    first = value + (n - value) % b_step
-                    b_row[first // b_step :: a_step] = map(
-                        add,
-                        b_row[first // b_step :: a_step],
-                        source[(first - value) // a_step :: b_step],
-                    )
+                if (len(a_last) - 1) * a_step >= value:
+                    a_row = a_last[: (n - value) // a_step + 1]
+                shift = value // a_step
+                _take(a_row, shift, family.lower_distinct, shift)
+                source = a_last if family.lower_distinct else a_row
+                # from an untouched state, placing this value crosses the
+                # blocks; first is the least kept weight >= value, and
+                # exactly one of the steps is 2
+                first = value + (n - value) % b_step
+                b_row[first // b_step :: a_step] = map(
+                    add,
+                    b_row[first // b_step :: a_step],
+                    source[(first - value) // a_step :: b_step],
+                )
             before.append(b_row)
             after.append(a_row)
             # column n gains source at weight n - value; an after row of

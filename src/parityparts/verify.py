@@ -20,8 +20,8 @@ then files the first failed check that ``_source_fault`` returns.  The
 image side keeps nothing per member: ``verify_exhaustive`` classifies and
 counts each image member, and runs ``_image_fault`` on the members of a
 case only when that case's count does not prove them (see there).
-The exhaustive and sampled drivers classify through one
-``casemap.Classifier`` per call.
+Each driver that classifies makes one ``casemap.Classifier`` per call and
+shares it with every check it runs, the witness check included.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .casemap import (
     WITNESS_MIN_WEIGHT,
     Classifier,
     from_parts,
-    image_cases,
     witness,
 )
 from .core import Block, format_partition, parity_split
@@ -97,10 +96,7 @@ class InequalityRecord:
     n: int
     count_eu_od: int
     count_od_eu: int
-
-    @property
-    def strict(self) -> bool:
-        return self.count_eu_od > self.count_od_eu
+    strict: bool
 
 
 @dataclass
@@ -145,29 +141,10 @@ class VerificationReport:
         return self
 
     def to_dict(self) -> dict:
-        data = {
-            "mode": self.mode,
-            "n_lo": self.n_lo,
-            "n_hi": self.n_hi,
-            "ok": self.ok,
-            "per_case": {str(case): asdict(tally) for case, tally in self.per_case.items()},
-            "failures": [asdict(failure) for failure in self.failures],
-            "case_counts": None
-            if self.case_counts is None
-            else {str(case): list(pair) for case, pair in self.case_counts.items()},
-            "inequalities": None
-            if self.inequalities is None
-            else [
-                {
-                    "n": record.n,
-                    "count_eu_od": record.count_eu_od,
-                    "count_od_eu": record.count_od_eu,
-                    "strict": record.strict,
-                }
-                for record in self.inequalities
-            ],
-        }
-        return data
+        """The report's fields as plain data, in field order with ``ok``
+        after ``n_hi``: the JSON of ``to_json`` states no key of its own."""
+        head = {"mode": self.mode, "n_lo": self.n_lo, "n_hi": self.n_hi, "ok": self.ok}
+        return head | asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -286,7 +263,7 @@ def _image_fault(
     return "inverse-roundtrip", f"inverted to {_shown(recovered)}{error}"
 
 
-def _check_witness(n: int, report: VerificationReport) -> None:
+def _check_witness(n: int, report: VerificationReport, classifier: Classifier) -> None:
     unmatched = witness(n)
     shown = format_partition(unmatched)
     if unmatched.weight != n:
@@ -296,7 +273,7 @@ def _check_witness(n: int, report: VerificationReport) -> None:
     if not blocks_in_family(e, o, IMAGE_FAMILY):
         report.record_failure(n, shown, "witness-membership", f"outside {IMAGE_FAMILY.value}")
         return
-    matches = image_cases(e, o)
+    matches = classifier.image(e, o)
     if matches:
         report.record_failure(
             n, shown, "witness-unmatched", f"matched signatures {list(matches)}"
@@ -394,7 +371,7 @@ def verify_sampled(n: int, samples: int, seed: int) -> VerificationReport:
     for _ in range(samples):
         _check_source_member(sampler.sample_blocks(rng), n, report, classifier)
     if n >= WITNESS_MIN_WEIGHT:
-        _check_witness(n, report)
+        _check_witness(n, report, classifier)
     return report.finish()
 
 
@@ -426,9 +403,9 @@ def verify_inequality(lo: int, hi: int, method: str = "both") -> VerificationRep
                 n, "-", "count-mismatch", f"series gives {counts}, dynamic program gives {other}"
             )
         image_count, source_count = counts
-        record = InequalityRecord(n=n, count_eu_od=image_count, count_od_eu=source_count)
-        report.inequalities.append(record)
-        if not record.strict:
+        strict = image_count > source_count
+        report.inequalities.append(InequalityRecord(n, image_count, source_count, strict))
+        if not strict:
             report.record_failure(
                 n,
                 "-",
@@ -445,6 +422,7 @@ def verify_witnesses(lo: int, hi: int) -> VerificationReport:
     if hi > WITNESS_CUTOFF:
         raise ValueError(f"witness scan to n={hi} exceeds the cutoff {WITNESS_CUTOFF}")
     report = VerificationReport(mode="witnesses", n_lo=lo, n_hi=hi)
+    classifier = Classifier()
     for n in range(lo, hi + 1):
-        _check_witness(n, report)
+        _check_witness(n, report, classifier)
     return report.finish()

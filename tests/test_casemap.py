@@ -25,10 +25,8 @@ from parityparts.casemap import (
     _slide,
     forward,
     image_case_matches,
-    image_cases,
     shape_cases,
     source_case_matches,
-    source_cases,
     source_shape,
     witness,
 )
@@ -415,11 +413,11 @@ def test_block_swap_matches_reference_up_to_50():
     sources = images = 0
     for n in range(51):
         for ev, od in member_blocks(SOURCE_FAMILY, n):
-            if source_cases(ev, od)[0] in REFERENCE_SWAPS:
+            if Classifier().source(ev, od)[0] in REFERENCE_SWAPS:
                 assert _forward_matches_reference(ev, od), (ev, od)
                 sources += 1
         for e, o in member_blocks(IMAGE_FAMILY, n):
-            if set(image_cases(e, o)) & set(REFERENCE_SWAPS):
+            if set(Classifier().image(e, o)) & set(REFERENCE_SWAPS):
                 assert _backward_matches_reference(e, o), (e, o)
                 images += 1
     assert sources > 3000 and images > 900
@@ -435,12 +433,12 @@ def test_block_swap_matches_reference_on_draws(weight):
     checked = 0
     for _ in range(2000):
         ev, od = parity_split(sources.sample(rng))
-        if source_cases(ev, od)[0] in REFERENCE_SWAPS:
+        if Classifier().source(ev, od)[0] in REFERENCE_SWAPS:
             assert _forward_matches_reference(ev, od), (ev, od)
             assert _backward_matches_reference(*parity_split(_fwd_swap(ev, od)))
             checked += 2
         e, o = parity_split(images.sample(rng))
-        if set(image_cases(e, o)) & set(REFERENCE_SWAPS):
+        if set(Classifier().image(e, o)) & set(REFERENCE_SWAPS):
             assert _backward_matches_reference(e, o), (e, o)
             checked += 1
     assert checked > 50
@@ -496,7 +494,9 @@ def test_case_walk_matches_enumeration(case):
     for n in range(1, 46, 2):
         walked = list(_case_members(j, n, lowest_odd))
         assert len(set(walked)) == len(walked)
-        enumerated = {m for m in member_blocks(SOURCE_FAMILY, n) if source_cases(*m) == (case,)}
+        enumerated = {
+            m for m in member_blocks(SOURCE_FAMILY, n) if Classifier().source(*m) == (case,)
+        }
         assert set(walked) == enumerated
 
 
@@ -512,7 +512,7 @@ def test_boundary_atlas_below_min_weight(case):
     classifier = Classifier()
     for n in range(1, min_weight + 40, 2):
         for source in _case_members(j, n, lowest_odd):
-            assert source_cases(*source) == (case,)
+            assert Classifier().source(*source) == (case,)
             fault = _source_fault(source, case, n, classifier)
             if n >= min_weight:
                 assert fault is None, (n, source, fault)
@@ -543,7 +543,7 @@ def test_tower_members_pass_at_min_weight(case):
     for n in members:
         assert n >= CASES[case].min_weight
         for source in _case_members(j, n, lowest_odd):
-            assert source_cases(*source) == (case,)
+            assert Classifier().source(*source) == (case,)
             assert _source_fault(source, case, n, classifier) is None, (n, source)
             walked[n] = walked.get(n, 0) + 1
     assert walked == members
@@ -587,7 +587,7 @@ def test_shared_pairs_match_reference_on_case_walks(case):
     for n in range(1, 72, 2):
         for j in lengths:
             for ev, od in _case_members(j, n, lowest_odd):
-                if source_cases(ev, od) == (case,):
+                if Classifier().source(ev, od) == (case,):
                     image = _check_shared(case, 0, ev, od)
                     _check_shared(case, 1, *parity_split(image[::-1]))
                     checked += 1
@@ -625,7 +625,7 @@ def test_shared_backward_matches_reference_on_any_image_blocks(e, o):
 
 # The source conditions and image signatures as they read before each
 # condition took the five-feature shape and each signature its (u, v, f2)
-# gate, kept as the reference for source_cases and image_cases.
+# gate, kept as the reference for Classifier().source and .image.
 REFERENCE_SOURCE = {
     1: lambda ev, od: not ev or not od,
     2: lambda ev, od: len(ev) == len(od) >= 2,
@@ -705,14 +705,14 @@ def test_source_cases_match_reference_on_every_source_and_its_image_to_70():
     sources = images = 0
     for n in range(71):
         for ev, od in member_blocks(SOURCE_FAMILY, n):
-            [case] = source_cases(ev, od)
+            [case] = Classifier().source(ev, od)
             assert (case,) == _reference_source_cases(ev, od), (ev, od)
             sources += 1
             try:
                 e, o = parity_split(CASES[case].forward(ev, od))
             except ValueError:
                 continue
-            assert image_cases(e, o) == _reference_image_cases(e, o), (ev, od)
+            assert Classifier().image(e, o) == _reference_image_cases(e, o), (ev, od)
             images += 1
     # four rewrites below their case's minimum weight give a part below 1
     assert (sources, images) == (202786, 202782)
@@ -722,7 +722,7 @@ def test_image_cases_match_reference_on_every_image_member_to_70():
     members = 0
     for n in range(71):
         for e, o in member_blocks(IMAGE_FAMILY, n):
-            assert image_cases(e, o) == _reference_image_cases(e, o), (e, o)
+            assert Classifier().image(e, o) == _reference_image_cases(e, o), (e, o)
             members += 1
     assert members == 250629
 
@@ -745,8 +745,13 @@ def _any_blocks(draw):
 def test_classifiers_match_reference_on_any_blocks(blocks):
     """Both classifiers give the reference's matches or raise its exception type."""
     a, b = blocks
-    assert _classified(source_cases, a, b) == _classified(_reference_source_cases, a, b)
-    assert _classified(image_cases, a, b) == _classified(_reference_image_cases, a, b)
+    # a fresh Classifier per call, so every key is met cold
+    assert _classified(lambda ev, od: Classifier().source(ev, od), a, b) == _classified(
+        _reference_source_cases, a, b
+    )
+    assert _classified(lambda e, o: Classifier().image(e, o), a, b) == _classified(
+        _reference_image_cases, a, b
+    )
 
 
 SHARED_CLASSIFIER = Classifier()

@@ -5,6 +5,7 @@ exactly as a shell user would see them.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -516,6 +517,83 @@ class TestVerify:
         code, _, err = invoke(capsys, "verify", "--from", "1", "--to", "2")
         assert code == 2
         assert "usage" in err
+
+
+def _verify_argv(mode, lo, hi, *options):
+    return ["verify", "--mode", mode, "--from", str(lo), "--to", str(hi), *options]
+
+
+JSON = ("--format", "json")
+# name: (command lines, exit code of each, sha256 of their stdout joined),
+# frozen from clean runs so that a refactor keeps every byte; the draws
+# cover both sampler table layouts at both parities of n
+FROZEN_OUTPUTS = {
+    "exhaustive-0-60-json": (
+        [_verify_argv("exhaustive", 0, 60, *JSON)],
+        0,
+        "19a11ffdb61314f2f2010d5eeefb11aab683c27d15126ced73e1706cef425f32",
+    ),
+    "sampled-373-375-json": (
+        [_verify_argv("sampled", 373, 375, "--samples", "1000", "--seed", "0", *JSON)],
+        0,
+        "8e5beb0a246a4f13f30bbee023fe3ef3ffcccd767d1eacfe503b18e2a04b323d",
+    ),
+    "sampled-2000-json": (
+        [_verify_argv("sampled", 2000, 2000, "--samples", "100", "--seed", "0", *JSON)],
+        0,
+        "eb5c16192fd9b5c8bfe58bd7621e4543c6f3d650099741bb7a2a38b3347ced9e",
+    ),
+    "inequality-50-3000-json": (
+        [_verify_argv("inequality", 50, 3000, *JSON)],
+        0,
+        "93ad978e53281028dab9634d2654d7c1868a49710b1f5bb65fc04c7b06e50be8",
+    ),
+    "inequality-0-300-series-json": (
+        [_verify_argv("inequality", 0, 300, "--method", "series", *JSON)],
+        1,
+        "f6dd7e0f4eaac5a13a526f04468508d87e631c1d6eb545690fe7a4983861e533",
+    ),
+    "inequality-0-300-dp-json": (
+        [_verify_argv("inequality", 0, 300, "--method", "dp", *JSON)],
+        1,
+        "f6dd7e0f4eaac5a13a526f04468508d87e631c1d6eb545690fe7a4983861e533",
+    ),
+    "witnesses-373-400-json": (
+        [_verify_argv("witnesses", 373, 400, *JSON)],
+        0,
+        "9277de80c1f7be57caedb3fc19aa1798809d8fa88d1537b1f7900b08df3e62d7",
+    ),
+    "exhaustive-0-30-text": (
+        [_verify_argv("exhaustive", 0, 30)],
+        0,
+        "cccd2faa033216ab8bba80157ea904cfcd655f9b7262e90227da81e8c931bd4e",
+    ),
+    "inequality-0-60-text": (
+        [_verify_argv("inequality", 0, 60)],
+        1,
+        "35423b355dbe180466709308ad0e010afedfc250c3715b2e5c74ca7615c11658",
+    ),
+    "draws-373-374": (
+        [
+            ["sample", "--family", fam.value, "--n", str(n), "--count", "50", "--seed", "3"]
+            for fam in Family
+            for n in (373, 374)
+        ],
+        0,
+        "02bbcced39037180596cd946dc0d0942212884e68a302eeefd8312e3926a8ce7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_OUTPUTS)
+def test_clean_outputs_are_frozen(capsys, name):
+    runs, code, digest = FROZEN_OUTPUTS[name]
+    stdout = hashlib.sha256()
+    for argv in runs:
+        exit_code, out, _ = invoke(capsys, *argv)
+        assert exit_code == code, argv
+        stdout.update(out.encode())
+    assert stdout.hexdigest() == digest
 
 
 def test_help_exits_zero(capsys):

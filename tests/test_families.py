@@ -369,6 +369,37 @@ def test_sampler_stores_about_three_eighths_n_squared_cells():
     assert sum(map(len, rows.values())) <= 1_510_000
 
 
+def _assert_each_table_shares_by_its_own_weights(sampler):
+    """Row v of a table is row v - 1, the same object, exactly when every
+    weight that row v - 1 stores is below v; an ``_after`` row is also
+    row v - 1 at every v of the upper parity, where no lower part is
+    placed.  Neither table's sharing waits for the other's."""
+    n = sampler.n
+    upper_rem = 1 if sampler.family.upper_odd else 0
+    before, after = sampler._before, sampler._after
+    b_step, a_step = sampler._before_step, sampler._after_step
+    for v in range(1, n + 1):
+        b_stored = (len(before[v - 1]) - 1) * b_step + n % b_step
+        assert (before[v] is before[v - 1]) == (b_stored < v), (n, v)
+        a_stored = (len(after[v - 1]) - 1) * a_step
+        assert (after[v] is after[v - 1]) == (v % 2 == upper_rem or a_stored < v), (n, v)
+
+
+@pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
+def test_each_sampler_table_shares_a_row_by_its_own_stored_weights(family):
+    for n in (*range(121), 373, 374, 375):
+        _assert_each_table_shares_by_its_own_weights(FamilySampler(family, n))
+
+
+def test_od_eu_sampler_at_2000_shares_per_table_and_stores_1_505_002_cells():
+    # the deep weight of sampled verification, where the two tables start
+    # sharing at different values
+    sampler = FamilySampler(Family.OD_EU, 2000)
+    _assert_each_table_shares_by_its_own_weights(sampler)
+    rows = {id(row): row for row in (*sampler._before, *sampler._after)}
+    assert sum(map(len, rows.values())) == 1_505_002
+
+
 TABLES_300 = {family: CountTable.build(family, 300) for family in CHAIN}
 
 

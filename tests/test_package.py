@@ -52,3 +52,22 @@ def test_src_imports_only_stdlib():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, (path.name, name)
+
+
+def test_src_modules_use_every_name_they_import():
+    # a deletion must not leave an import behind; the package's
+    # __init__.py imports only to re-export
+    sources = sorted(Path(parityparts.__file__).parent.glob("*.py"))
+    sources = [path for path in sources if path.name != "__init__.py"]
+    assert len(sources) > 1
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported.add(alias.asname or alias.name.split(".")[0])
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))

@@ -107,7 +107,9 @@ class TestExhaustive:
         # send every case-11 source at weight 21 to the image of the first one
         row = casemap.CASES[11]
         first = next(
-            m for m in member_blocks(SOURCE_FAMILY, 21) if casemap.source_cases(*m) == (11,)
+            m
+            for m in member_blocks(SOURCE_FAMILY, 21)
+            if casemap.Classifier().source(*m) == (11,)
         )
         image = row.forward(*first)
         collapsed = row._replace(forward=lambda ev, od: list(image))
