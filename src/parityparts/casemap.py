@@ -50,8 +50,9 @@ no signature, which is what makes the map strictly non-surjective there.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from functools import partial
-from typing import Callable, Iterable, NamedTuple
 
 from .core import MAX_PARTS, Block, Partition, format_partition, parity_split
 from .families import Family, blocks_in_family
@@ -90,25 +91,21 @@ Shape = tuple[int, int, int | None, int | None, int | None]
 Rest = Callable[[Block, Block, int, int, int], bool]
 
 
-class Case(NamedTuple):
-    """Everything about one case.
+class Case(namedtuple("Case", "min_weight source forward gate image backward")):
+    """Everything about one case; both directions start at ``min_weight``.
 
     ``source`` is the case's condition on a source member's shape
-    (``source_shape``), and the rewrites are functions of a member's even
-    and odd blocks, returning the other side's parts in any order.  The
-    image signature has two parts: ``gate``, its leading conjuncts on the
-    image's block lengths u, v and its count f2 of parts 2, and ``image``,
-    the rest on the blocks, ``(e, o, u, v, f2) -> bool``, or None where
-    nothing remains.  A member matches the signature when the gate holds
-    and then the rest does.
+    (``source_shape``), and the rewrites ``forward`` and ``backward`` are
+    functions of a member's even and odd blocks, returning the other
+    side's parts in any order.  The image signature has two parts:
+    ``gate``, its leading conjuncts on the image's block lengths u, v and
+    its count f2 of parts 2, ``(u, v, f2) -> bool``, and ``image``, the
+    rest on the blocks, a ``Rest``, or None where nothing remains.  A
+    member matches the signature when the gate holds and then the rest
+    does.
     """
 
-    min_weight: int
-    source: Callable[..., bool]
-    forward: Callable[[Block, Block], list[int]]
-    gate: Callable[[int, int, int], bool]
-    image: Rest | None
-    backward: Callable[[Block, Block], list[int]]
+    __slots__ = ()
 
 
 def _slide(count: int) -> list[int]:

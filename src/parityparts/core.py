@@ -8,7 +8,7 @@ diagram rendering.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 __all__ = [
     "Partition",

@@ -50,11 +50,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import accumulate, repeat
 from operator import add, itemgetter
-from typing import Iterable, Iterator
 
 from .core import Block, Partition, parity_split
 
@@ -340,12 +339,21 @@ def _cross(
         crossed[start:stop] = map(add, crossed[start:stop], source)
 
 
-@dataclass(frozen=True)
 class CountTable:
     """Exact member counts of one family at every weight 0..max_n."""
 
-    family: Family
-    counts: tuple[int, ...]
+    __slots__ = ("family", "counts")
+
+    def __init__(self, family: Family, counts: tuple[int, ...]):
+        self.family = family
+        self.counts = counts
+
+    def __eq__(self, other: object) -> bool:
+        same = type(other) is CountTable
+        return same and self.family is other.family and self.counts == other.counts
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.counts))
 
     @property
     def max_n(self) -> int:

@@ -16,10 +16,9 @@ common terms with c = +1 or -1 add or subtract p without multiplying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import repeat
 from operator import add, mul, neg, sub
-from typing import Iterable
 
 from .families import check_countable
 
@@ -33,16 +32,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Series:
     """Integer coefficients c[0..order]; index k is the coefficient of q^k."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        self.coeffs = tuple(coeffs)
         if not self.coeffs:
             raise ValueError("a series needs at least its constant coefficient")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Series and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @property
     def order(self) -> int:

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
-from dataclasses import asdict, dataclass, field
+from collections import Counter, namedtuple
 
 from .casemap import (
     CASES,
@@ -70,7 +69,6 @@ INEQUALITY_METHODS = ("series", "dp", "both")
 Blocks = tuple[Block, Block]
 
 
-@dataclass
 class CaseTally:
     """Member checks attempted, passed, and skipped for one case.
 
@@ -78,28 +76,18 @@ class CaseTally:
     are never silently passed.
     """
 
-    tested: int = 0
-    passed: int = 0
-    skipped: int = 0
+    __slots__ = ("tested", "passed", "skipped")
+
+    def __init__(self, tested: int = 0, passed: int = 0, skipped: int = 0) -> None:
+        self.tested = tested
+        self.passed = passed
+        self.skipped = skipped
 
 
-@dataclass(frozen=True)
-class Failure:
-    n: int
-    partition: str
-    check: str
-    detail: str
+Failure = namedtuple("Failure", "n partition check detail")
+InequalityRecord = namedtuple("InequalityRecord", "n count_eu_od count_od_eu strict")
 
 
-@dataclass(frozen=True)
-class InequalityRecord:
-    n: int
-    count_eu_od: int
-    count_od_eu: int
-    strict: bool
-
-
-@dataclass
 class VerificationReport:
     """Outcome of one verification run.
 
@@ -112,13 +100,14 @@ class VerificationReport:
     exactly when no check failed.
     """
 
-    mode: str
-    n_lo: int
-    n_hi: int
-    per_case: dict[int, CaseTally] = field(default_factory=dict)
-    failures: list[Failure] = field(default_factory=list)
-    case_counts: dict[int, tuple[int, int]] | None = None
-    inequalities: list[InequalityRecord] | None = None
+    __slots__ = ("mode", "n_lo", "n_hi", "per_case", "failures", "case_counts", "inequalities")
+
+    def __init__(self, mode: str, n_lo: int, n_hi: int) -> None:
+        self.mode, self.n_lo, self.n_hi = mode, n_lo, n_hi
+        self.per_case: dict[int, CaseTally] = {}
+        self.failures: list[Failure] = []
+        self.case_counts: dict[int, tuple[int, int]] | None = None
+        self.inequalities: list[InequalityRecord] | None = None
 
     @property
     def ok(self) -> bool:
@@ -141,10 +130,10 @@ class VerificationReport:
         return self
 
     def to_dict(self) -> dict:
-        """The report's fields as plain data, in field order with ``ok``
+        """The report's fields as plain data, in slot order with ``ok``
         after ``n_hi``: the JSON of ``to_json`` states no key of its own."""
         head = {"mode": self.mode, "n_lo": self.n_lo, "n_hi": self.n_hi, "ok": self.ok}
-        return head | asdict(self)
+        return head | _plain(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -169,6 +158,18 @@ class VerificationReport:
                 f" partition={failure.partition or '-'} {failure.detail}"
             )
         return lines
+
+
+def _plain(value):
+    """Report data as JSON-ready data: a slotted record becomes the dict of
+    its slots, and a list of namedtuples a list of their ``_asdict()``."""
+    if isinstance(value, list):
+        return [record._asdict() for record in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if hasattr(value, "__slots__"):
+        return {name: _plain(getattr(value, name)) for name in value.__slots__}
+    return value
 
 
 def _shown(blocks: Blocks) -> str:

@@ -11,6 +11,7 @@ from parityparts.casemap import (
     MAX_MAP_WEIGHT,
     NUM_CASES,
     SOURCE_FAMILY,
+    Case,
     Classifier,
     backward,
     case_min_weight,
@@ -79,6 +80,13 @@ def test_case_min_weight_table():
         case_min_weight(0)
     with pytest.raises(ValueError):
         case_min_weight(18)
+
+
+def test_replacing_a_field_of_a_case_gives_a_case():
+    # the verifier's mutation tests swap rows built this way into CASES
+    row = CASES[2]._replace(min_weight=0)
+    assert type(row) is Case
+    assert row.min_weight == 0 and row[1:] == CASES[2][1:]
 
 
 @pytest.mark.parametrize("case,source,image", KNOWN_PAIRS, ids=lambda value: str(value))

@@ -22,13 +22,14 @@ from hypothesis import strategies as st
 from parityparts import cli, verify
 from parityparts.casemap import WITNESS_CUTOFF, WITNESS_MIN_WEIGHT
 from parityparts.cli import run
-from parityparts.core import MAX_PARTS, format_partition, parse_partition
+from parityparts.core import MAX_GLYPHS, MAX_PARTS, format_partition, parse_partition
 from parityparts.families import (
     ENUMERATION_CUTOFF,
     MAX_DRAWS,
     MAX_SAMPLED_WEIGHTS,
     SAMPLE_CUTOFF,
     Family,
+    enumerate_family,
 )
 from test_casemap import KNOWN_PAIRS
 
@@ -823,3 +824,45 @@ class TestNumericFuzz:
             code, out, err = run_quietly(argv)
             assert_clean_exit(code, out, err)
             assert code == 2 and out == "", argv
+
+
+# Fuzzed Ferrers drawing: small partition texts, and members of the side a
+# direction maps from, draw both diagrams or are refused with one error
+# line; a weight above MAX_GLYPHS is only ever refused, before anything is
+# drawn or mapped.
+small_parts = st.lists(st.integers(1, 30), max_size=8)
+direction = st.sampled_from([[], ["--inverse"]])
+member_and_direction = st.sampled_from(
+    [
+        (list(member), flags)
+        for family, flags in ((Family.OD_EU, []), (Family.EU_OD, ["--inverse"]))
+        for n in range(21)
+        for member in enumerate_family(family, n)
+    ]
+)
+
+
+class TestFerrersFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=st.one_of(st.tuples(small_parts, direction), member_and_direction))
+    def test_small_partitions_draw_or_are_refused(self, drawn):
+        parts, flags = drawn
+        argv = ["map", f"--input={','.join(map(str, parts))}", "--ferrers", *flags]
+        code, out, err = run_quietly(argv)
+        assert_clean_exit(code, out, err)
+        assert code in (0, 1), (argv, err)
+        if code == 0:
+            lines = out.splitlines()
+            drawn = sorted(parts, reverse=True)
+            assert lines[1 : 1 + len(drawn)] == ["#" * part for part in drawn]
+            # the map keeps the weight, so the two diagrams hold equal glyphs
+            assert out.count("#") == 2 * sum(parts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(top=st.integers(MAX_GLYPHS + 1, 10**30), parts=small_parts, flags=direction)
+    def test_huge_weights_are_refused(self, top, parts, flags):
+        text = ",".join(map(str, [top, *parts]))
+        code, out, err = run_quietly(["map", f"--input={text}", "--ferrers", *flags])
+        assert_clean_exit(code, out, err)
+        assert code == 1
+        assert err.startswith("error: a Ferrers diagram of weight")

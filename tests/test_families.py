@@ -304,6 +304,14 @@ def test_count_table_direct():
     assert table.counts == tuple(count_family(Family.OD_EU, n) for n in range(13))
 
 
+def test_count_tables_compare_and_hash_by_value():
+    first, second = CountTable.build(Family.OD_EU, 20), CountTable.build(Family.OD_EU, 20)
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+    assert first != CountTable.build(Family.OD_EU, 19)
+    assert first != CountTable(Family.EU_OD, first.counts)
+
+
 @pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
 @pytest.mark.parametrize("max_n", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 257, 400])
 def test_count_table_matches_per_cell_reference(family, max_n):

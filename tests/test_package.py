@@ -1,7 +1,9 @@
 """The package's export list is the union of its modules' ``__all__``
-lists, and the package imports nothing outside the standard library."""
+lists, and the package imports nothing outside the standard library, and
+neither ``dataclasses`` nor ``typing``."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -71,3 +73,16 @@ def test_src_modules_use_every_name_they_import():
                     imported.add(alias.asname or alias.name.split(".")[0])
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_import_loads_neither_dataclasses_nor_typing():
+    # a fresh -I -S interpreter, as site packages may import typing themselves
+    src = str(Path(parityparts.__file__).parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import parityparts, parityparts.cli; "
+        "print(sorted({'dataclasses', 'typing', 'inspect', 'ast'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"

@@ -39,6 +39,13 @@ def test_series_indexing():
         s[3]
 
 
+def test_series_compare_and_hash_by_value():
+    a, b = Series([1, 2, 3]), Series((1, 2, 3))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != Series([1, 2]) and a != (1, 2, 3)
+
+
 def test_mul_truncates_to_smaller_order():
     a = Series([1, 1, 1, 1])
     b = Series([1, 1])

@@ -14,6 +14,7 @@ from parityparts.core import Partition, parse_partition
 from parityparts.families import MAX_DRAWS, CountTable, member_blocks
 from parityparts.series import Series
 from parityparts.verify import (
+    CaseTally,
     verify_exhaustive,
     verify_inequality,
     verify_sampled,
@@ -479,6 +480,16 @@ class TestReportShape:
         lines = report.text_lines()
         assert lines[0].startswith("mode=inequality")
         assert any("FAIL" in line and "inequality" in line for line in lines)
+
+    def test_records_are_immutable(self):
+        report = verify_inequality(3, 3, method="series")
+        for record in (report.failures[0], report.inequalities[0]):
+            with pytest.raises(AttributeError):
+                record.n = 4
+
+    def test_a_new_tally_starts_at_zero(self):
+        tally = CaseTally()
+        assert (tally.tested, tally.passed, tally.skipped) == (0, 0, 0)
 
     def test_tallies_are_consistent(self):
         report = verify_exhaustive(30)
