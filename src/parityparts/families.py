@@ -11,7 +11,9 @@ decreasing order, with one array for states that have not yet started
 the lower block and one for states that have.  Every part placed before
 value v exceeds v, so taking v leaves the weights v + 1..2v unchanged:
 the program sets cell v from the empty state and slice-adds only from
-weight 2v on, about half the additions of a full pass.  Sampling unranks
+weight 2v on, about half the additions of a full pass.  Where the upper
+parts are even, the first array keeps only the even weights, as the
+sampler's does by the parity rule below.  Sampling unranks
 against completion counts tabulated in increasing part order, where no
 such band exists: each next part and its multiplicity are found by
 bisection, and the table is triangular, row v holding only the weights
@@ -23,10 +25,11 @@ the upper block is open always has n's parity, so the rows for that state
 hold only the weights of n's parity: about 3n²/8 cells in all.  Where they
 are odd, the lower parts are even, so the rows for the state after the
 crossing hold only the even weights: about 15n²/32 cells.  Both tables are
-built by slice-add kernels (``_take``, and ``_cross`` for counting) that
-keep the per-cell additions in C.  A draw comes out as its two blocks (``unrank_blocks``):
-the upper block is the prefix of parts placed before the walk crosses into
-the lower block, so neither a ``Partition`` nor a split is needed.
+built by slice-add kernels (``_take``, and ``_cross`` for counting with odd
+upper parts) that keep the per-cell additions in C.  A draw comes out as
+its two blocks (``unrank_blocks``): the upper block is the prefix of parts
+placed before the walk crosses into the lower block, so neither a
+``Partition`` nor a split is needed.
 
 Enumeration is an independent route, so counting, sampling and
 enumeration cross-check each other.  ``member_blocks`` walks each member
@@ -380,22 +383,44 @@ class CountTable:
         (its first block of length v reads the updated cell v) or at
         2v + 1 for a distinct one.  That is about sum(max(0, n - 2v))
         additions instead of sum(n - v), half as many.
+
+        Parity rule: where the upper parts are even, every open weight is
+        even, so ``open_block`` keeps weight m at index m // 2 and an upper
+        value v moves v // 2 indices.  A lower value v is then odd, so
+        ``crossed`` gains the open row only at the odd weights from 2v + 1
+        up, in a slice-add beside its ``_take`` of v.  Where the upper parts
+        are odd, ``_cross`` does both additions in one pass.
         """
         check_countable(max_n)
         upper_rem = 1 if family.upper_odd else 0
-        open_block = [0] * (max_n + 1)
+        step = 2 - upper_rem
+        open_block = [0] * (max_n // step + 1)
         open_block[0] = 1
         crossed = [0] * (max_n + 1)
         for value in range(max_n, 0, -1):
             if value % 2 == upper_rem:
                 distinct = family.upper_distinct
-                open_block[value] += open_block[0]
-                _take(open_block, value, distinct, 2 * value + distinct)
-            else:
-                distinct = family.lower_distinct
-                crossed[value] += open_block[0]
+                shift = value // step
+                open_block[shift] += open_block[0]
+                _take(open_block, shift, distinct, 2 * shift + distinct)
+                continue
+            distinct = family.lower_distinct
+            crossed[value] += open_block[0]
+            if step == 1:
                 _cross(crossed, open_block, value, distinct, 2 * value + distinct)
-        return cls(family=family, counts=tuple(map(add, open_block, crossed)))
+                continue
+            # odd m gains open weight m - v after a distinct take, which
+            # reads the old row, and before an unrestricted one, which
+            # carries it up
+            if distinct:
+                _take(crossed, value, True, 2 * value + 1)
+            crossed[2 * value + 1 :: 2] = map(
+                add, crossed[2 * value + 1 :: 2], open_block[(value + 1) // 2 :]
+            )
+            if not distinct:
+                _take(crossed, value, False, 2 * value)
+        crossed[::step] = map(add, crossed[::step], open_block)
+        return cls(family=family, counts=tuple(crossed))
 
 
 def count_family(family: Family, n: int) -> int:

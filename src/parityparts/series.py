@@ -8,17 +8,17 @@ evens-over-distinct-odds family comes from an alternating double sum
 against the same even Euler factor, unwrapped by flipping the sign of
 every odd coefficient.
 
-The even Euler factor is zero at every odd index, so both products work
-on its even half, the partition numbers p(0..order//2): a sparse term
-c q^s adds c * p into every second coefficient from s on, and the
-common terms with c = +1 or -1 add or subtract p without multiplying.
+Both are quotients by the even Euler factor, the product of 1 - q^(2k).
+Besides its constant term it is nonzero only at the even pentagonal
+offsets j(3j-1) and j(3j+1), about 2 * sqrt(order / 3) of them, so each
+route divides by it in one forced pentagonal recurrence and never
+expands its reciprocal.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import repeat
-from operator import add, mul, neg, sub
+from operator import neg
 
 from .families import check_countable
 
@@ -94,42 +94,42 @@ def series_invert(a: Series) -> Series:
     return Series(out)
 
 
-def _even_partitions(order: int) -> list[int]:
-    """The partition numbers p(0..order//2), which count the partitions of
-    each even weight 2k up to ``order`` into even parts.
+def _divide_by_euler_even(terms: dict[int, int], order: int) -> list[int]:
+    """Coefficients 0..order of the sum of c q^s over terms, divided by the
+    even Euler factor; terms with s above the order are dropped.
 
-    They come from Euler's pentagonal recurrence, p(k) = sum over j >= 1
-    of (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)).  ``order`` is a
-    weight, bounded by ``families.COUNT_CUTOFF``.
+    By Euler's pentagonal theorem at q^2 the factor is 1 plus, for each
+    j >= 1, (-1)^j (q^(j(3j-1)) + q^(j(3j+1))).  So the quotient follows one
+    forced recurrence, out[k] = f[k] + sum over j of (-1)^(j+1)
+    (out[k - j(3j-1)] + out[k - j(3j+1)]), where f is the sum of the terms.
+    Each offset joins its sign's list once k reaches it, as a negative
+    index into the output built so far, so every coefficient is one sum
+    per sign, run in C.
     """
-    check_countable(order)
-    half = order // 2
-    p = [1] + [0] * half
-    for k in range(1, half + 1):
-        acc = 0
-        j = 1
-        while True:
-            low = k - j * (3 * j - 1) // 2
-            if low < 0:
-                break
-            high = low - j
-            term = p[low] + p[high] if high >= 0 else p[low]
-            acc += term if j % 2 else -term
-            j += 1
-        p[k] = acc
-    return p
+    forcing = [0] * (order + 1)
+    for shift, coeff in terms.items():
+        if shift <= order:
+            forcing[shift] += coeff
+    out: list[int] = []
+    plus, minus = [], []
+    j, low = 1, 2
+    for k, f in enumerate(forcing):
+        # the offsets of j are low = j(3j-1) and low + 2j = j(3j+1)
+        if k == low or k == low + 2 * j:
+            (plus if j % 2 else minus).append(-k)
+            if k != low:
+                j += 1
+                low = j * (3 * j - 1)
+        out.append(sum(map(out.__getitem__, plus), f) - sum(map(out.__getitem__, minus)))
+    return out
 
 
 def euler_inverse_even(order: int) -> Series:
-    """Coefficients of 1 / product(1 - q^(2k)): partitions into even parts.
-
-    The partition numbers ``_even_partitions(order)`` sit on the even
-    indices; every odd coefficient is zero.
-    """
-    p = _even_partitions(order)
-    coeffs = [0] * (order + 1)
-    coeffs[::2] = p
-    return Series(coeffs)
+    """Coefficients of 1 / product(1 - q^(2k)): partitions into even parts,
+    the partition numbers on the even indices and zero on every odd one.
+    ``order`` is a weight, bounded by ``families.COUNT_CUTOFF``."""
+    check_countable(order)
+    return Series(_divide_by_euler_even({0: 1}, order))
 
 
 def theta_squares(order: int) -> Series:
@@ -144,49 +144,23 @@ def theta_squares(order: int) -> Series:
     return Series(coeffs)
 
 
-def _sparse_mul(p: list[int], terms: dict[int, int], order: int) -> list[int]:
-    """Coefficients 0..order of ``euler_inverse_even(order)`` times the sum
-    of c q^s over terms, given its even half ``p = _even_partitions(order)``.
-
-    The base is zero at every odd index, so a term c q^s reaches only the
-    indices s, s + 2, ...: one slice-add of c * p into ``out[s::2]`` per
-    nonzero term, with no multiplication when c is +1 or -1.
-    """
-    out = [0] * (order + 1)
-    for shift, coeff in terms.items():
-        if not coeff or shift > order:
-            continue
-        target = out[shift::2]
-        if coeff == 1:
-            out[shift::2] = map(add, target, p)
-        elif coeff == -1:
-            out[shift::2] = map(sub, target, p)
-        else:
-            out[shift::2] = map(add, target, map(mul, p, repeat(coeff)))
-    return out
-
-
 def series_p_eu_od(order: int) -> Series:
     """Member counts of the distinct-odds-over-evens family, weights 0..order."""
-    p = _even_partitions(order)
     squares = {k: c for k, c in enumerate(theta_squares(order).coeffs) if c}
-    return Series(_sparse_mul(p, squares, order))
+    return Series(_divide_by_euler_even(squares, order))
 
 
 def series_p_od_eu(order: int) -> Series:
     """Member counts of the evens-over-distinct-odds family, weights 0..order.
 
-    The closed form gives the alternating-sign counts: the base factor is
-    1 / product(1 - q^(2k)), corrected by an alternating double sum whose
-    (m, j) term carries sign (-1)^(m+j) and exponents m(3m+1)/2 - j^2 and
-    that plus 2m+1.  The outer index m is exhausted once its smallest
-    exponent m(m+1)/2 passes the order.  Flipping every odd-index sign at
-    the end removes the alternation.  The base is multiplied by
-    1 - correction as a sparse operand: about 0.4 * order of its terms
-    are nonzero, and most of those are +1 or -1 (1006 of 1155 at order
-    3000).
+    The closed form gives the alternating-sign counts: 1 - correction
+    divided by the even Euler factor, where the correction is an
+    alternating double sum whose (m, j) term carries sign (-1)^(m+j) and
+    exponents m(3m+1)/2 - j^2 and that plus 2m+1.  The outer index m is
+    exhausted once its smallest exponent m(m+1)/2 passes the order.
+    Flipping every odd-index sign at the end removes the alternation.
     """
-    p = _even_partitions(order)
+    check_countable(order)
     factor = {0: 1}
     m = 1
     while m * (m + 1) // 2 <= order:
@@ -197,7 +171,7 @@ def series_p_od_eu(order: int) -> Series:
             factor[low] = factor.get(low, 0) - sign
             factor[high] = factor.get(high, 0) + sign
         m += 1
-    signed = _sparse_mul(p, factor, order)
+    signed = _divide_by_euler_even(factor, order)
     signed[1::2] = map(neg, signed[1::2])
     return Series(signed)
 

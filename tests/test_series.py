@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from parityparts.families import COUNT_CUTOFF, Family, count_family
 from parityparts.series import (
     Series,
-    _even_partitions,
-    _sparse_mul,
+    _divide_by_euler_even,
     diff_series,
     euler_inverse_even,
     series_invert,
@@ -116,7 +115,8 @@ def dense_correction(order):
 
 @pytest.mark.parametrize("order", [0, 1, 2, 5, 300, 1000])
 def test_sparse_routes_match_dense_products(order):
-    """Oracle: the dense inversion and Cauchy products the sparse code replaced."""
+    """Oracle: the dense inversion and Cauchy products that division by the
+    sparse even Euler product replaced."""
     base = series_invert(dense_euler_even(order))
     assert euler_inverse_even(order).coeffs == base.coeffs
     assert series_p_eu_od(order).coeffs == series_mul(base, theta_squares(order)).coeffs
@@ -127,15 +127,16 @@ def test_sparse_routes_match_dense_products(order):
 
 @pytest.mark.parametrize("order", [0, 1, 2, 7, 40])
 def test_sparse_mul_matches_dense_product(order):
-    """Unit, non-unit and zero coefficients at even and odd shifts, plus
-    shifts at and past the order."""
+    """The sparse terms over the even Euler product, against their dense
+    product with the dense inverse of that product: unit, non-unit and zero
+    coefficients at even and odd shifts, plus shifts at and past the order."""
     terms = {0: 1, 1: -1, 2: 2, 3: 0, 4: -2, 5: 3, 9: -3, order: 1, order + 1: 2, order + 4: -1}
     dense = [0] * (order + 1)
     for shift, coeff in terms.items():
         if shift <= order:
             dense[shift] += coeff
-    expected = series_mul(euler_inverse_even(order), Series(dense))
-    assert _sparse_mul(_even_partitions(order), terms, order) == list(expected.coeffs)
+    expected = series_mul(series_invert(dense_euler_even(order)), Series(dense))
+    assert _divide_by_euler_even(terms, order) == list(expected.coeffs)
 
 
 def test_theta_squares():

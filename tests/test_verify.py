@@ -3,6 +3,7 @@
 import hashlib
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,7 @@ from parityparts import casemap
 from parityparts.casemap import IMAGE_FAMILY, SOURCE_FAMILY, WITNESS_CUTOFF, case_min_weight
 from parityparts.cli import run
 from parityparts.core import Partition, parse_partition
-from parityparts.families import MAX_DRAWS, CountTable, member_blocks
+from parityparts.families import COUNT_CUTOFF, MAX_DRAWS, CountTable, member_blocks
 from parityparts.series import Series
 from parityparts.verify import (
     CaseTally,
@@ -20,6 +21,8 @@ from parityparts.verify import (
     verify_sampled,
     verify_witnesses,
 )
+
+PINNED_BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
 
 
 class TestExhaustive:
@@ -363,6 +366,19 @@ class TestInequality:
     def test_strict_everywhere_from_fifty_up(self):
         report = verify_inequality(50, 130, method="dp")
         assert report.ok
+
+    def test_routes_agree_on_the_pinned_counts_to_3000(self):
+        """Both routes over the perfbench ``counting`` range give the count
+        records whose digest perfbench pins."""
+        report = verify_inequality(50, 3000, "both")
+        assert report.ok
+        lines = "".join(f"{r.n},{r.count_eu_od},{r.count_od_eu}\n" for r in report.inequalities)
+        pinned = json.loads(PINNED_BENCHMARK.read_text())["counting"]["sha256"]
+        assert hashlib.sha256(lines.encode()).hexdigest() == pinned
+
+    @pytest.mark.slow
+    def test_strict_everywhere_to_the_count_cutoff(self):
+        assert verify_inequality(50, COUNT_CUTOFF, "both").ok
 
     @pytest.mark.parametrize("method", ["dp", "both"])
     def test_dp_route_builds_each_table_once_at_hi(self, monkeypatch, method):
