@@ -62,7 +62,6 @@ __all__ = [
     "IMAGE_FAMILY",
     "NUM_CASES",
     "WITNESS_MIN_WEIGHT",
-    "case_min_weight",
     "source_case_matches",
     "classify_source",
     "forward",
@@ -333,13 +332,6 @@ CASES: dict[int, Case] = {
              partial(_bwd_long, -7, 6)),
 }
 NUM_CASES = len(CASES)
-
-
-def case_min_weight(case: int) -> int:
-    """Smallest weight at which the case's map and inverse are defined."""
-    if case not in CASES:
-        raise ValueError(f"case must be 1..{NUM_CASES}, got {case}")
-    return CASES[case].min_weight
 
 
 def from_parts(parts: Iterable[int]) -> Partition:

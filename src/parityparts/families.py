@@ -40,8 +40,8 @@ is placed by part multiplicities (Knuth, TAOCP 7.2.1.4): each distinct
 value with all its copies in one step, and the least upper value (2 or 1)
 in place, with only the copy counts a lower block can complete.  A lower
 block is not looked for under a top whose heaviest block is lighter than
-the weight left, nor at all when the lower parts are even and the weight
-left is odd.
+the weight left; where the lower parts are even, the memo may also hold
+empty entries at odd weights.
 ``enumerate_family`` joins the two blocks into a ``Partition``; the
 exhaustive verifier consumes the blocks directly and builds a
 ``Partition`` only to show a failure.  Membership is decided on the two
@@ -158,7 +158,6 @@ class Family(Enum):
 
     def __init__(self, token: str):
         # plain attributes, read from the token once per member
-        self.lower_odd = token[0] == "o"
         self.lower_distinct = token[1] == "d"
         self.upper_odd = token[3] == "o"
         self.upper_distinct = token[4] == "d"
@@ -212,12 +211,11 @@ def member_blocks(
     with t from a list builder that steps by 2 over the lower-parity values.
     A top t is skipped when ``cap[t]``, the heaviest lower block with parts
     at most t, is below the weight left: the builder would return nothing
-    there.  Where the lower parts are even and the weight left is odd, the
-    walk steps over the odd upper values alone, since no lower block can
-    come next.  The builder is memoised for the walk, so members that share a
+    there.  The builder is memoised for the walk, so members that share a
     block share its tuple; the memo holds at most the lower-parity
-    partitions of weights up to n.  Raises ValueError for negative n or
-    when n exceeds the cutoff.
+    partitions of weights up to n, and where the lower parts are even it
+    may also hold empty entries at odd weights.  Raises ValueError for
+    negative n or when n exceeds the cutoff.
     """
     check_enumerable(n, cutoff)
     upper_rem = 1 if family.upper_odd else 0
@@ -256,14 +254,7 @@ def member_blocks(
         if not remaining:
             yield upper, [()]
             return
-        top = min(largest, remaining)
-        if upper_rem and remaining % 2:
-            # even lower parts never weigh an odd amount: only the odd
-            # upper values can come next
-            values = range(top - 1 + top % 2, 0, -2)
-        else:
-            values = range(top, 0, -1)
-        for value in values:
+        for value in range(min(largest, remaining), 0, -1):
             if value % 2 != upper_rem:
                 if cap[value] >= remaining:
                     lowers = lower_blocks(remaining, value)

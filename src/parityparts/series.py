@@ -18,6 +18,7 @@ expands its reciprocal.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from math import isqrt
 from operator import neg
 
 from .families import check_countable
@@ -25,7 +26,6 @@ from .families import check_countable
 __all__ = [
     "Series",
     "euler_inverse_even",
-    "theta_squares",
     "series_p_eu_od",
     "series_p_od_eu",
     "diff_series",
@@ -132,21 +132,11 @@ def euler_inverse_even(order: int) -> Series:
     return Series(_divide_by_euler_even({0: 1}, order))
 
 
-def theta_squares(order: int) -> Series:
-    """Indicator series of the perfect squares, constant term included;
-    ``order`` is bounded by ``families.COUNT_CUTOFF``."""
-    check_countable(order)
-    coeffs = [0] * (order + 1)
-    k = 0
-    while k * k <= order:
-        coeffs[k * k] = 1
-        k += 1
-    return Series(coeffs)
-
-
 def series_p_eu_od(order: int) -> Series:
-    """Member counts of the distinct-odds-over-evens family, weights 0..order."""
-    squares = {k: c for k, c in enumerate(theta_squares(order).coeffs) if c}
+    """Member counts of the distinct-odds-over-evens family, weights 0..order:
+    the squares, constant term included, divided by the even Euler factor."""
+    check_countable(order)
+    squares = {k * k: 1 for k in range(isqrt(order) + 1)}
     return Series(_divide_by_euler_even(squares, order))
 
 

@@ -178,13 +178,30 @@ def test_family_tokens_round_trip():
         Family.from_token("eo_du")
 
 
+# token: (lower_distinct, upper_odd, upper_distinct)
+FAMILY_FLAGS = {
+    "ed_od": (True, True, True),
+    "od_ed": (True, False, True),
+    "od_eu": (True, False, False),
+    "eu_od": (False, True, True),
+    "ed_ou": (True, True, False),
+    "eu_ou": (False, True, False),
+    "ou_ed": (False, False, True),
+    "ou_eu": (False, False, False),
+}
+
+
 def test_family_flags():
-    fam = Family.OD_EU
-    assert fam.lower_odd and fam.lower_distinct
-    assert not fam.upper_odd and not fam.upper_distinct
-    fam = Family.EU_OD
-    assert not fam.lower_odd and not fam.lower_distinct
-    assert fam.upper_odd and fam.upper_distinct
+    for family in Family:
+        flags = {name: value for name, value in vars(family).items() if not name.startswith("_")}
+        lower_distinct, upper_odd, upper_distinct = FAMILY_FLAGS[family.value]
+        assert flags == {
+            "lower_distinct": lower_distinct,
+            "upper_odd": upper_odd,
+            "upper_distinct": upper_distinct,
+        }
+        # the lower block has the other parity, so it needs no flag
+        assert (family.value[0] == "o") is not upper_odd
 
 
 @pytest.mark.parametrize(

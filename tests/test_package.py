@@ -1,8 +1,9 @@
 """The package's export list is the union of its modules' ``__all__``
-lists, and the package imports nothing outside the standard library, and
-neither ``dataclasses`` nor ``typing``."""
+lists, each export has a user, and the package imports nothing outside
+the standard library, and neither ``dataclasses`` nor ``typing``."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,18 +12,20 @@ import parityparts
 from parityparts import casemap, core, families, series, verify
 
 MODULES = (core, families, series, casemap, verify)
+SRC = Path(parityparts.__file__).parent
+ROOT = SRC.parents[1]
 
-# the 43 names the package exported when each module's list became its source
+# the 41 names the package exports; an export that nothing uses goes
 EXPORTS = [
     "COUNT_CUTOFF", "CaseTally", "CountTable", "ENUMERATION_CUTOFF", "Failure", "Family",
     "FamilySampler", "IMAGE_FAMILY", "InequalityRecord", "NUM_CASES", "Partition",
     "SAMPLE_CUTOFF", "SOURCE_FAMILY", "Series", "VerificationReport", "WITNESS_MIN_WEIGHT",
-    "__version__", "backward", "case_min_weight", "classify_image", "classify_source",
-    "count_family", "counts_csv", "diff_series", "enumerate_family", "euler_inverse_even",
-    "format_partition", "forward", "image_case_matches", "in_family", "parity_split",
-    "parse_partition", "render_ferrers", "sample_family", "series_p_eu_od", "series_p_od_eu",
-    "source_case_matches", "theta_squares", "verify_exhaustive", "verify_inequality",
-    "verify_sampled", "verify_witnesses", "witness",
+    "__version__", "backward", "classify_image", "classify_source", "count_family",
+    "counts_csv", "diff_series", "enumerate_family", "euler_inverse_even", "format_partition",
+    "forward", "image_case_matches", "in_family", "parity_split", "parse_partition",
+    "render_ferrers", "sample_family", "series_p_eu_od", "series_p_od_eu",
+    "source_case_matches", "verify_exhaustive", "verify_inequality", "verify_sampled",
+    "verify_witnesses", "witness",
 ]
 
 
@@ -40,8 +43,42 @@ def test_each_export_is_its_module_object():
             assert getattr(parityparts, name) is getattr(module, name), (module.__name__, name)
 
 
+def _src_uses() -> set[str]:
+    """The names that code in ``src/`` loads, as a name or an attribute,
+    outside the top-level definition of that name.  The ``__all__`` lists
+    and the docstrings are strings, so they name nothing here."""
+    used = set()
+    for path in SRC.glob("*.py"):
+        for statement in ast.parse(path.read_text(), str(path)).body:
+            own = getattr(statement, "name", None)
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return used
+
+
+def _readme_names() -> set[str]:
+    """The identifiers in the README's code blocks and inline code."""
+    pieces = (ROOT / "README.md").read_text().split("```")
+    code = pieces[1::2] + [span for text in pieces[::2] for span in re.findall(r"`([^`]+)`", text)]
+    return set(re.findall(r"[A-Za-z_]\w*", "\n".join(code)))
+
+
+def test_every_export_has_a_user():
+    # perfbench/tracer.py binds functions by their names, as strings
+    tracer = set(re.findall(r"\w+", (ROOT / "perfbench" / "tracer.py").read_text()))
+    users = _src_uses() | _readme_names() | tracer | {"__version__"}
+    assert sorted(set(parityparts.__all__) - users) == []
+
+
 def test_src_imports_only_stdlib():
-    sources = sorted(Path(parityparts.__file__).parent.glob("*.py"))
+    sources = sorted(SRC.glob("*.py"))
     assert len(sources) > 1
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -59,7 +96,7 @@ def test_src_imports_only_stdlib():
 def test_src_modules_use_every_name_they_import():
     # a deletion must not leave an import behind; the package's
     # __init__.py imports only to re-export
-    sources = sorted(Path(parityparts.__file__).parent.glob("*.py"))
+    sources = sorted(SRC.glob("*.py"))
     sources = [path for path in sources if path.name != "__init__.py"]
     assert len(sources) > 1
     for path in sources:
@@ -77,7 +114,7 @@ def test_src_modules_use_every_name_they_import():
 
 def test_import_loads_neither_dataclasses_nor_typing():
     # a fresh -I -S interpreter, as site packages may import typing themselves
-    src = str(Path(parityparts.__file__).parent.parent)
+    src = str(SRC.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import parityparts, parityparts.cli; "
         "print(sorted({'dataclasses', 'typing', 'inspect', 'ast'} & set(sys.modules)))"

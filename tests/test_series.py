@@ -1,3 +1,6 @@
+import tracemalloc
+from math import isqrt
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +15,6 @@ from parityparts.series import (
     series_mul,
     series_p_eu_od,
     series_p_od_eu,
-    theta_squares,
 )
 
 from partition_oracle import all_partitions
@@ -119,7 +121,8 @@ def test_sparse_routes_match_dense_products(order):
     sparse even Euler product replaced."""
     base = series_invert(dense_euler_even(order))
     assert euler_inverse_even(order).coeffs == base.coeffs
-    assert series_p_eu_od(order).coeffs == series_mul(base, theta_squares(order)).coeffs
+    squares = Series(int(isqrt(k) ** 2 == k) for k in range(order + 1))
+    assert series_p_eu_od(order).coeffs == series_mul(base, squares).coeffs
     signed = base - series_mul(base, dense_correction(order))
     unsigned = tuple(c if k % 2 == 0 else -c for k, c in enumerate(signed.coeffs))
     assert series_p_od_eu(order).coeffs == unsigned
@@ -137,10 +140,6 @@ def test_sparse_mul_matches_dense_product(order):
             dense[shift] += coeff
     expected = series_mul(series_invert(dense_euler_even(order)), Series(dense))
     assert _divide_by_euler_even(terms, order) == list(expected.coeffs)
-
-
-def test_theta_squares():
-    assert theta_squares(10).coeffs == (1, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0)
 
 
 def test_series_p_eu_od_small_values():
@@ -200,7 +199,24 @@ def test_diff_series_matches_family_counts():
 
 def test_series_rejects_orders_above_the_count_cutoff():
     # only the rejection is tested: nothing of this size is allocated
-    for route in (euler_inverse_even, theta_squares, series_p_eu_od, series_p_od_eu, diff_series):
+    for route in (euler_inverse_even, series_p_eu_od, series_p_od_eu, diff_series):
         for order in (COUNT_CUTOFF + 1, 10**12):
             with pytest.raises(ValueError, match="cutoff"):
                 route(order)
+
+
+@pytest.mark.parametrize("order,message", [
+    (-1, "weight must be nonnegative, got -1"),
+    (COUNT_CUTOFF + 1, f"counting at n={COUNT_CUTOFF + 1} exceeds the cutoff {COUNT_CUTOFF}"),
+])
+def test_series_p_eu_od_refuses_before_allocating(order, message):
+    # a row of COUNT_CUTOFF + 1 coefficients alone takes about 80 KB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            series_p_eu_od(order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == message
+    assert peak < 16_384

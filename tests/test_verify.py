@@ -9,7 +9,7 @@ import pytest
 
 import parityparts.verify as verify_module
 from parityparts import casemap
-from parityparts.casemap import IMAGE_FAMILY, SOURCE_FAMILY, WITNESS_CUTOFF, case_min_weight
+from parityparts.casemap import CASES, IMAGE_FAMILY, SOURCE_FAMILY, WITNESS_CUTOFF
 from parityparts.cli import run
 from parityparts.core import Partition, parse_partition
 from parityparts.families import COUNT_CUTOFF, MAX_DRAWS, CountTable, member_blocks
@@ -44,7 +44,7 @@ class TestExhaustive:
         assert report.per_case[populated_case].tested >= 1
         assert report.per_case[populated_case].passed >= 1
         for case, (source_total, image_total) in report.case_counts.items():
-            if n >= case_min_weight(case):
+            if n >= CASES[case].min_weight:
                 assert source_total == image_total
 
     def test_low_weight_members_are_skipped_not_failed(self):
