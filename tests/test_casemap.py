@@ -612,6 +612,58 @@ def test_edge_members_map_through(case, j, lowest_odd):
     assert failing == ({CASE_15_GAP} if (case, j) == (15, 10) else set())
 
 
+@st.composite
+def _one_even_members(draw, case, b):
+    """A source member of one even part t + 1 above b distinct odd parts
+    topped by t, at the case's least weight with members plus a multiple of
+    2 (of 4 when b = 1, where the weight 2t + 1 of an odd t is 3 mod 4), up
+    to ``MAX_MAP_WEIGHT``.  It is drawn as nonnegative offsets from the
+    flattest member at that weight: the least top t, with the other odd
+    parts packed right below it.  The all-zero draw is that member at the
+    least weight, the domain edge: these cases fail below it exactly at
+    their flattest members, so shrinking walks toward the failures."""
+    step = 4 if b == 1 else 2
+    min_weight = CASES[case].min_weight
+    first = min_weight + ((3 if b == 1 else b) - min_weight) % step
+    n = first + step * draw(st.integers(0, (MAX_MAP_WEIGHT - first) // step))
+    # the odd parts below t weigh n - 2t - 1: at most (b - 1)(t - b), right
+    # below t, and at least (b - 1)^2, as 1, 3, 5, ...
+    least = -(-(n - 1 + (b - 1) * b) // (b + 1))
+    least += 1 - least % 2
+    most = (n - 1 - (b - 1) ** 2) // 2
+    most -= 1 - most % 2
+    top = least + 2 * draw(st.integers(0, (most - least) // 2))
+    # the k-th least odd part is 2k - 1 plus twice its lift; the lifts do not
+    # decrease with k, stay at most (t - 2b + 1) / 2 and sum to spare, and
+    # each is drawn down from its largest, the top one first
+    spare = (n - 2 * top - 1 - (b - 1) ** 2) // 2
+    lift = (top - 2 * b + 1) // 2
+    odds = [top]
+    for k in range(b - 1, 0, -1):
+        highest = min(lift, spare)
+        lift = highest - draw(st.integers(0, highest - -(-spare // k)))
+        spare -= lift
+        odds.append(2 * k - 1 + 2 * lift)
+    return Partition([top + 1, *odds])
+
+
+# (case, odd parts) for each fixed length of the cases whose source members
+# are one even part above the odd ones, right above the top odd part
+ONE_EVEN_SHAPES = [(7, 4), (7, 3), (8, 2), (9, 1)]
+
+
+@pytest.mark.parametrize("case,b", ONE_EVEN_SHAPES)
+def test_one_even_edge_members_map_through(case, b):
+    """From the domain edge up, every drawn member maps through."""
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(_one_even_members(case, b))
+    def check(source):
+        assert _maps_through(case, source), source
+
+    check()
+
+
 REFERENCE_SHARED = {**REFERENCE_TOWERS, **REFERENCE_LONGS}
 
 # case: the even-block lengths of its members and their smallest odd part

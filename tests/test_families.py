@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from parityparts.families import (
     member_blocks,
     sample_family,
 )
+from parityparts.verify import verify_exhaustive
 
 from partition_oracle import all_partitions
 
@@ -296,6 +299,58 @@ def test_block_walk_yields_every_member_once_in_order_at_the_cutoff(family):
         previous = member
         count += 1
     assert count == count_family(family, n)
+
+
+def _walk_closed_after_first_member():
+    walk = member_blocks(Family.EU_OD, 40)
+    next(walk)
+    walk.close()
+
+
+def _walk_dropped_after_first_member():
+    walk = member_blocks(Family.EU_OD, 40)
+    next(walk)
+    del walk
+
+
+# walks that must leave nothing for the cyclic collector; the report's JSON
+# is left out, as the stdlib's indented encoder makes cycles of its own
+WALK_ENDINGS = {
+    "full": lambda: sum(1 for _ in member_blocks(Family.EU_OD, 40)),
+    "closed": _walk_closed_after_first_member,
+    "dropped": _walk_dropped_after_first_member,
+    "enumerate_family": lambda: sum(1 for _ in enumerate_family(Family.OD_EU, 40)),
+    "verify_exhaustive": lambda: verify_exhaustive(40),
+}
+
+
+@pytest.mark.parametrize("ending", sorted(WALK_ENDINGS))
+def test_a_walk_frees_its_memo_by_reference_counting(ending):
+    """A walk that ends, is closed or is dropped leaves no reference cycle,
+    so its memo is freed at once, not at the collector's next full pass.
+    A memo reached through its builders' closure cells left about 1 700
+    objects behind after an ``eu_od`` walk at 40."""
+    gc.collect()
+    gc.disable()
+    try:
+        WALK_ENDINGS[ending]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_walk_at_90_peaks_below_12_mib():
+    """The memo keeps only lower blocks of weight at most 2n/3: an ``eu_od``
+    walk at 90 peaks at about 6.6 MiB of traced memory, where a memo of
+    every block peaked at 25.2 MiB."""
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in member_blocks(Family.EU_OD, 90, cutoff=90))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == count_family(Family.EU_OD, 90) == 177_143
+    assert peak < 12 * 2**20
 
 
 @pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)

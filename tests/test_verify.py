@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import parityparts
 import parityparts.verify as verify_module
 from parityparts import casemap
 from parityparts.casemap import CASES, IMAGE_FAMILY, SOURCE_FAMILY, WITNESS_CUTOFF
@@ -257,7 +260,7 @@ class TestExhaustive:
 
 
 # weight: sha256 of verify_exhaustive(n, cutoff=n).to_json(), past the
-# enumeration cutoff.  At 120 one run takes about 21 s and 340 MiB.
+# enumeration cutoff.  At 120 one run takes about 10 s and 72 MiB peak RSS.
 DEEP_EXHAUSTIVE_REPORTS = {
     105: "8480185a51074d457728263d26ada9b0d4fccaf3f4320921f70530f5d5b998dd",
     120: "fad06e522971ea12615f1e0f50c2df213190fecb9c26aed3ca3f63fb63e3340f",
@@ -270,6 +273,30 @@ def test_deep_exhaustive_reports_are_frozen(n):
     report = verify_exhaustive(n, cutoff=n)
     assert report.ok
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == DEEP_EXHAUSTIVE_REPORTS[n]
+
+
+# a fresh interpreter verifies weight 120 and prints its peak RSS, which
+# Linux reports in KiB
+DEEP_PEAK_RSS = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from parityparts.verify import verify_exhaustive
+assert verify_exhaustive(120, cutoff=120).ok
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.slow
+def test_exhaustive_at_120_peaks_below_120_mib():
+    """The walk's memo keeps only lower blocks of weight at most 2n/3: the
+    whole process peaks at about 72 MiB, where a memo of every block took
+    334 MiB."""
+    src = str(Path(parityparts.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", DEEP_PEAK_RSS, src],
+        capture_output=True, text=True, check=True,
+    )
+    assert int(result.stdout) < 120 * 1024
 
 
 class TestSampled:
