@@ -22,14 +22,17 @@ weight that a table's row v - 1 stores is below v, a part v changes none
 of it, so that table shares it as row v, not a copy.  Where the upper parts
 are even (``od_ed``, ``od_eu``, ``ou_ed``, ``ou_eu``), the weight left while
 the upper block is open always has n's parity, so the rows for that state
-hold only the weights of n's parity: about 3n²/8 cells in all.  Where they
-are odd, the lower parts are even, so the rows for the state after the
-crossing hold only the even weights: about 15n²/32 cells.  Both tables are
-built by slice-add kernels (``_take``, and ``_cross`` for counting with odd
-upper parts) that keep the per-cell additions in C.  A draw comes out as
-its two blocks (``unrank_blocks``): the upper block is the prefix of parts
-placed before the walk crosses into the lower block, so neither a
-``Partition`` nor a split is needed.
+hold only the weights of n's parity.  Where they are odd, the lower parts
+are even, so the rows for the state after the crossing hold only the even
+weights.  Each table stores its rows only at the values of its own block's
+parity: at the other values a row is the row below it, plus, for the open
+state, one crossing term that a draw reads from the other table.  That is
+about 9n²/32 cells in all.  Both tables are built by slice-add kernels
+(``_take``, and ``_cross`` for counting with odd upper parts) that keep the
+per-cell additions in C.  A draw comes out as its two blocks
+(``unrank_blocks``): the upper block is the prefix of parts placed before
+the walk crosses into the lower block, so neither a ``Partition`` nor a
+split is needed.
 
 Enumeration is an independent route, so counting, sampling and
 enumeration cross-check each other.  ``member_blocks`` walks each member
@@ -79,22 +82,22 @@ __all__ = [
 # Above this weight enumeration is refused; counting and sampling still work.
 ENUMERATION_CUTOFF = 70
 # Above this weight a sampler is refused: its tables grow as n^2 cells of
-# O(sqrt n)-digit counts.  At 5000 one build takes 1.0 s and 384 MiB peak RSS
-# for ou_eu, and 1.0 s and 401 MiB for eu_ou, the largest odd-upper family,
-# whose table keeps one parity only after the crossing (Python 3.11.7,
-# x86-64 Xeon VM; the README lists smaller weights).
+# O(sqrt n)-digit counts.  At 5000 one build takes 0.44 s and 287 MiB peak
+# RSS for ou_eu, the largest family, and 0.44 s and 286 MiB for eu_ou, the
+# largest odd-upper one (Python 3.11.7, x86-64 Xeon VM, one CPU; the README
+# lists smaller weights).
 SAMPLE_CUTOFF = 5000
 # Above this weight counting is refused: a table is a list per weight of
 # counts up to O(sqrt n) digits, built in O(n^2) additions (see the README).
 COUNT_CUTOFF = 10_000
 # Above this many draws a sampling run is refused, counting the draws of all
-# weights of a sampled verification run together: a draw costs 0.3-0.4 ms
-# at n = 5000, so a run's draws stay within about 40 s (see the README).
+# weights of a sampled verification run together: a checked draw costs about
+# 0.09 ms at n = 5000, so a run's draws stay within about 10 s (see the README).
 MAX_DRAWS = 100_000
 # Above this many weights a sampled verification run is refused: it builds
-# one sampler per weight, about 1 s each near SAMPLE_CUTOFF.  With both bounds
-# at their limits, 50 weights ending at the cutoff and MAX_DRAWS draws in all,
-# the longest legal run takes about a minute (see the README).
+# one sampler per weight, about 0.5 s each near SAMPLE_CUTOFF.  With both
+# bounds at their limits, 50 weights ending at the cutoff and MAX_DRAWS draws
+# in all, the longest legal run takes about 30 s (see the README).
 MAX_SAMPLED_WEIGHTS = 50
 
 
@@ -472,6 +475,19 @@ class FamilySampler:
     changes none of that row's cells, so its row v is row v - 1, the same
     object.  Past that point in both tables only ``_top`` still grows.
 
+    Each table stores rows only at 0 and at the values of its own block's
+    parity: ``_upper`` holds the ``before`` rows at the upper values and
+    ``_lower`` the ``after`` rows at the lower values.  An ``after`` row at
+    an upper value is the row below it, as no lower part is placed there.
+    A ``before`` row at a lower value v is the row below it plus a crossing
+    term: the members whose first part is v, followed by a lower block of
+    parts at most v (below v if distinct), the ``after`` row at v (at v - 1)
+    at weight m - v.  The build makes that row as a temporary and takes the
+    next upper value into it in place.  A draw bisects the upper rows for
+    the next part and then probes the one lower value just below the row
+    found, which decides whether the walk crosses; once it has crossed, it
+    bisects the lower rows alone.  That keeps about 9n²/32 cells.
+
     Parity rule: in a family whose upper parts are even, every weight left
     to place while the upper block is open has n's parity.  So the
     ``before`` rows, the only ones read in that state, keep just the
@@ -490,45 +506,64 @@ class FamilySampler:
         self.family = family
         self.n = n
         upper_rem = 1 if family.upper_odd else 0
+        upper_distinct, lower_distinct = family.upper_distinct, family.lower_distinct
         # by the parity rule one table keeps every other weight: the before
         # rows keep low, low + 2, ... when the upper parts are even, the
         # after rows 0, 2, ... when the lower parts are
         b_step, a_step = 2 - upper_rem, 1 + upper_rem
         low = n % b_step
-        # before[v][m // b_step]: completions of weight m using values <= v,
-        # lower block untouched
-        # after[v][m // a_step]: the same once some lower part has been
-        # placed; the empty completion is valid there, the crossing part
-        # already exists
+        # upper[k][m // b_step]: before at the k-th upper-parity value,
+        # 2k - upper_rem, and at 0 for k = 0: completions of weight m using
+        # values <= it, lower block untouched
+        # lower[k][m // a_step]: after at the k-th lower-parity value,
+        # 2k - 1 + upper_rem, and at 0 for k = 0: the same once some lower
+        # part has been placed; the empty completion is valid there, the
+        # crossing part already exists
         # Rows are never written once stored, so equal rows are shared objects.
         # row 0 at every weight: only the empty completion, of weight 0
         row0 = [1] + [0] * n
-        after = [row0[::a_step]]
-        before = [row0[low::b_step]]
+        upper = [row0[low::b_step]]
+        lower = [row0[::a_step]]
         # top[v] = before[v] at weight n, the one cell past the triangle
         top = [row0[n]]
+        # before[value - 1]: a stored upper row, or the crossing row of a
+        # lower value, which is a temporary
+        b_last = upper[0]
         for value in range(1, n + 1):
-            b_row, a_row = b_last, a_last = before[-1], after[-1]
             # a part equal to value changes no weight below it, so a row whose
             # stored weights are all below value is the row before it, the
-            # same object; a row that stores a weight from value up is copied,
-            # keeping its weights up to n - value
+            # same object; a row that stores a weight from value up keeps
+            # its weights up to n - value, in a copy unless it is temporary
+            b_row = b_last
             if (len(b_last) - 1) * b_step + low >= value:
-                b_row = b_last[: (n - value - low) // b_step + 1]
+                keep = (n - value - low) // b_step + 1
+                if b_last is upper[-1]:
+                    b_row = b_last[:keep]
+                else:
+                    del b_row[keep:]
             # before[value] at weight m gains source at weight m - value: the
             # members whose first part is value.  value is a multiple of its
             # table's step, so it moves value // step indices; a shared row
             # holds no index that far, so it is never written.
             if value % 2 == upper_rem:
+                # column n gains source at weight n - value; a distinct take
+                # reads the row before it, so its term is read first
+                column = (n - value) // b_step
+                if upper_distinct:
+                    top.append(top[-1] + b_row[column])
                 shift = value // b_step
-                _take(b_row, shift, family.upper_distinct, shift)
-                source = b_last if family.upper_distinct else b_row
+                _take(b_row, shift, upper_distinct, shift)
+                if not upper_distinct:
+                    top.append(top[-1] + b_row[column])
+                upper.append(b_row)
             else:
+                a_last = a_row = lower[-1]
                 if (len(a_last) - 1) * a_step >= value:
                     a_row = a_last[: (n - value) // a_step + 1]
                 shift = value // a_step
-                _take(a_row, shift, family.lower_distinct, shift)
-                source = a_last if family.lower_distinct else a_row
+                _take(a_row, shift, lower_distinct, shift)
+                lower.append(a_row)
+                source = a_last if lower_distinct else a_row
                 # from an untouched state, placing this value crosses the
                 # blocks; first is the least kept weight >= value, and
                 # exactly one of the steps is 2
@@ -538,20 +573,16 @@ class FamilySampler:
                     b_row[first // b_step :: a_step],
                     source[(first - value) // a_step :: b_step],
                 )
-            before.append(b_row)
-            after.append(a_row)
-            # column n gains source at weight n - value; an after row of
-            # step 2 keeps no odd weight, whose cell is 0
-            if value % 2 == upper_rem:
-                top.append(top[-1] + source[(n - value) // b_step])
-            elif (n - value) % a_step:
-                top.append(top[-1])
-            else:
-                top.append(top[-1] + source[(n - value) // a_step])
+                # an after row of step 2 keeps no odd weight, whose cell is 0
+                if (n - value) % a_step:
+                    top.append(top[-1])
+                else:
+                    top.append(top[-1] + source[(n - value) // a_step])
+            b_last = b_row
         self._before_step = b_step
         self._after_step = a_step
-        self._before = before
-        self._after = after
+        self._upper = upper
+        self._lower = lower
         self._top = top
         self.count: int = top[n]
 
@@ -562,58 +593,98 @@ class FamilySampler:
             raise ValueError(f"index {index} out of range, count is {self.count}")
         family = self.family
         upper_rem = 1 if family.upper_odd else 0
+        lower_rem = 1 - upper_rem
         upper_distinct = family.upper_distinct
         lower_distinct = family.lower_distinct
-        before, after = self._before, self._after
+        upper, lower = self._upper, self._lower
         b_step, a_step = self._before_step, self._after_step
+        # the before table at the lower value just below upper row k's value
+        # is row k - 1 plus a crossing term from lower row k - back
+        back = upper_rem + lower_distinct
+        remaining = self.n
+        if not remaining:
+            return (), ()
         parts: list[int] = []
-        # the upper block is parts[:upper_end], the parts placed before the
-        # walk switches from the before table to the after table
-        upper_end = 0
-        remaining = limit = self.n
-        # the current block's table holds weight m at index m // scale
-        table, scale = before, b_step
-        # total: members of the current block; index counts from its first
-        total = self.count
-        while remaining:
-            # the last members of the block, as many as table[v] holds at
-            # weight remaining, have parts <= v; the next part is the smallest
-            # v whose suffix still holds index.  No part exceeds the weight
-            # still to place.
-            high = min(limit, remaining) + 1
-            if parts:
-                column = remaining // scale
-                value = bisect_left(table, total - index, 1, high, key=itemgetter(column))
-                index -= total - table[value][column]
-            else:
-                value = bisect_left(self._top, total - index, 1, high)
-                index -= total - self._top[value]
-            if value % 2 == upper_rem:
-                table, scale, distinct = before, b_step, upper_distinct
-            else:
-                table, scale, distinct = after, a_step, lower_distinct
-            if distinct:
+        # target: the members from index to the end of the current block.
+        # The last members of the block, as many as the table at v holds at
+        # weight remaining, have parts <= v; the next part is the smallest v
+        # whose suffix still holds index, so target does not change.  ways
+        # is the table at v and prev at v - 1, both at weight remaining.
+        target = self.count - index
+        top = self._top
+        value = bisect_left(top, target, 1, remaining + 1)
+        ways, prev = top[value], top[value - 1]
+        k = (value + upper_rem) // 2
+        # the upper block: the parts placed before the walk crosses
+        while value % 2 == upper_rem:
+            if upper_distinct:
+                # the members that go on with value come first, before the
+                # prev members with parts below it
                 rest = remaining - value
+                target -= prev
             else:
-                # the first row[rest] members have at least (remaining - rest) // value
-                # copies of value; take the most copies whose prefix holds index,
-                # then skip the members that have one copy more.  In index
-                # space, weight remaining is column and value is shift.
-                row = table[value]
-                column, shift = remaining // scale, value // scale
+                # index counts from the first member that goes on with value;
+                # the first row[rest] of them have at least
+                # (remaining - rest) // value copies of it.  Take the most
+                # copies whose prefix holds index; the block is then the
+                # members with exactly that many, which end at row[rest].
+                # In index space, weight remaining is column and value is
+                # shift.
+                index = ways - target
+                row = upper[k]
+                column, shift = remaining // b_step, value // b_step
                 columns = range(column % shift, column - shift + 1, shift)
                 rest_column = columns[bisect_right(columns, index, key=row.__getitem__)]
-                if rest_column >= shift:
-                    index -= row[rest_column - shift]
-                rest = remaining - (column - rest_column) * scale
+                target = row[rest_column] - index
+                rest = remaining - (column - rest_column) * b_step
             parts += [value] * ((remaining - rest) // value)
-            if table is before:
-                upper_end = len(parts)
             remaining = rest
-            limit = value - 1
-            total = table[limit][remaining // scale]
-        upper, lower = tuple(parts[:upper_end]), tuple(parts[upper_end:])
-        return (lower, upper) if family.upper_odd else (upper, lower)
+            if not remaining:
+                break
+            # bisect the upper rows below value, then probe the lower value
+            # just below the row found, which past the last row is the only
+            # value left.  Its crossing term is at weight gap; a lower row of
+            # step 2 (upper_rem 1) keeps no odd weight, whose term is 0.
+            column = remaining // b_step
+            high = min(value - 1, remaining)
+            k = bisect_left(upper, target, 1, (high + upper_rem) // 2 + 1, key=itemgetter(column))
+            value = 2 * k - upper_rem
+            prev = upper[k - 1][column]
+            gap = remaining - value + 1
+            if value > 1 and not gap & upper_rem:
+                ways = prev + lower[k - back][gap >> upper_rem]
+                if ways >= target:
+                    value -= 1
+                    break
+                prev = ways
+            ways = upper[k][column]
+        upper_end = len(parts)
+        # the lower block, from the crossing part on; a lower row is the
+        # table at every value up to the next lower one
+        k = (value + lower_rem) // 2
+        while remaining:
+            index = ways - target
+            if lower_distinct:
+                rest = remaining - value
+                target = lower[k - 1][rest // a_step] - index
+            else:
+                row = lower[k]
+                column, shift = remaining // a_step, value // a_step
+                columns = range(column % shift, column - shift + 1, shift)
+                rest_column = columns[bisect_right(columns, index, key=row.__getitem__)]
+                target = row[rest_column] - index
+                rest = remaining - (column - rest_column) * a_step
+            parts += [value] * ((remaining - rest) // value)
+            remaining = rest
+            if not remaining:
+                break
+            column = remaining // a_step
+            high = min(value - 1, remaining)
+            k = bisect_left(lower, target, 1, (high + lower_rem) // 2 + 1, key=itemgetter(column))
+            value = 2 * k - lower_rem
+            ways = lower[k][column]
+        upper_block, lower_block = tuple(parts[:upper_end]), tuple(parts[upper_end:])
+        return (lower_block, upper_block) if family.upper_odd else (upper_block, lower_block)
 
     def unrank(self, index: int) -> Partition:
         """The index-th member in decreasing lexicographic order."""

@@ -1,11 +1,16 @@
 import gc
+import hashlib
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parityparts
 from parityparts.core import Partition, parity_split, parse_partition
 from parityparts.families import (
     COUNT_CUTOFF,
@@ -127,13 +132,41 @@ def reference_sampler_tables(family, n):
     return before, after
 
 
+def sampler_ways(sampler, crossed, value, weight):
+    """The sampler's completion count with parts at most ``value`` at
+    ``weight``, after the crossing into the lower block or before it, read
+    from its stored rows; the one read of the tests that check its tables.
+
+    ``_upper`` row k is the before table at the k-th upper-parity value
+    (value 0 for k = 0), weight m at index m // ``_before_step``, and
+    ``_lower`` row k the after table at the k-th lower-parity value (0 for
+    k = 0), weight m at index m // ``_after_step``.  The after table at an
+    upper value is its row at the value below, where no lower part is
+    placed, and an after row of step 2 drops the odd weights, whose count
+    is 0.  The before table at a lower value v is derived: the row at v - 1
+    plus the members whose first part is v, which cross at once into the
+    lower block with weight m - v left and parts at most v, or below v if
+    the lower block is distinct.  A before row of step 2 holds only
+    weights of n's parity, the only ones that remain before the crossing.
+    """
+    upper_rem = 1 if sampler.family.upper_odd else 0
+    if crossed:
+        step = sampler._after_step
+        if weight % step:
+            return 0
+        return sampler._lower[(value + 1 - upper_rem) // 2][weight // step]
+    ways = sampler._upper[(value + upper_rem) // 2][weight // sampler._before_step]
+    if value % 2 != upper_rem and 1 <= value <= weight:
+        source = value - 1 if sampler.family.lower_distinct else value
+        ways += sampler_ways(sampler, True, source, weight - value)
+    return ways
+
+
 def reference_unrank(sampler, index):
     """The linear walk that bisection replaced: every part value from n
     down to 1, and every multiplicity from the largest down to 1.  It reads
-    the sampler's own rows, which the per-cell reference test pins down;
-    ``_before`` rows hold weight m at index m // ``_before_step``, and
-    ``_after`` rows at index m // ``_after_step``, keeping no weight whose
-    cell is 0."""
+    the sampler's own tables through ``sampler_ways``, which the per-cell
+    reference test pins down."""
     family = sampler.family
     upper_rem = 1 if family.upper_odd else 0
     parts = []
@@ -149,7 +182,7 @@ def reference_unrank(sampler, index):
                     cap = min(cap, 1)
                 for copies in range(cap, 0, -1):
                     rest = remaining - copies * value
-                    ways = sampler._before[value - 1][rest // sampler._before_step]
+                    ways = sampler_ways(sampler, False, value - 1, rest)
                     if index < ways:
                         parts.extend([value] * copies)
                         remaining -= copies * value
@@ -161,9 +194,7 @@ def reference_unrank(sampler, index):
                 cap = min(cap, 1)
             for copies in range(cap, 0, -1):
                 rest = remaining - copies * value
-                step = sampler._after_step
-                # a weight the after rows drop has no completion
-                ways = sampler._after[value - 1][rest // step] if rest % step == 0 else 0
+                ways = sampler_ways(sampler, True, value - 1, rest)
                 if index < ways:
                     parts.extend([value] * copies)
                     remaining -= copies * value
@@ -399,70 +430,91 @@ def test_count_table_matches_per_cell_reference_at_1000(family):
 
 @pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
 def test_sampler_tables_match_per_cell_reference(family):
-    """Every stored cell equals the full reference row at its weight, and
-    every weight an ``_after`` row does not store is 0 in the reference (the
-    weights a ``_before`` row drops can never remain).
+    """Every cell of the triangle, each value v and each weight m in
+    0..n - v, read through ``sampler_ways``, equals the full reference row:
+    the before table at the weights its rows keep, the derived cells at
+    lower values included, and the after table at every weight, where the
+    odd weights a step-2 row drops are 0 in the reference.
 
-    Each row v of a table with step s holds weight m at index m // s: a
-    ``_before`` row holds the weights of n's parity (all weights for s = 1),
-    an ``_after`` row the even weights (all for s = 1).  The before step is
-    2 when the upper parts are even, the after step when the lower parts
-    are; the other step is 1.  Each row is a prefix of its weights that
-    covers the triangle's weights (0..n - v) of that class.  ``_top`` is
-    column n.  From n // 2 + 2 on, every row is the very object stored for
-    the value before it.  The band edges are n = 0, 1 and 2, where a parity
-    row can be empty, and v at and around n / 2, where the slice-adds first
-    reach past the end of row v and the rows start to be shared; every row
-    of every n below 121, and of n = 400 and 401, is checked, so both
-    parities of n meet each edge.
+    ``_upper`` stores a row for 0 and for each upper-parity value,
+    ``_lower`` one for 0 and for each lower-parity value.  Each row of a
+    table with step s holds weight m at index m // s: an ``_upper`` row the
+    weights of n's parity (all weights for s = 1), a ``_lower`` row the even
+    weights (all for s = 1).  The before step is 2 when the upper parts are
+    even, the after step when the lower parts are; the other step is 1.
+    Each stored row is a prefix of its weights that covers the triangle's
+    weights (0..n - v) of that class, and every stored cell, past the
+    triangle too, is exact; the odd weights an after row of step 2 drops
+    are 0 in the reference up to n.  ``_top`` is column n.  Once every value
+    from the stored row before it up to its own is at least n // 2 + 2, a
+    stored row is that very object.  The band edges are n = 0, 1 and 2,
+    where a parity row can be empty, and v at and around n / 2, where the
+    slice-adds first reach past the end of row v and the rows start to be
+    shared; every cell of every n below 121, and of n = 400 and 401, is
+    checked, so both parities of n meet each edge.
     """
-    b_step = 1 if family.upper_odd else 2
-    a_step = 2 if family.upper_odd else 1
+    upper_rem = 1 if family.upper_odd else 0
+    b_step, a_step = 2 - upper_rem, 1 + upper_rem
     for n in (*range(121), 400, 401):
         sampler = FamilySampler(family, n)
         before, after = reference_sampler_tables(family, n)
         assert (sampler._before_step, sampler._after_step) == (b_step, a_step)
-        assert len(sampler._before) == len(sampler._after) == n + 1, n
-        for rows, full_rows, step, low in (
-            (sampler._before, before, b_step, n % b_step),
-            (sampler._after, after, a_step, 0),
+        low = n % b_step
+        for v in range(n + 1):
+            for m in range(low, n + 1 - v, b_step):
+                assert sampler_ways(sampler, False, v, m) == before[v][m], (n, v, m)
+            for m in range(n + 1 - v):
+                assert sampler_ways(sampler, True, v, m) == after[v][m], (n, v, m)
+        for rows, values, full_rows, step, low in (
+            (sampler._upper, [0, *range(2 - upper_rem, n + 1, 2)], before, b_step, low),
+            (sampler._lower, [0, *range(1 + upper_rem, n + 1, 2)], after, a_step, 0),
         ):
-            for v, (row, full) in enumerate(zip(rows, full_rows)):
+            assert len(rows) == len(values), n
+            for k, (row, v) in enumerate(zip(rows, values)):
                 stored = range(low, low + step * len(row), step)
                 assert len(range(low, n + 1 - v, step)) <= len(row), (n, v)
                 assert not stored or stored[-1] <= n, (n, v)
-                assert row == [full[m] for m in stored], (n, v)
+                assert row == [full_rows[v][m] for m in stored], (n, v)
+                if k and values[k - 1] + 1 >= n // 2 + 2:
+                    assert row is rows[k - 1], (n, v)
         for v, full in enumerate(after):
             # with step 2 the after rows drop the odd weights, all 0
             assert not any(full[m] for m in range(n + 1) if m % a_step), (n, v)
-        for v in range(n // 2 + 2, n + 1):
-            assert sampler._before[v] is sampler._before[v - 1], (n, v)
-            assert sampler._after[v] is sampler._after[v - 1], (n, v)
         assert sampler._top == [row[n] for row in before], n
 
 
-def test_sampler_stores_about_three_eighths_n_squared_cells():
-    # od_eu at 2000, the deep weight of sampled verification: 3n^2/8 is
-    # 1.5M cells, where unshared rows past the midpoint held about 2.01M
-    sampler = FamilySampler(Family.OD_EU, 2000)
-    rows = {id(row): row for row in (*sampler._before, *sampler._after)}
-    assert sum(map(len, rows.values())) <= 1_510_000
+def _cells(sampler):
+    rows = {id(row): row for row in (*sampler._upper, *sampler._lower)}
+    return sum(map(len, rows.values()))
+
+
+def test_sampler_stores_about_nine_thirty_seconds_n_squared_cells():
+    # od_eu at 2000, the deep weight of sampled verification: 9n^2/32 is
+    # 1.125M cells, where before rows at every value held about 1.5M
+    assert _cells(FamilySampler(Family.OD_EU, 2000)) <= 1_135_000
 
 
 def _assert_each_table_shares_by_its_own_weights(sampler):
-    """Row v of a table is row v - 1, the same object, exactly when every
-    weight that row v - 1 stores is below v; an ``_after`` row is also
-    row v - 1 at every v of the upper parity, where no lower part is
-    placed.  Neither table's sharing waits for the other's."""
+    """A stored row is the stored row before it, the same object, exactly
+    when that row stores no weight from the first value between them that
+    adds to its table: such a part, and every one up to the next stored
+    value, changes none of its cells.  Between two ``_lower`` rows lies an
+    upper value, which places no lower part, so each ``_lower`` row is
+    judged at its own value.  Between two ``_upper`` rows lies a lower value
+    (except below 1 when the upper parts are odd), whose crossing row is
+    the ``_upper`` row before it as long as that row stores no weight from
+    the lower value up.  Neither table's sharing waits for the other's."""
     n = sampler.n
     upper_rem = 1 if sampler.family.upper_odd else 0
-    before, after = sampler._before, sampler._after
-    b_step, a_step = sampler._before_step, sampler._after_step
-    for v in range(1, n + 1):
-        b_stored = (len(before[v - 1]) - 1) * b_step + n % b_step
-        assert (before[v] is before[v - 1]) == (b_stored < v), (n, v)
-        a_stored = (len(after[v - 1]) - 1) * a_step
-        assert (after[v] is after[v - 1]) == (v % 2 == upper_rem or a_stored < v), (n, v)
+    for rows, step, low, first_value in (
+        (sampler._upper, sampler._before_step, n % sampler._before_step, 2 - upper_rem),
+        (sampler._lower, sampler._after_step, 0, 1 + upper_rem),
+    ):
+        for k in range(1, len(rows)):
+            value = first_value + 2 * (k - 1)
+            first = value - 1 if rows is sampler._upper and value > 1 else value
+            stored = (len(rows[k - 1]) - 1) * step + low
+            assert (rows[k] is rows[k - 1]) == (stored < first), (n, value)
 
 
 @pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
@@ -471,13 +523,48 @@ def test_each_sampler_table_shares_a_row_by_its_own_stored_weights(family):
         _assert_each_table_shares_by_its_own_weights(FamilySampler(family, n))
 
 
-def test_od_eu_sampler_at_2000_shares_per_table_and_stores_1_505_002_cells():
+def test_od_eu_sampler_at_2000_shares_per_table_and_stores_1_129_752_cells():
     # the deep weight of sampled verification, where the two tables start
     # sharing at different values
     sampler = FamilySampler(Family.OD_EU, 2000)
     _assert_each_table_shares_by_its_own_weights(sampler)
-    rows = {id(row): row for row in (*sampler._before, *sampler._after)}
-    assert sum(map(len, rows.values())) == 1_505_002
+    assert _cells(sampler) == 1_129_752
+
+
+def test_od_eu_sampler_at_2000_peaks_below_39_mib():
+    """Rows at one parity per table: the build of the deep sampled weight
+    peaks at about 33 MiB of traced memory, where a ``before`` row at every
+    value peaked at 45 MiB."""
+    tracemalloc.start()
+    try:
+        sampler = FamilySampler(Family.OD_EU, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sampler.count == count_family(Family.OD_EU, 2000)
+    assert peak < 39 * 2**20
+
+
+SAMPLER_PEAK_RSS = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from parityparts.families import Family, FamilySampler
+FamilySampler(Family.EU_OU, 5000)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.slow
+def test_eu_ou_sampler_at_the_cutoff_peaks_below_340_mib():
+    """The largest odd-upper family at ``SAMPLE_CUTOFF``: the whole process
+    peaks at about 286 MiB, where a ``before`` row at every value took
+    396 MiB."""
+    src = str(Path(parityparts.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", SAMPLER_PEAK_RSS, src],
+        capture_output=True, text=True, check=True,
+    )
+    assert int(result.stdout) < 340 * 1024
 
 
 TABLES_300 = {family: CountTable.build(family, 300) for family in CHAIN}
@@ -590,6 +677,35 @@ def test_unrank_blocks_split_unrank_at_seeded_indices(n):
             evens, odds = sampler.unrank_blocks(index)
             assert type(evens) is type(odds) is tuple
             assert (evens, odds) == parity_split(sampler.unrank(index)), (family, index)
+
+
+# sha256 per family of 200 draws at each weight of DRAW_DIGEST_WEIGHTS,
+# frozen before the sampler stored its rows at one parity per table
+DRAW_DIGEST_WEIGHTS = (0, 1, 2, 999, 1000, 1001)
+DRAW_DIGESTS = {
+    "ed_od": "03cc43b3e55f5b118cf086900285c9fb4048ee4748da01d965bc8e7f1839b491",
+    "od_ed": "dd9eafd883823afc42be5acc8ba64027f9bdd4e2e96974a21fcad8442707433a",
+    "od_eu": "c04d27d57d4bc683cae04d1bbbf0e1f36e1a5ba7566def063064ffdaee261deb",
+    "eu_od": "49ef05220fba2bc401eed5056c91a2dc915fafbb699f1dd6cee6b4a0b26d60f9",
+    "ed_ou": "aa946441aecddcb7cedd6fd19c89b474795baf6f96c280a9d30ee3dd66cb8591",
+    "eu_ou": "4230221e075a2d746643acbc03cdf091ab08617996d01347c40ed445a6c183c5",
+    "ou_ed": "cdc8f5d9bee0f747621ed375dab3370502ace73e817bf610ac610e8324218373",
+    "ou_eu": "f34d0fd1b315984105e841e31414e8a1a87afdd8606ab4b880ae44b39f4e8faa",
+}
+
+
+@pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
+def test_seeded_draws_are_frozen(family):
+    """200 indices per weight, drawn by ``random.Random(n)``: the sizes
+    where a parity row is empty or short, and both parities of n at 1000."""
+    digest = hashlib.sha256()
+    for n in DRAW_DIGEST_WEIGHTS:
+        sampler = FamilySampler(family, n)
+        rng = random.Random(n)
+        for _ in range(200):
+            index = rng.randrange(sampler.count)
+            digest.update(f"{n} {index} {sampler.unrank_blocks(index)}\n".encode())
+    assert digest.hexdigest() == DRAW_DIGESTS[family.value]
 
 
 def test_sample_blocks_draws_what_sample_draws():
