@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -658,6 +658,49 @@ def test_one_even_edge_members_map_through(case, b):
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(_one_even_members(case, b))
+    def check(source):
+        assert _maps_through(case, source), source
+
+    check()
+
+
+@st.composite
+def _long_members(draw, case):
+    """A source member of case 16 or 17: j = 11..20 even parts above one
+    odd part of at least 3, up to ``MAX_MAP_WEIGHT``.  It is drawn as
+    nonnegative offsets from the flattest member with j even parts, 4^j,3
+    for case 16 and 16,4^(j-1),3 for case 17, whose top gaps 0 and 12 are
+    the least of each case: the top gap (at most 10 for case 16), a lift
+    of the odd part, which lifts every even part with it, and the gaps
+    below the top part.  The all-zero draw is 4^11,3 at weight 47 or
+    16,4^10,3 at 59, each case's minimum weight, so shrinking walks toward
+    the domain edge."""
+    j = draw(st.integers(11, 20))
+    least_top = 0 if case == 16 else 6
+    # the weight left above the flattest member, in units of 2
+    spare = (MAX_MAP_WEIGHT - 4 * j - 3) // 2 - least_top
+    top = least_top + draw(st.integers(0, 5 if case == 16 else spare))
+    spare -= top - least_top
+    odd_lift = draw(st.integers(0, spare // (j + 1)))
+    spare -= odd_lift * (j + 1)
+    # gaps[i] is half the gap between even parts i and i + 1 (for the last,
+    # between the least even part and odd + 1), so it lifts parts 0..i
+    gaps = [top]
+    for i in range(1, j):
+        gaps.append(draw(st.integers(0, spare // (i + 1))))
+        spare -= gaps[-1] * (i + 1)
+    odd = 3 + 2 * odd_lift
+    lifts = list(accumulate(reversed(gaps)))[::-1]
+    return Partition([odd + 1 + 2 * lift for lift in lifts] + [odd])
+
+
+@pytest.mark.parametrize("case", [16, 17])
+def test_long_edge_members_map_through(case):
+    """From each case's minimum weight up, every drawn member with 11 to 20
+    even parts maps through."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(_long_members(case))
     def check(source):
         assert _maps_through(case, source), source
 
