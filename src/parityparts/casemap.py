@@ -14,7 +14,8 @@ its two blocks, the even parts and the odd parts, which come from
 ``core.parity_split``.  Cases of one shape share one rewrite pair, and
 their rows bind its constants:
 
-- cases 2, 3 and 4 are one block swap, ``_fwd_swap`` and ``_bwd_swap``;
+- cases 2, 3 and 4 are one block swap, ``_swap``, bound with sign 1
+  forward and -1 backward;
 - cases 10, 12, 13 and 14 (j evens above one odd part) are one affine
   tower, ``_fwd_tower`` and ``_bwd_tower``;
 - case 17 is case 16 with 12 moved from the top part into six parts 2,
@@ -107,29 +108,26 @@ class Case(namedtuple("Case", "min_weight source forward gate image backward")):
     __slots__ = ()
 
 
-def _slide(count: int) -> list[int]:
-    """The odd increments 2*count-3, 2*count-5, ..., 1 used by the block swaps."""
-    return [2 * count - 2 * k - 3 for k in range(count - 1)]
-
-
 def _join(ev, od):
     """Case 1, both ways: one block is empty, so the parts stay as they are."""
     return ev + od
 
 
-def _fwd_swap(ev, od):
-    """Cases 2-4: the m largest evens and the m smallest odds trade parity,
-    where m is the shorter block's length; the other parts move down by 2
-    and the top new odd part takes 2 per moved part."""
+def _swap(sign, ev, od):
+    """Cases 2-4, forward with sign 1 and backward with sign -1.  The m
+    largest parts of the top block (the evens forward, the odds backward)
+    and the m smallest of the other block trade parity, where m is the
+    shorter block's length.  The swapped top parts gain the steps sign *
+    (2m-3, 2m-5, ..., 1, -1), the first of them also sign * 2 per part not
+    swapped; the swapped low parts lose the same steps, and every part not
+    swapped moves by -2 * sign."""
+    top, low = (ev, od) if sign > 0 else (od, ev)
     m = min(len(ev), len(od))
-    inc = _slide(m)
-    low = od[len(od) - m :]
-    to_odd = [ev[0] + 2 * (len(ev) + len(od) - 2 * m) + inc[0]]
-    to_odd += [ev[k] + inc[k] for k in range(1, m - 1)]
-    to_odd += [ev[m - 1] - 1]
-    kept = [part - 2 for part in ev[m:] + od[: len(od) - m]]
-    to_even = [low[k] - inc[k] for k in range(m - 1)] + [low[-1] + 1]
-    return to_odd + kept + to_even
+    steps = [sign * (2 * (m - k) - 3) for k in range(m)]
+    moved = [part + step for part, step in zip(top, steps)]
+    moved[0] += sign * 2 * (len(ev) + len(od) - 2 * m)
+    kept = [part - 2 * sign for part in top[m:] + low[: len(low) - m]]
+    return moved + kept + [part - step for part, step in zip(low[len(low) - m :], steps)]
 
 
 def _fwd_5(ev, od):
@@ -187,19 +185,6 @@ def _fwd_long(top, twos, ev, od):
     )
 
 
-def _bwd_swap(e, o):
-    """The inverse of ``_fwd_swap``, with m the shorter image block's length."""
-    m = min(len(e), len(o))
-    inc = _slide(m)
-    low = e[len(e) - m :]
-    to_even = [o[0] - 2 * (len(e) + len(o) - 2 * m) - inc[0]]
-    to_even += [o[k] - inc[k] for k in range(1, m - 1)]
-    to_even += [o[m - 1] + 1]
-    kept = [part + 2 for part in o[m:] + e[: len(e) - m]]
-    to_odd = [low[k] + inc[k] for k in range(m - 1)] + [low[-1] - 1]
-    return to_even + kept + to_odd
-
-
 def _bwd_5(e, o):
     return [o[0] + 1] + list(o[1:]) + [e[0] - 1]
 
@@ -254,27 +239,28 @@ def _bwd_long(top, twos, e, o):
 
 # One row per case.  The first lines hold the source side: minimum
 # weight, condition and forward rewrite.  The rest hold the image side:
-# gate, the rest of the signature and backward rewrite.  Cases 10 and 12-14
-# bind their constants into the tower pair, cases 16 and 17 into the long
-# pair.  A source condition reads the shape (a, b, gap, od0, top_gap) of
-# ``source_shape``; in a source member the cross gap ev[-1] - od[0] is odd
-# and at least 1, by strict block separation.  ev/e are the even blocks,
-# od/o the odd blocks, u and v the image block lengths, f2 the number of
-# image parts equal to 2.
+# gate, the rest of the signature and backward rewrite.  Cases 2-4 bind
+# the direction's sign into the swap, cases 10 and 12-14 their constants
+# into the tower pair, cases 16 and 17 into the long pair.  A source
+# condition reads the shape (a, b, gap, od0, top_gap) of ``source_shape``;
+# in a source member the cross gap ev[-1] - od[0] is odd and at least 1,
+# by strict block separation.  ev/e are the even blocks, od/o the odd
+# blocks, u and v the image block lengths, f2 the number of image parts
+# equal to 2.
 CASES: dict[int, Case] = {
     1: Case(1, lambda a, b, gap, od0, top_gap: a == 0 or b == 0, _join,
             lambda u, v, f2: u == 0 or v == 0, None, _join),
-    2: Case(12, lambda a, b, gap, od0, top_gap: a == b >= 2, _fwd_swap,
+    2: Case(12, lambda a, b, gap, od0, top_gap: a == b >= 2, partial(_swap, 1),
             lambda u, v, f2: u == v >= 2,
-            lambda e, o, u, v, f2: o[-1] - e[0] >= 2 * v - 3, _bwd_swap),
-    3: Case(16, lambda a, b, gap, od0, top_gap: a > b >= 2, _fwd_swap,
+            lambda e, o, u, v, f2: o[-1] - e[0] >= 2 * v - 3, partial(_swap, -1)),
+    3: Case(16, lambda a, b, gap, od0, top_gap: a > b >= 2, partial(_swap, 1),
             lambda u, v, f2: u > v >= 2,
             lambda e, o, u, v, f2: o[0] - o[1] >= 2 * (u - v + 1)
-            and e[u - v - 1] - e[u - v] >= 2 * v - 4, _bwd_swap),
-    4: Case(21, lambda a, b, gap, od0, top_gap: b > a >= 2, _fwd_swap,
+            and e[u - v - 1] - e[u - v] >= 2 * v - 4, partial(_swap, -1)),
+    4: Case(21, lambda a, b, gap, od0, top_gap: b > a >= 2, partial(_swap, 1),
             lambda u, v, f2: v > u >= 2,
             lambda e, o, u, v, f2: o[0] - o[1] >= 2 * (v - u + 1)
-            and o[-1] - e[0] >= 2 * u - 3, _bwd_swap),
+            and o[-1] - e[0] >= 2 * u - 3, partial(_swap, -1)),
     5: Case(5, lambda a, b, gap, od0, top_gap: a == 1 and b >= 1 and gap >= 3, _fwd_5,
             lambda u, v, f2: u == 1 and v >= 1, None, _bwd_5),
     6: Case(35, lambda a, b, gap, od0, top_gap: a == 1 and b >= 5 and gap == 1, _fwd_6,

@@ -1,8 +1,9 @@
 import random
+from functools import partial
 from itertools import accumulate, combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from parityparts.casemap import (
@@ -17,12 +18,10 @@ from parityparts.casemap import (
     classify_image,
     classify_source,
     _bwd_long,
-    _bwd_swap,
     _bwd_tower,
     _fwd_long,
-    _fwd_swap,
     _fwd_tower,
-    _slide,
+    _swap,
     forward,
     image_case_matches,
     shape_cases,
@@ -234,8 +233,13 @@ def test_witness_is_unmatched_member(n):
     assert image_case_matches(w) == ()
 
 
-# The three per-case rewrites that cases 2-4 used before they shared
-# _fwd_swap and _bwd_swap, kept as the reference for the merged pair.
+# The three per-case rewrites that cases 2-4 used before they shared one
+# sign-flipped _swap, kept as the reference for it, with their own _slide.
+def _slide(count):
+    """The odd increments 2*count-3, 2*count-5, ..., 1."""
+    return [2 * count - 2 * k - 3 for k in range(count - 1)]
+
+
 def _fwd_2(ev, od):
     inc = _slide(len(ev))
     to_odd = [ev[k] + inc[k] for k in range(len(ev) - 1)] + [ev[-1] - 1]
@@ -390,25 +394,35 @@ def _swap_case(evens, odds):
 
 
 def _forward_matches_reference(ev, od):
-    return sorted(_fwd_swap(ev, od)) == sorted(REFERENCE_SWAPS[_swap_case(ev, od)][0](ev, od))
+    case = _swap_case(ev, od)
+    return sorted(CASES[case].forward(ev, od)) == sorted(REFERENCE_SWAPS[case][0](ev, od))
 
 
 def _backward_matches_reference(e, o):
-    return sorted(_bwd_swap(e, o)) == sorted(REFERENCE_SWAPS[_swap_case(e, o)][1](e, o))
+    case = _swap_case(e, o)
+    return sorted(CASES[case].backward(e, o)) == sorted(REFERENCE_SWAPS[case][1](e, o))
+
+
+def _binding(rewrite, like):
+    """A row's rewrite as its function and as many of its bound constants
+    as the expected rewrite like binds."""
+    bound = len(getattr(like, "args", ()))
+    return getattr(rewrite, "func", rewrite), getattr(rewrite, "args", ())[:bound]
 
 
 @pytest.mark.parametrize(
     "cases,fwd,bwd",
     [
-        pytest.param(REFERENCE_SWAPS, _fwd_swap, _bwd_swap, id="swap"),
+        pytest.param(REFERENCE_SWAPS, partial(_swap, 1), partial(_swap, -1), id="swap"),
         pytest.param(REFERENCE_TOWERS, _fwd_tower, _bwd_tower, id="tower"),
         pytest.param(REFERENCE_LONGS, _fwd_long, _bwd_long, id="long"),
     ],
 )
 def test_cases_of_one_shape_share_one_rewrite_pair(cases, fwd, bwd):
-    """Each group's rows hold one function, bare or with bound constants."""
-    assert {getattr(CASES[case].forward, "func", CASES[case].forward) for case in cases} == {fwd}
-    assert {getattr(CASES[case].backward, "func", CASES[case].backward) for case in cases} == {bwd}
+    """Each group's rows hold one function, bare or with bound constants;
+    the swap's rows bind sign 1 forward and -1 backward."""
+    assert {_binding(CASES[case].forward, fwd) for case in cases} == {_binding(fwd, fwd)}
+    assert {_binding(CASES[case].backward, bwd) for case in cases} == {_binding(bwd, bwd)}
 
 
 def test_block_swap_matches_reference_up_to_50():
@@ -437,7 +451,8 @@ def test_block_swap_matches_reference_on_draws(weight):
         ev, od = parity_split(sources.sample(rng))
         if Classifier().source(ev, od)[0] in REFERENCE_SWAPS:
             assert _forward_matches_reference(ev, od), (ev, od)
-            assert _backward_matches_reference(*parity_split(_fwd_swap(ev, od)))
+            image = CASES[_swap_case(ev, od)].forward(ev, od)
+            assert _backward_matches_reference(*parity_split(image))
             checked += 2
         e, o = parity_split(images.sample(rng))
         if set(Classifier().image(e, o)) & set(REFERENCE_SWAPS):
@@ -623,8 +638,10 @@ def _one_even_members(draw, case, b):
     least weight, the domain edge: these cases fail below it exactly at
     their flattest members, so shrinking walks toward the failures."""
     step = 4 if b == 1 else 2
-    min_weight = CASES[case].min_weight
-    first = min_weight + ((3 if b == 1 else b) - min_weight) % step
+    # the flattest member with b odd parts, 2b above 2b - 1, ..., 3, 1,
+    # weighs b^2 + 2b; case 6 has no member below it once b passes 5
+    least_weight = max(CASES[case].min_weight, b * b + 2 * b)
+    first = least_weight + ((3 if b == 1 else b) - least_weight) % step
     n = first + step * draw(st.integers(0, (MAX_MAP_WEIGHT - first) // step))
     # the odd parts below t weigh n - 2t - 1: at most (b - 1)(t - b), right
     # below t, and at least (b - 1)^2, as 1, 3, 5, ...
@@ -632,6 +649,9 @@ def _one_even_members(draw, case, b):
     least += 1 - least % 2
     most = (n - 1 - (b - 1) ** 2) // 2
     most -= 1 - most % 2
+    # right above the flattest member some weights have no member, such as
+    # 37 for b = 5, where least > most
+    assume(least <= most)
     top = least + 2 * draw(st.integers(0, (most - least) // 2))
     # the k-th least odd part is 2k - 1 plus twice its lift; the lifts do not
     # decrease with k, stay at most (t - 2b + 1) / 2 and sum to spare, and
@@ -649,7 +669,7 @@ def _one_even_members(draw, case, b):
 
 # (case, odd parts) for each fixed length of the cases whose source members
 # are one even part above the odd ones, right above the top odd part
-ONE_EVEN_SHAPES = [(7, 4), (7, 3), (8, 2), (9, 1)]
+ONE_EVEN_SHAPES = [(6, 5), (6, 9), (7, 4), (7, 3), (8, 2), (9, 1)]
 
 
 @pytest.mark.parametrize("case,b", ONE_EVEN_SHAPES)
@@ -658,6 +678,70 @@ def test_one_even_edge_members_map_through(case, b):
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(_one_even_members(case, b))
+    def check(source):
+        assert _maps_through(case, source), source
+
+    check()
+
+
+@st.composite
+def _separated_members(draw, lengths, least_gap, lift_odds):
+    """A source member of a even parts above b distinct odd parts, with
+    (a, b) drawn from lengths, the cross gap at least least_gap, up to
+    ``MAX_MAP_WEIGHT``.  It is drawn as nonnegative offsets from the
+    flattest member with those lengths, the odd parts 2b - 1, ..., 3, 1
+    under a evens equal to 2b - 1 + least_gap (at least 2): lifts of the
+    odd parts, each lifting every part above it too (none unless
+    lift_odds), and gaps below the evens, each lifting every even above
+    it too.  The all-zero draw at the least lengths is the case's least
+    member, so shrinking walks toward the domain edge."""
+    a, b = draw(lengths)
+    even = max(2 * b - 1 + least_gap, 2)
+    # the weight left above the flattest member, in units of 2
+    spare = (MAX_MAP_WEIGHT - b * b - a * even) // 2
+    # lifts[k] lifts odd part k, the odd parts above it and every even
+    lifts = []
+    for k in range(b):
+        lifts.append(draw(st.integers(0, spare // (k + 1 + a))) if lift_odds else 0)
+        spare -= lifts[-1] * (k + 1 + a)
+    # gaps[i] lifts even part i and the even parts above it
+    gaps = []
+    for i in range(a):
+        gaps.append(draw(st.integers(0, spare // (i + 1))))
+        spare -= gaps[-1] * (i + 1)
+    odds = [2 * (b - k) - 1 + 2 * lift for k, lift in enumerate(_suffix_sums(lifts))]
+    base = even + 2 * sum(lifts)
+    return Partition([base + 2 * gap for gap in _suffix_sums(gaps)] + odds)
+
+
+def _suffix_sums(values):
+    """The sums values[k:] for each k."""
+    return list(accumulate(reversed(values)))[::-1]
+
+
+# case: (its block lengths (a, b), its least cross gap, whether its odd
+# parts may lift) for the cases whose source members have any lengths; the
+# least members are 1, 4,4,3,1, 4,4,4,3,1, 6,6,5,3,1, 4,1 and 2,2,2,1, at
+# each case's minimum weight
+SEPARATED_SHAPES = {
+    1: (st.integers(1, 20).flatmap(lambda n: st.sampled_from([(0, n), (n, 0)])), 1, True),
+    2: (st.integers(2, 20).map(lambda n: (n, n)), 1, True),
+    3: (st.integers(2, 19).flatmap(lambda b: st.tuples(st.integers(b + 1, 20), st.just(b))),
+        1, True),
+    4: (st.integers(2, 19).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, 20))),
+        1, True),
+    5: (st.tuples(st.just(1), st.integers(1, 20)), 3, True),
+    11: (st.tuples(st.integers(3, 20), st.just(1)), 1, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEPARATED_SHAPES))
+def test_separated_edge_members_map_through(case):
+    """From the domain edge up, every drawn member with blocks of up to 20
+    parts maps through."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(_separated_members(*SEPARATED_SHAPES[case]))
     def check(source):
         assert _maps_through(case, source), source
 
@@ -690,7 +774,7 @@ def _long_members(draw, case):
         gaps.append(draw(st.integers(0, spare // (i + 1))))
         spare -= gaps[-1] * (i + 1)
     odd = 3 + 2 * odd_lift
-    lifts = list(accumulate(reversed(gaps)))[::-1]
+    lifts = _suffix_sums(gaps)
     return Partition([odd + 1 + 2 * lift for lift in lifts] + [odd])
 
 

@@ -1,6 +1,7 @@
 """The package's export list is the union of its modules' ``__all__``
-lists, each export has a user, and the package imports nothing outside
-the standard library, and neither ``dataclasses`` nor ``typing``."""
+lists, each export and each top-level definition in src/ has a user, and
+the package imports nothing outside the standard library, and neither
+``dataclasses`` nor ``typing``."""
 
 import ast
 import re
@@ -70,11 +71,43 @@ def _readme_names() -> set[str]:
     return set(re.findall(r"[A-Za-z_]\w*", "\n".join(code)))
 
 
+def _tracer_names() -> set[str]:
+    """The words of perfbench/tracer.py, which binds functions by their names, as strings."""
+    return set(re.findall(r"\w+", (ROOT / "perfbench" / "tracer.py").read_text()))
+
+
 def test_every_export_has_a_user():
-    # perfbench/tracer.py binds functions by their names, as strings
-    tracer = set(re.findall(r"\w+", (ROOT / "perfbench" / "tracer.py").read_text()))
-    users = _src_uses() | _readme_names() | tracer | {"__version__"}
+    users = _src_uses() | _readme_names() | _tracer_names() | {"__version__"}
     assert sorted(set(parityparts.__all__) - users) == []
+
+
+def _top_level_names(path: Path) -> set[str]:
+    """The functions, classes and assigned names a module defines at its top level."""
+    names = set()
+    for statement in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            names.add(statement.name)
+        elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            names.update(
+                node.id
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            )
+    return names
+
+
+def test_every_top_level_definition_has_a_user():
+    """A function, class or name defined at a module's top level is used
+    elsewhere in src/, or named in the README or the tracer; code kept in
+    src/ only for the tests goes."""
+    users = _src_uses() | _readme_names() | _tracer_names()
+    unused = {
+        (path.name, name)
+        for path in SRC.glob("*.py")
+        for name in _top_level_names(path)
+        if not (name.startswith("__") and name.endswith("__")) and name not in users
+    }
+    assert sorted(unused) == []
 
 
 def test_src_imports_only_stdlib():
