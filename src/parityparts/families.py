@@ -27,13 +27,14 @@ are even, so the rows for the state after the crossing hold only the even
 weights.  Each table stores its rows only at the values of its own block's
 parity: at the other values a row is the row below it, plus, for the open
 state, one crossing term that a draw reads from the other table.  That is
-about 9n²/32 cells in all.  Both tables are built by slice-add kernels
-(``_take``, and ``_cross`` for counting with odd upper parts) that keep the
-per-cell additions in C.  A draw comes out as its two blocks
-(``unrank_blocks``): one walk makes one pass per block, with the same two
-bisections and the same distinct rule on that block's table, and the upper
-pass ends where the walk crosses into the lower block, so neither a
-``Partition`` nor a split is needed.
+about 9n²/32 cells in all.  One loop body builds both, taking each value
+into its own table's row by the slice-add kernel ``_take`` (counting with
+odd upper parts also uses ``_cross``), which keeps the per-cell additions
+in C.  A draw comes out as its two blocks (``unrank_blocks``): one walk
+makes one pass per block, with the same two bisections and the same
+distinct rule on that block's table, and the upper pass ends where the
+walk crosses into the lower block, so neither a ``Partition`` nor a split
+is needed.
 
 Enumeration is an independent route, so counting, sampling and
 enumeration cross-check each other.  ``member_blocks`` walks each member
@@ -490,8 +491,11 @@ class FamilySampler:
     A ``before`` row at a lower value v is the row below it plus a crossing
     term: the members whose first part is v, followed by a lower block of
     parts at most v (below v if distinct), the ``after`` row at v (at v - 1)
-    at weight m - v.  The build makes that row as a temporary and takes the
-    next upper value into it in place.  A draw is one walk with one pass
+    at weight m - v, made as a temporary that the next upper value is taken
+    into in place.  One build body serves every value: the table of its
+    parity takes it into a row and stores it, ``_top`` gains that row's cell
+    at weight n - v (read before a distinct take), and only a lower value
+    then crosses into the ``before`` row.  A draw is one walk with one pass
     per block: each pass bisects its own table's rows for the next part and
     its multiplicity, and a distinct part subtracts the count below it.
     The upper pass also probes the one lower value just below the row
@@ -551,43 +555,36 @@ class FamilySampler:
                     b_row = b_last[:keep]
                 else:
                     del b_row[keep:]
-            # before[value] at weight m gains source at weight m - value: the
-            # members whose first part is value.  value is a multiple of its
-            # table's step, so it moves value // step indices; a shared row
-            # holds no index that far, so it is never written.
+            # the table of value's parity takes it into a row: b_row, or a copy
+            # of the last lower row trimmed like b_row from weight 0.  value
+            # moves value // step indices; a shared row holds no index that
+            # far, so it is never written.
             if value % 2 == upper_rem:
-                # column n gains source at weight n - value; a distinct take
-                # reads the row before it, so its term is read first
-                column = (n - value) // b_step
-                if upper_distinct:
-                    top.append(top[-1] + b_row[column])
-                shift = value // b_step
-                _take(b_row, shift, upper_distinct, shift)
-                if not upper_distinct:
-                    top.append(top[-1] + b_row[column])
-                upper.append(b_row)
+                rows, step, base, distinct, row = upper, b_step, low, upper_distinct, b_row
             else:
-                a_last = a_row = lower[-1]
-                if (len(a_last) - 1) * a_step >= value:
-                    a_row = a_last[: (n - value) // a_step + 1]
-                shift = value // a_step
-                _take(a_row, shift, lower_distinct, shift)
-                lower.append(a_row)
-                source = a_last if lower_distinct else a_row
+                rows, step, base, distinct = lower, a_step, 0, lower_distinct
+                row = lower[-1]
+                if (len(row) - 1) * step >= value:
+                    row = row[: (n - value) // step + 1]
+            # top gains the row's cell at n - value, read before a distinct
+            # take; a step-2 after row keeps no odd weight, whose cell is 0
+            column, odd = divmod(n - value - base, step)
+            term = 0 if odd else row[column]
+            shift = value // step
+            _take(row, shift, distinct, shift)
+            top.append(top[-1] + (term if distinct or odd else row[column]))
+            rows.append(row)
+            if rows is lower:
                 # from an untouched state, placing this value crosses the
                 # blocks; first is the least kept weight >= value, and
                 # exactly one of the steps is 2
+                source = lower[-2] if distinct else row
                 first = value + (n - value) % b_step
                 b_row[first // b_step :: a_step] = map(
                     add,
                     b_row[first // b_step :: a_step],
                     source[(first - value) // a_step :: b_step],
                 )
-                # an after row of step 2 keeps no odd weight, whose cell is 0
-                if (n - value) % a_step:
-                    top.append(top[-1])
-                else:
-                    top.append(top[-1] + source[(n - value) // a_step])
             b_last = b_row
         self._before_step = b_step
         self._after_step = a_step

@@ -567,6 +567,39 @@ def test_eu_ou_sampler_at_the_cutoff_peaks_below_340_mib():
     assert int(result.stdout) < 340 * 1024
 
 
+# prints, for each weight, whether the sampler's count is the DP's and
+# whether its column n never decreases; one sampler at a time keeps the
+# peak at one table
+SAMPLER_AT_CUTOFF = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from parityparts.families import SAMPLE_CUTOFF, CountTable, Family, FamilySampler
+family = Family(sys.argv[2])
+table = CountTable.build(family, SAMPLE_CUTOFF)
+for n in (SAMPLE_CUTOFF - 1, SAMPLE_CUTOFF):
+    sampler = FamilySampler(family, n)
+    top = sampler._top
+    print(n, sampler.count == table[n], all(a <= b for a, b in zip(top, top[1:])))
+    del sampler, top
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
+def test_sampler_count_matches_count_table_at_the_cutoff(family):
+    """The largest tables, where the most rows are shared past n / 2 and
+    one table keeps a single parity: the count against the DP's, and
+    column n nondecreasing in the largest part allowed.  Each family runs
+    in a fresh interpreter, as a process that has held a table this size
+    keeps its memory, and a later child's peak RSS would count it."""
+    src = str(Path(parityparts.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", SAMPLER_AT_CUTOFF, src, family.value],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == f"{SAMPLE_CUTOFF - 1} True True\n{SAMPLE_CUTOFF} True True\n"
+
+
 TABLES_300 = {family: CountTable.build(family, 300) for family in CHAIN}
 
 
@@ -583,10 +616,32 @@ def test_every_family_has_a_member_at_every_weight():
         assert all(table[n] > 0 for n in range(301)), family.value
 
 
+TABLES_400 = {family: CountTable.build(family, 400) for family in CHAIN}
+
+# the weights in 0..400 where each link of the chain is not strict; each
+# link is strict from one above its largest, its threshold in ROADMAP's
+# Baseline (11, 4, 50, 5, 6, 5 and 4)
+CHAIN_LINK_FAILURES = {
+    (Family.ED_OD, Family.OD_ED): {0, 1, 2, 4, 5, 6, 10},
+    (Family.OD_ED, Family.OD_EU): {0, 1, 2, 3},
+    (Family.OD_EU, Family.EU_OD): {*range(18), *range(19, 50, 2)},
+    (Family.EU_OD, Family.ED_OU): {0, 1, 4},
+    (Family.ED_OU, Family.EU_OU): {0, 1, 2, 3, 5},
+    (Family.EU_OU, Family.OU_ED): {0, 1, 2, 4},
+    (Family.OU_ED, Family.OU_EU): {0, 1, 2, 3},
+}
+
+
+def test_chain_links_fail_exactly_at_their_frozen_sets():
+    assert list(CHAIN_LINK_FAILURES) == list(zip(CHAIN, CHAIN[1:]))
+    for (small, large), failures in CHAIN_LINK_FAILURES.items():
+        loose = {n for n in range(401) if not TABLES_400[small][n] < TABLES_400[large][n]}
+        assert loose == failures, (small.value, large.value)
+
+
 def test_chain_ordering_50_to_400():
     """The eight counts are weakly increasing along the chain, strictly at
     the asserted links, for every weight from 50 to 400."""
-    tables = {family: CountTable.build(family, 400) for family in CHAIN}
     strict_pairs = [
         (Family.ED_OD, Family.OD_ED),
         (Family.EU_OU, Family.OU_EU),
@@ -596,11 +651,11 @@ def test_chain_ordering_50_to_400():
         (Family.OD_EU, Family.EU_OD),
     ]
     for n in range(50, 401):
-        counts = [tables[family][n] for family in CHAIN]
+        counts = [TABLES_400[family][n] for family in CHAIN]
         for left, right in zip(counts, counts[1:]):
             assert left <= right, (n, counts)
         for small, large in strict_pairs:
-            assert tables[small][n] < tables[large][n], (n, small.value, large.value)
+            assert TABLES_400[small][n] < TABLES_400[large][n], (n, small.value, large.value)
 
 
 def test_counts_csv_shape():

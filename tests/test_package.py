@@ -1,13 +1,16 @@
 """The package's export list is the union of its modules' ``__all__``
-lists, each export and each top-level definition in src/ has a user, and
-the package imports nothing outside the standard library, and neither
-``dataclasses`` nor ``typing``."""
+lists, each export and each top-level definition in src/ has a user,
+every dotted name the docs cite resolves, and the package imports
+nothing outside the standard library, and neither ``dataclasses`` nor
+``typing``."""
 
 import ast
+import importlib
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import parityparts
 from parityparts import casemap, core, families, series, verify
@@ -108,6 +111,62 @@ def test_every_top_level_definition_has_a_user():
         if not (name.startswith("__") and name.endswith("__")) and name not in users
     }
     assert sorted(unused) == []
+
+
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+
+
+def _doc_references() -> list[tuple[str, str]]:
+    """(file, dotted name) for each double-backtick span in src/ and each
+    README inline code span that starts with a dotted name, such as
+    ``families.MAX_DRAWS`` or ``casemap.WITNESS_CUTOFF = 1000000``."""
+    spans = [
+        (path.name, span)
+        for path in sorted(SRC.glob("*.py"))
+        for span in re.findall(r"``(.+?)``", path.read_text(), re.S)
+    ]
+    prose = (ROOT / "README.md").read_text().split("```")[::2]
+    spans += [("README.md", span) for text in prose for span in re.findall(r"`([^`]+)`", text)]
+    return [(name, match[0]) for name, span in spans if (match := DOTTED.match(span))]
+
+
+def _resolves(dotted: str) -> bool:
+    """The head is the package, one of its modules, one of its exports or a
+    stdlib module, and each later name is an attribute or a submodule."""
+    head, *names = dotted.split(".")
+    if head == "parityparts":
+        target = parityparts
+    elif (SRC / f"{head}.py").exists():
+        target = importlib.import_module(f"parityparts.{head}")
+    elif head in parityparts.__all__:
+        target = getattr(parityparts, head)
+    elif head in sys.stdlib_module_names:
+        target = importlib.import_module(head)
+    else:
+        return False
+    for name in names:
+        if isinstance(target, ModuleType) and not hasattr(target, name):
+            try:
+                importlib.import_module(f"{target.__name__}.{name}")
+            except ModuleNotFoundError:
+                return False
+        if not hasattr(target, name):
+            return False
+        target = getattr(target, name)
+    return True
+
+
+def test_every_dotted_doc_reference_resolves():
+    """A rename that leaves a docstring, a comment or the README behind fails here."""
+    references = _doc_references()
+    assert {name for name, _ in references} >= {"README.md", "families.py", "verify.py"}
+    assert [(name, dotted) for name, dotted in references if not _resolves(dotted)] == []
+
+
+def test_dotted_doc_references_fail_when_stale():
+    stale = ("families.member_walk", "FamilySampler.draw", "core.nope", "nope.x", "functools.nope")
+    for dotted in stale:
+        assert not _resolves(dotted), dotted
 
 
 def test_src_imports_only_stdlib():
