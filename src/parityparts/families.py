@@ -27,14 +27,15 @@ are even, so the rows for the state after the crossing hold only the even
 weights.  Each table stores its rows only at the values of its own block's
 parity: at the other values a row is the row below it, plus, for the open
 state, one crossing term that a draw reads from the other table.  That is
-about 9n²/32 cells in all.  One loop body builds both, taking each value
-into its own table's row by the slice-add kernel ``_take`` (counting with
-odd upper parts also uses ``_cross``), which keeps the per-cell additions
-in C.  A draw comes out as its two blocks (``unrank_blocks``): one walk
-makes one pass per block, with the same two bisections and the same
-distinct rule on that block's table, and the upper pass ends where the
-walk crosses into the lower block, so neither a ``Partition`` nor a split
-is needed.
+about 9n²/32 cells in all.  The build never makes the ``before`` row at a
+lower value either: the next upper row adds its crossing term.  One loop
+body builds both tables, taking each value into its own table's row by
+the slice-add kernel ``_take`` (counting with odd upper parts also uses
+``_cross``), which keeps the per-cell additions in C.  A draw comes out
+as its two blocks (``unrank_blocks``): one walk makes one pass per block,
+with the same two bisections and the same distinct rule on that block's
+table, and the upper pass ends where the walk crosses into the lower
+block, so neither a ``Partition`` nor a split is needed.
 
 Enumeration is an independent route, so counting, sampling and
 enumeration cross-check each other.  ``member_blocks`` walks each member
@@ -480,8 +481,9 @@ class FamilySampler:
     the first part reads column n, which is kept apart as ``_top``.  Rows
     may hold more than their triangle, never less, and every stored cell is
     exact.  Each table decides its sharing alone: once every weight its
-    row v - 1 stores is below v, from about v = n / 2 + 1, taking v
-    changes none of that row's cells, so its row v is row v - 1, the same
+    row v - 1 stores is below v (below v - 1 for an upper row, which also
+    gains a crossing term), from about v = n / 2 + 1, building row v
+    changes none of that row's cells, so row v is row v - 1, the same
     object.  Past that point in both tables only ``_top`` still grows.
 
     Each table stores rows only at 0 and at the values of its own block's
@@ -491,11 +493,11 @@ class FamilySampler:
     A ``before`` row at a lower value v is the row below it plus a crossing
     term: the members whose first part is v, followed by a lower block of
     parts at most v (below v if distinct), the ``after`` row at v (at v - 1)
-    at weight m - v, made as a temporary that the next upper value is taken
-    into in place.  One build body serves every value: the table of its
-    parity takes it into a row and stores it, ``_top`` gains that row's cell
-    at weight n - v (read before a distinct take), and only a lower value
-    then crosses into the ``before`` row.  A draw is one walk with one pass
+    at weight m - v.  That row is never built: the ``before`` row at the
+    upper value v + 1 copies the row below v and adds the crossing term.
+    One build body serves every value: the table of its parity takes it
+    into a row and stores it, and ``_top`` gains that row's cell at weight
+    n - v (read before a distinct take).  A draw is one walk with one pass
     per block: each pass bisects its own table's rows for the next part and
     its multiplicity, and a distinct part subtracts the count below it.
     The upper pass also probes the one lower value just below the row
@@ -540,32 +542,35 @@ class FamilySampler:
         lower = [row0[::a_step]]
         # top[v] = before[v] at weight n, the one cell past the triangle
         top = [row0[n]]
-        # before[value - 1]: a stored upper row, or the crossing row of a
-        # lower value, which is a temporary
-        b_last = upper[0]
         for value in range(1, n + 1):
-            # a part equal to value changes no weight below it, so a row whose
-            # stored weights are all below value is the row before it, the
-            # same object; a row that stores a weight from value up keeps
-            # its weights up to n - value, in a copy unless it is temporary
-            b_row = b_last
-            if (len(b_last) - 1) * b_step + low >= value:
-                keep = (n - value - low) // b_step + 1
-                if b_last is upper[-1]:
-                    b_row = b_last[:keep]
-                else:
-                    del b_row[keep:]
-            # the table of value's parity takes it into a row: b_row, or a copy
-            # of the last lower row trimmed like b_row from weight 0.  value
-            # moves value // step indices; a shared row holds no index that
-            # far, so it is never written.
+            # the table of value's parity takes it into a row; least is the
+            # least weight that row gains, value - 1 for an upper row, which
+            # also gains the crossing term of the lower value below it
             if value % 2 == upper_rem:
-                rows, step, base, distinct, row = upper, b_step, low, upper_distinct, b_row
+                rows, step, base, distinct, least = upper, b_step, low, upper_distinct, value - 1
             else:
-                rows, step, base, distinct = lower, a_step, 0, lower_distinct
-                row = lower[-1]
-                if (len(row) - 1) * step >= value:
-                    row = row[: (n - value) // step + 1]
+                rows, step, base, distinct, least = lower, a_step, 0, lower_distinct, value
+            # a row whose stored weights are all below least is the row
+            # before it, the same object, and is never written; one that
+            # stores a weight from least up keeps its weights up to
+            # n - value, in a copy
+            row = rows[-1]
+            if (len(row) - 1) * step + base >= least:
+                row = row[: (n - value - base) // step + 1]
+            if rows is upper and value > 1:
+                # the before row at the lower value just below is the row
+                # before it plus the members whose first part is that value:
+                # the after row there (the one before it if distinct) at
+                # weight m - crossing.  first is the least kept weight
+                # >= crossing, and exactly one of the steps is 2
+                crossing = value - 1
+                source = lower[-2] if lower_distinct else lower[-1]
+                first = crossing + (n - crossing) % b_step
+                row[first // b_step :: a_step] = map(
+                    add,
+                    row[first // b_step :: a_step],
+                    source[(first - crossing) // a_step :: b_step],
+                )
             # top gains the row's cell at n - value, read before a distinct
             # take; a step-2 after row keeps no odd weight, whose cell is 0
             column, odd = divmod(n - value - base, step)
@@ -574,18 +579,6 @@ class FamilySampler:
             _take(row, shift, distinct, shift)
             top.append(top[-1] + (term if distinct or odd else row[column]))
             rows.append(row)
-            if rows is lower:
-                # from an untouched state, placing this value crosses the
-                # blocks; first is the least kept weight >= value, and
-                # exactly one of the steps is 2
-                source = lower[-2] if distinct else row
-                first = value + (n - value) % b_step
-                b_row[first // b_step :: a_step] = map(
-                    add,
-                    b_row[first // b_step :: a_step],
-                    source[(first - value) // a_step :: b_step],
-                )
-            b_last = b_row
         self._before_step = b_step
         self._after_step = a_step
         self._upper = upper

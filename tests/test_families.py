@@ -1,16 +1,12 @@
 import gc
 import hashlib
 import random
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import parityparts
 from parityparts.core import Partition, parity_split, parse_partition
 from parityparts.families import (
     COUNT_CUTOFF,
@@ -29,6 +25,7 @@ from parityparts.families import (
 )
 from parityparts.verify import verify_exhaustive
 
+from fresh_python import PRINT_PEAK, run_fresh
 from partition_oracle import all_partitions
 
 CHAIN = tuple(Family)
@@ -496,14 +493,14 @@ def test_sampler_stores_about_nine_thirty_seconds_n_squared_cells():
 
 def _assert_each_table_shares_by_its_own_weights(sampler):
     """A stored row is the stored row before it, the same object, exactly
-    when that row stores no weight from the first value between them that
-    adds to its table: such a part, and every one up to the next stored
-    value, changes none of its cells.  Between two ``_lower`` rows lies an
-    upper value, which places no lower part, so each ``_lower`` row is
-    judged at its own value.  Between two ``_upper`` rows lies a lower value
-    (except below 1 when the upper parts are odd), whose crossing row is
-    the ``_upper`` row before it as long as that row stores no weight from
-    the lower value up.  Neither table's sharing waits for the other's."""
+    when that row stores no weight from the least one that the values
+    between them write: such parts change none of its cells.  Between two
+    ``_lower`` rows lies an upper value, which places no lower part, so
+    each ``_lower`` row is judged at its own value.  An ``_upper`` row at v
+    also gains the crossing of the lower value v - 1 below it (none below
+    1 when the upper parts are odd), so it is judged from v - 1.  Neither
+    table's sharing waits for the other's.  A row that is not shared is a
+    copy that holds exactly its triangle, the weights 0..n - v."""
     n = sampler.n
     upper_rem = 1 if sampler.family.upper_odd else 0
     for rows, step, low, first_value in (
@@ -515,6 +512,8 @@ def _assert_each_table_shares_by_its_own_weights(sampler):
             first = value - 1 if rows is sampler._upper and value > 1 else value
             stored = (len(rows[k - 1]) - 1) * step + low
             assert (rows[k] is rows[k - 1]) == (stored < first), (n, value)
+            if rows[k] is not rows[k - 1]:
+                assert len(rows[k]) == (n - value - low) // step + 1, (n, value)
 
 
 @pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
@@ -546,12 +545,11 @@ def test_od_eu_sampler_at_2000_peaks_below_39_mib():
 
 
 SAMPLER_PEAK_RSS = """
-import resource, sys
+import sys
 sys.path.insert(0, sys.argv[1])
 from parityparts.families import Family, FamilySampler
 FamilySampler(Family.EU_OU, 5000)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-"""
+""" + PRINT_PEAK
 
 
 @pytest.mark.slow
@@ -559,12 +557,8 @@ def test_eu_ou_sampler_at_the_cutoff_peaks_below_340_mib():
     """The largest odd-upper family at ``SAMPLE_CUTOFF``: the whole process
     peaks at about 286 MiB, where a ``before`` row at every value took
     396 MiB."""
-    src = str(Path(parityparts.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", SAMPLER_PEAK_RSS, src],
-        capture_output=True, text=True, check=True,
-    )
-    assert int(result.stdout) < 340 * 1024
+    peak = int(run_fresh(SAMPLER_PEAK_RSS))
+    assert peak < 340 * 1024, f"peak RSS {peak} KiB"
 
 
 # prints, for each weight, whether the sampler's count is the DP's and
@@ -590,14 +584,11 @@ def test_sampler_count_matches_count_table_at_the_cutoff(family):
     """The largest tables, where the most rows are shared past n / 2 and
     one table keeps a single parity: the count against the DP's, and
     column n nondecreasing in the largest part allowed.  Each family runs
-    in a fresh interpreter, as a process that has held a table this size
-    keeps its memory, and a later child's peak RSS would count it."""
-    src = str(Path(parityparts.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", SAMPLER_AT_CUTOFF, src, family.value],
-        capture_output=True, text=True, check=True,
+    in a fresh interpreter, so the test process never holds a table this
+    size: a process that has held one keeps its memory."""
+    assert run_fresh(SAMPLER_AT_CUTOFF, family.value) == (
+        f"{SAMPLE_CUTOFF - 1} True True\n{SAMPLE_CUTOFF} True True\n"
     )
-    assert result.stdout == f"{SAMPLE_CUTOFF - 1} True True\n{SAMPLE_CUTOFF} True True\n"
 
 
 TABLES_300 = {family: CountTable.build(family, 300) for family in CHAIN}

@@ -2,14 +2,11 @@
 
 import hashlib
 import json
-import subprocess
-import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-import parityparts
 import parityparts.verify as verify_module
 from parityparts import casemap
 from parityparts.casemap import CASES, IMAGE_FAMILY, SOURCE_FAMILY, WITNESS_CUTOFF
@@ -24,6 +21,8 @@ from parityparts.verify import (
     verify_sampled,
     verify_witnesses,
 )
+
+from fresh_python import PRINT_PEAK, run_fresh
 
 PINNED_BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
 
@@ -275,15 +274,13 @@ def test_deep_exhaustive_reports_are_frozen(n):
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == DEEP_EXHAUSTIVE_REPORTS[n]
 
 
-# a fresh interpreter verifies weight 120 and prints its peak RSS, which
-# Linux reports in KiB
+# a fresh interpreter verifies weight 120 and prints its own peak RSS
 DEEP_PEAK_RSS = """
-import resource, sys
+import sys
 sys.path.insert(0, sys.argv[1])
 from parityparts.verify import verify_exhaustive
 assert verify_exhaustive(120, cutoff=120).ok
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-"""
+""" + PRINT_PEAK
 
 
 @pytest.mark.slow
@@ -291,12 +288,18 @@ def test_exhaustive_at_120_peaks_below_120_mib():
     """The walk's memo keeps only lower blocks of weight at most 2n/3: the
     whole process peaks at about 72 MiB, where a memo of every block took
     334 MiB."""
-    src = str(Path(parityparts.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", DEEP_PEAK_RSS, src],
-        capture_output=True, text=True, check=True,
-    )
-    assert int(result.stdout) < 120 * 1024
+    peak = int(run_fresh(DEEP_PEAK_RSS))
+    assert peak < 120 * 1024, f"peak RSS {peak} KiB"
+
+
+def test_fresh_peak_is_the_childs_own():
+    """The peak that a snippet prints leaves out the memory the test
+    process has held: after this process touches 64 MiB, a bare
+    interpreter still reports well under 32 MiB."""
+    touched = bytearray(b"\x01") * (64 * 2**20)
+    del touched
+    peak = int(run_fresh(PRINT_PEAK))
+    assert peak < 32 * 1024, f"peak RSS {peak} KiB"
 
 
 class TestSampled:
