@@ -26,9 +26,14 @@ hold only the weights of n's parity.  Where they are odd, the lower parts
 are even, so the rows for the state after the crossing hold only the even
 weights.  Each table stores its rows only at the values of its own block's
 parity: at the other values a row is the row below it, plus, for the open
-state, one crossing term that a draw reads from the other table.  That is
-about 9n²/32 cells in all.  The build never makes the ``before`` row at a
-lower value either: the next upper row adds its crossing term.  One loop
+state, one crossing term that a draw reads from the other table.  Where
+the lower block is distinct, the lower table stores every other of its
+rows: the row at a lower value v between two stored ones is the stored
+row below it at weight m plus that row at m - v, two reads.  That is
+about 3n²/16 cells for ``od_ed`` and ``od_eu``, 15n²/64 for ``ed_od`` and
+``ed_ou``, and 9n²/32 where the lower block is unrestricted.  The build
+never makes the ``before`` row at a lower value either: the next upper
+row adds its crossing term.  One loop
 body builds both tables, taking each value into its own table's row by
 the slice-add kernel ``_take`` (counting with odd upper parts also uses
 ``_cross``), which keeps the per-cell additions in C.  A draw comes out
@@ -88,7 +93,8 @@ ENUMERATION_CUTOFF = 70
 # O(sqrt n)-digit counts.  At 5000 one build takes 0.44 s and 287 MiB peak
 # RSS for ou_eu, the largest family, and 0.44 s and 286 MiB for eu_ou, the
 # largest odd-upper one (Python 3.11.7, x86-64 Xeon VM, one CPU; the README
-# lists smaller weights).
+# lists smaller weights).  Both have an unrestricted lower block, whose
+# sampler keeps every lower row.
 SAMPLE_CUTOFF = 5000
 # Above this weight counting is refused: a table is a list per weight of
 # counts up to O(sqrt n) digits, built in O(n^2) additions (see the README).
@@ -495,14 +501,29 @@ class FamilySampler:
     parts at most v (below v if distinct), the ``after`` row at v (at v - 1)
     at weight m - v.  That row is never built: the ``before`` row at the
     upper value v + 1 copies the row below v and adds the crossing term.
+
+    Where the lower block is distinct, ``_lower`` keeps only row 0 and the
+    rows at the 2nd, 4th, ... lower values.  The ``after`` row at v - 1 is
+    the one at v - 2, so the row at a skipped value v is
+    ``after[v-2][m] + after[v-2][m - v]``, two cells of the stored row
+    below it.  An unrestricted lower row has no such O(1) form, so those
+    families keep every lower row.
+
     One build body serves every value: the table of its parity takes it
-    into a row and stores it, and ``_top`` gains that row's cell at weight
-    n - v (read before a distinct take).  A draw is one walk with one pass
-    per block: each pass bisects its own table's rows for the next part and
-    its multiplicity, and a distinct part subtracts the count below it.
-    The upper pass also probes the one lower value just below the row
-    found, which decides whether the walk crosses; once it has crossed, the
-    lower pass reads the lower rows alone.  That keeps about 9n²/32 cells.
+    into a row and stores it, or keeps a skipped lower row only until the
+    crossing term of the next upper value has read it, and ``_top`` gains
+    that row's cell at weight n - v (read before a distinct take).  A draw
+    is one walk with one pass per block: each pass bisects its own table's
+    rows for the next part and its multiplicity, and a distinct part
+    subtracts the count below it.  The upper pass also probes the one
+    lower value just below the row found, which decides whether the walk
+    crosses; once it has crossed, the lower pass reads the lower rows
+    alone.  Where every other lower row is skipped, the lower pass bisects
+    the stored rows, and one probe of the skipped row just below the row
+    found picks one of the two.  That keeps about 3n²/16 cells where the
+    upper parts are even and the lower ones distinct, 15n²/64 where the
+    upper parts are odd and the lower ones distinct, and 9n²/32 where the
+    lower block is unrestricted.
 
     Parity rule: in a family whose upper parts are even, every weight left
     to place while the upper block is open has n's parity.  So the
@@ -532,7 +553,8 @@ class FamilySampler:
         # 2k - upper_rem, and at 0 for k = 0: completions of weight m using
         # values <= it, lower block untouched
         # lower[k][m // a_step]: after at the k-th lower-parity value,
-        # 2k - 1 + upper_rem, and at 0 for k = 0: the same once some lower
+        # 2k - 1 + upper_rem (the 2k-th, 4k - 1 + upper_rem, if the lower
+        # block is distinct), and at 0 for k = 0: the same once some lower
         # part has been placed; the empty completion is valid there, the
         # crossing part already exists
         # Rows are never written once stored, so equal rows are shared objects.
@@ -540,31 +562,33 @@ class FamilySampler:
         row0 = [1] + [0] * n
         upper = [row0[low::b_step]]
         lower = [row0[::a_step]]
+        # the last two after rows built, stored or not
+        below = last = lower[0]
         # top[v] = before[v] at weight n, the one cell past the triangle
         top = [row0[n]]
         for value in range(1, n + 1):
             # the table of value's parity takes it into a row; least is the
             # least weight that row gains, value - 1 for an upper row, which
             # also gains the crossing term of the lower value below it
-            if value % 2 == upper_rem:
-                rows, step, base, distinct, least = upper, b_step, low, upper_distinct, value - 1
+            upper_value = value % 2 == upper_rem
+            if upper_value:
+                row, step, base, distinct, least = upper[-1], b_step, low, upper_distinct, value - 1
             else:
-                rows, step, base, distinct, least = lower, a_step, 0, lower_distinct, value
+                row, step, base, distinct, least = last, a_step, 0, lower_distinct, value
             # a row whose stored weights are all below least is the row
             # before it, the same object, and is never written; one that
             # stores a weight from least up keeps its weights up to
             # n - value, in a copy
-            row = rows[-1]
             if (len(row) - 1) * step + base >= least:
                 row = row[: (n - value - base) // step + 1]
-            if rows is upper and value > 1:
+            if upper_value and value > 1:
                 # the before row at the lower value just below is the row
                 # before it plus the members whose first part is that value:
                 # the after row there (the one before it if distinct) at
                 # weight m - crossing.  first is the least kept weight
                 # >= crossing, and exactly one of the steps is 2
                 crossing = value - 1
-                source = lower[-2] if lower_distinct else lower[-1]
+                source = below if lower_distinct else last
                 first = crossing + (n - crossing) % b_step
                 row[first // b_step :: a_step] = map(
                     add,
@@ -578,7 +602,14 @@ class FamilySampler:
             shift = value // step
             _take(row, shift, distinct, shift)
             top.append(top[-1] + (term if distinct or odd else row[column]))
-            rows.append(row)
+            if upper_value:
+                upper.append(row)
+                continue
+            below, last = last, row
+            # a distinct lower block stores the after rows at its 2nd, 4th,
+            # ... values only; a draw derives the row at the 1st, 3rd, ...
+            if not lower_distinct or not (value + 1 - upper_rem) & 2:
+                lower.append(row)
         self._before_step = b_step
         self._after_step = a_step
         self._upper = upper
@@ -594,9 +625,13 @@ class FamilySampler:
         family = self.family
         upper_rem = 1 if family.upper_odd else 0
         upper, lower = self._upper, self._lower
+        # a distinct lower block stores lower row i at i >> 1 for even i; an
+        # odd i's row, at value v, is the stored row below it at weight m
+        # plus the same row at m - v
+        half = 1 if family.lower_distinct else 0
         # the before table at the lower value just below upper row k's value
         # is row k - 1 plus a crossing term from lower row k - back
-        back = upper_rem + family.lower_distinct
+        back = upper_rem + half
         remaining = self.n
         if not remaining:
             return (), ()
@@ -620,6 +655,7 @@ class FamilySampler:
         ):
             parts: list[int] = []
             k = (value + rem) // 2
+            halved = half and not crossing
             while value % 2 == rem:
                 if distinct:
                     # the members that go on with value come first, before
@@ -650,14 +686,36 @@ class FamilySampler:
                 # In the upper block, probe the lower value just below the
                 # row found, which past the last row is the only value left.
                 # Its crossing term is at weight gap; a lower row of step 2
-                # (upper_rem 1) keeps no odd weight, whose term is 0.
+                # (upper_rem 1) keeps no odd weight, whose term is 0.  A
+                # skipped lower row, at value - 3, adds its stored row at
+                # gap - (value - 3).
                 column = remaining // step
                 high = value - 1 if value <= remaining else remaining
+                if halved:
+                    # the first stored row that holds target is lower row
+                    # 2j, so the next part is the value of row 2j - 1 or 2j.
+                    # Row 2j - 1 is stored row j - 1 at column plus the same
+                    # row at column - shift: it holds target, or it is prev
+                    # for row 2j.  A distinct block reads no ways.
+                    j = bisect_left(rows, target, 1, (high + rem + 2) // 4, key=itemgetter(column))
+                    row = rows[j - 1]
+                    prev = row[column]
+                    value = 4 * j - 2 - rem
+                    shift = value // step
+                    ways = prev + row[column - shift] if shift <= column else prev
+                    if ways < target:
+                        value += 2
+                        prev = ways
+                    continue
                 k = bisect_left(rows, target, 1, (high + rem) // 2 + 1, key=itemgetter(column))
                 value = 2 * k - rem
                 prev = rows[k - 1][column]
                 if crossing and value > 1 and not (gap := remaining - value + 1) & upper_rem:
-                    ways = prev + lower[k - back][gap >> upper_rem]
+                    i = k - back
+                    row = lower[i >> half]
+                    ways = prev + row[gap >> upper_rem]
+                    if i & half and (gap := gap + 3 - value) >= 0:
+                        ways += row[gap >> upper_rem]
                     if ways >= target:
                         value -= 1
                         break

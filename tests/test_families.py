@@ -145,13 +145,26 @@ def sampler_ways(sampler, crossed, value, weight):
     lower block with weight m - v left and parts at most v, or below v if
     the lower block is distinct.  A before row of step 2 holds only
     weights of n's parity, the only ones that remain before the crossing.
+    Where the lower block is distinct, ``_lower`` stores the after row at
+    the k-th lower-parity value as row k // 2 for even k only.  At an odd
+    k's value v it is derived: the after table at v - 1, which is stored,
+    plus the members that take v, that table at weight m - v.
     """
     upper_rem = 1 if sampler.family.upper_odd else 0
     if crossed:
         step = sampler._after_step
         if weight % step:
             return 0
-        return sampler._lower[(value + 1 - upper_rem) // 2][weight // step]
+        k = (value + 1 - upper_rem) // 2
+        if not sampler.family.lower_distinct:
+            return sampler._lower[k][weight // step]
+        if k % 2 == 0:
+            return sampler._lower[k // 2][weight // step]
+        lower_value = 2 * k - 1 + upper_rem
+        ways = sampler_ways(sampler, True, lower_value - 1, weight)
+        if weight >= lower_value:
+            ways += sampler_ways(sampler, True, lower_value - 1, weight - lower_value)
+        return ways
     ways = sampler._upper[(value + upper_rem) // 2][weight // sampler._before_step]
     if value % 2 != upper_rem and 1 <= value <= weight:
         source = value - 1 if sampler.family.lower_distinct else value
@@ -434,11 +447,14 @@ def test_sampler_tables_match_per_cell_reference(family):
     odd weights a step-2 row drops are 0 in the reference.
 
     ``_upper`` stores a row for 0 and for each upper-parity value,
-    ``_lower`` one for 0 and for each lower-parity value.  Each row of a
-    table with step s holds weight m at index m // s: an ``_upper`` row the
-    weights of n's parity (all weights for s = 1), a ``_lower`` row the even
-    weights (all for s = 1).  The before step is 2 when the upper parts are
-    even, the after step when the lower parts are; the other step is 1.
+    ``_lower`` one for 0 and for each lower-parity value, or for only the
+    2nd, 4th, ... of them where the lower block is distinct; the rows at
+    the other values are absent, and ``sampler_ways`` derives them.  Each
+    row of a table with step s holds weight m at index m // s: an
+    ``_upper`` row the weights of n's parity (all weights for s = 1), a
+    ``_lower`` row the even weights (all for s = 1).  The before step is 2
+    when the upper parts are even, the after step when the lower parts
+    are; the other step is 1.
     Each stored row is a prefix of its weights that covers the triangle's
     weights (0..n - v) of that class, and every stored cell, past the
     triangle too, is exact; the odd weights an after row of step 2 drops
@@ -452,6 +468,8 @@ def test_sampler_tables_match_per_cell_reference(family):
     """
     upper_rem = 1 if family.upper_odd else 0
     b_step, a_step = 2 - upper_rem, 1 + upper_rem
+    # the distance between the values of two stored lower rows
+    value_step = 4 if family.lower_distinct else 2
     for n in (*range(121), 400, 401):
         sampler = FamilySampler(family, n)
         before, after = reference_sampler_tables(family, n)
@@ -464,8 +482,10 @@ def test_sampler_tables_match_per_cell_reference(family):
                 assert sampler_ways(sampler, True, v, m) == after[v][m], (n, v, m)
         for rows, values, full_rows, step, low in (
             (sampler._upper, [0, *range(2 - upper_rem, n + 1, 2)], before, b_step, low),
-            (sampler._lower, [0, *range(1 + upper_rem, n + 1, 2)], after, a_step, 0),
+            (sampler._lower, [0, *range(value_step - 1 + upper_rem, n + 1, value_step)], after,
+             a_step, 0),
         ):
+            # one row per listed value, so none at a skipped value
             assert len(rows) == len(values), n
             for k, (row, v) in enumerate(zip(rows, values)):
                 stored = range(low, low + step * len(row), step)
@@ -485,35 +505,44 @@ def _cells(sampler):
     return sum(map(len, rows.values()))
 
 
-def test_sampler_stores_about_nine_thirty_seconds_n_squared_cells():
-    # od_eu at 2000, the deep weight of sampled verification: 9n^2/32 is
-    # 1.125M cells, where before rows at every value held about 1.5M
-    assert _cells(FamilySampler(Family.OD_EU, 2000)) <= 1_135_000
+def test_sampler_stores_about_three_sixteenths_n_squared_cells():
+    # od_eu at 2000, the deep weight of sampled verification: 3n^2/16 is
+    # 750k cells, where lower rows at every lower value held about 1.13M
+    # (9n^2/32), and before rows at every value about 1.5M
+    assert _cells(FamilySampler(Family.OD_EU, 2000)) <= 760_000
 
 
 def _assert_each_table_shares_by_its_own_weights(sampler):
-    """A stored row is the stored row before it, the same object, exactly
-    when that row stores no weight from the least one that the values
-    between them write: such parts change none of its cells.  Between two
-    ``_lower`` rows lies an upper value, which places no lower part, so
-    each ``_lower`` row is judged at its own value.  An ``_upper`` row at v
-    also gains the crossing of the lower value v - 1 below it (none below
-    1 when the upper parts are odd), so it is judged from v - 1.  Neither
-    table's sharing waits for the other's.  A row that is not shared is a
-    copy that holds exactly its triangle, the weights 0..n - v."""
+    """A row, stored or skipped, is the row before it, the same object,
+    exactly when that row stores no weight from the least one that its
+    value writes: such parts change none of its cells.  Between two lower
+    values lies an upper value, which places no lower part, so each lower
+    row is judged at its own value.  An upper row at v also gains the
+    crossing of the lower value v - 1 below it (none below 1 when the upper
+    parts are odd), so it is judged from v - 1.  Neither table's sharing
+    waits for the other's.  A row that is not shared is a copy that holds
+    exactly its triangle, the weights 0..n - v.  Where the lower block is
+    distinct, ``_lower`` holds only the rows at its 2nd, 4th, ... values:
+    a stored row is then the stored row before it when the skipped row
+    between them is too, and it is the skipped row, whose triangle reaches
+    two weights past its own, when only the skipped row is a copy."""
     n = sampler.n
     upper_rem = 1 if sampler.family.upper_odd else 0
-    for rows, step, low, first_value in (
-        (sampler._upper, sampler._before_step, n % sampler._before_step, 2 - upper_rem),
-        (sampler._lower, sampler._after_step, 0, 1 + upper_rem),
+    lower_every = 2 if sampler.family.lower_distinct else 1
+    for rows, step, low, first_value, every in (
+        (sampler._upper, sampler._before_step, n % sampler._before_step, 2 - upper_rem, 1),
+        (sampler._lower, sampler._after_step, 0, 1 + upper_rem, lower_every),
     ):
-        for k in range(1, len(rows)):
+        length, copied = len(rows[0]), False
+        for k in range(1, (len(rows) - 1) * every + 1):
             value = first_value + 2 * (k - 1)
             first = value - 1 if rows is sampler._upper and value > 1 else value
-            stored = (len(rows[k - 1]) - 1) * step + low
-            assert (rows[k] is rows[k - 1]) == (stored < first), (n, value)
-            if rows[k] is not rows[k - 1]:
-                assert len(rows[k]) == (n - value - low) // step + 1, (n, value)
+            if (length - 1) * step + low >= first:
+                length, copied = (n - value - low) // step + 1, True
+            if k % every == 0:
+                assert (rows[k // every] is rows[k // every - 1]) is not copied, (n, value)
+                assert len(rows[k // every]) == length, (n, value)
+                copied = False
 
 
 @pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
@@ -522,18 +551,40 @@ def test_each_sampler_table_shares_a_row_by_its_own_stored_weights(family):
         _assert_each_table_shares_by_its_own_weights(FamilySampler(family, n))
 
 
-def test_od_eu_sampler_at_2000_shares_per_table_and_stores_1_129_752_cells():
+def test_od_eu_sampler_at_2000_shares_per_table_and_stores_754_252_cells():
     # the deep weight of sampled verification, where the two tables start
     # sharing at different values
     sampler = FamilySampler(Family.OD_EU, 2000)
     _assert_each_table_shares_by_its_own_weights(sampler)
-    assert _cells(sampler) == 1_129_752
+    assert _cells(sampler) == 754_252
 
 
-def test_od_eu_sampler_at_2000_peaks_below_39_mib():
-    """Rows at one parity per table: the build of the deep sampled weight
-    peaks at about 33 MiB of traced memory, where a ``before`` row at every
-    value peaked at 45 MiB."""
+# the cells stored at 2000: an unrestricted lower block keeps a lower row at
+# every lower value, a distinct one at every other, and where the lower
+# parts are even those rows are half as long
+CELLS_AT_2000 = {
+    Family.ED_OD: 942_002,
+    Family.OD_ED: 754_252,
+    Family.EU_OD: 1_129_752,
+    Family.ED_OU: 942_002,
+    Family.EU_OU: 1_129_752,
+    Family.OU_ED: 1_129_752,
+    Family.OU_EU: 1_129_752,
+}
+
+
+@pytest.mark.parametrize("family", list(CELLS_AT_2000), ids=lambda fam: fam.value)
+def test_sampler_at_2000_stores_its_cells_by_its_lower_block(family):
+    sampler = FamilySampler(family, 2000)
+    _assert_each_table_shares_by_its_own_weights(sampler)
+    assert _cells(sampler) == CELLS_AT_2000[family]
+
+
+def test_od_eu_sampler_at_2000_peaks_below_27_mib():
+    """Rows at one parity per table, and every other lower row: the build
+    of the deep sampled weight peaks at about 22.7 MiB of traced memory,
+    where a lower row at every lower value peaked at 33 MiB and a
+    ``before`` row at every value at 45 MiB."""
     tracemalloc.start()
     try:
         sampler = FamilySampler(Family.OD_EU, 2000)
@@ -541,14 +592,14 @@ def test_od_eu_sampler_at_2000_peaks_below_39_mib():
     finally:
         tracemalloc.stop()
     assert sampler.count == count_family(Family.OD_EU, 2000)
-    assert peak < 39 * 2**20
+    assert peak < 27 * 2**20
 
 
 SAMPLER_PEAK_RSS = """
 import sys
 sys.path.insert(0, sys.argv[1])
-from parityparts.families import Family, FamilySampler
-FamilySampler(Family.EU_OU, 5000)
+from parityparts.families import SAMPLE_CUTOFF, Family, FamilySampler
+FamilySampler(Family(sys.argv[2]), SAMPLE_CUTOFF)
 """ + PRINT_PEAK
 
 
@@ -557,8 +608,17 @@ def test_eu_ou_sampler_at_the_cutoff_peaks_below_340_mib():
     """The largest odd-upper family at ``SAMPLE_CUTOFF``: the whole process
     peaks at about 286 MiB, where a ``before`` row at every value took
     396 MiB."""
-    peak = int(run_fresh(SAMPLER_PEAK_RSS))
+    peak = int(run_fresh(SAMPLER_PEAK_RSS, Family.EU_OU.value))
     assert peak < 340 * 1024, f"peak RSS {peak} KiB"
+
+
+@pytest.mark.slow
+def test_od_eu_sampler_at_the_cutoff_peaks_below_220_mib():
+    """The source family at ``SAMPLE_CUTOFF``, whose distinct lower block
+    stores every other lower row: the whole process peaks at about
+    186 MiB, where a lower row at every lower value took 270 MiB."""
+    peak = int(run_fresh(SAMPLER_PEAK_RSS, Family.OD_EU.value))
+    assert peak < 220 * 1024, f"peak RSS {peak} KiB"
 
 
 # prints, for each weight, whether the sampler's count is the DP's and
