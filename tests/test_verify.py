@@ -177,21 +177,42 @@ class TestExhaustive:
             "49d3a68fcb5eae536c6fb68d3deb2b877821bf40aa287e70b5d795e5fbe9ae46",
         ),
     }
+    # A signature moved across the rest / no-rest line, so that the keys
+    # of its gate change between matches fixed per key and a scan of the
+    # rests per member, in the same form, frozen from the verifier that
+    # scanned the gated rows for every image member.  Case 2 without its
+    # rest overlaps case 9; case 11 with a rest leaves members unmatched.
+    REST_MOVED = {
+        "case-2-no-rest": (
+            2,
+            {"image": None},
+            {"count-equality": 19, "inverse-roundtrip": 67, "image-signature": 5,
+             "signature-overlap": 5},
+            "d69da8463074f263b593dbecb251bcab2d657dfe08ea299b39fe848a8da0a072",
+        ),
+        "case-11-rest": (
+            11,
+            {"image": lambda e, o, u, v, f2: o[0] >= 5},
+            {"count-equality": 17, "image-signature": 17},
+            "52a3ad95b4e3f5b34544e13a407c1d576d93f596de16c2c3af9e5688a1764a25",
+        ),
+    }
+    MUTATED = WIDENED | REST_MOVED
 
-    @pytest.mark.parametrize("widened", WIDENED)
+    @pytest.mark.parametrize("widened", MUTATED)
     def test_shape_memo_hides_no_overlap(self, monkeypatch, widened):
-        case, fields, checks, digest = self.WIDENED[widened]
+        case, fields, checks, digest = self.MUTATED[widened]
         monkeypatch.setitem(casemap.CASES, case, casemap.CASES[case]._replace(**fields))
         reports = [verify_exhaustive(n).to_dict() for n in range(41)]
         assert Counter(f["check"] for r in reports for f in r["failures"]) == checks
         text = json.dumps(reports, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("widened", WIDENED)
+    @pytest.mark.parametrize("widened", MUTATED)
     def test_no_shape_memo_survives_a_call(self, monkeypatch, widened):
         # a row mutated after a first call at the same weight shows in the
         # next call, and the row restored shows in the one after
-        case, fields, _, _ = self.WIDENED[widened]
+        case, fields, _, _ = self.MUTATED[widened]
         assert verify_exhaustive(39).ok
         monkeypatch.setitem(casemap.CASES, case, casemap.CASES[case]._replace(**fields))
         mutated = verify_exhaustive(39)
@@ -199,9 +220,10 @@ class TestExhaustive:
         assert not mutated.ok
         assert verify_exhaustive(39).ok
 
-    # the member each widened row gives two matches, the Partition-level
-    # classifier and rewrite of that side, and the refusal both raise
-    WIDENED_REFUSALS = {
+    # the member each mutated row gives two matches, or none, the
+    # Partition-level functions of that side that refuse it, and the
+    # refusal they raise
+    REFUSALS = {
         "case-5-source": (
             "2,1",
             (casemap.classify_source, casemap.forward),
@@ -212,12 +234,22 @@ class TestExhaustive:
             (casemap.classify_image, casemap.backward),
             "3,2 matched image signatures [5, 11], expected at most one",
         ),
+        "case-2-no-rest": (
+            "9,5,3,2,2,2",
+            (casemap.classify_image, casemap.backward),
+            "9,5,3,2,2,2 matched image signatures [2, 9], expected at most one",
+        ),
+        "case-11-rest": (
+            "3,2,2",
+            (casemap.backward,),
+            "3,2,2 matches none of the 17 image signatures",
+        ),
     }
 
-    @pytest.mark.parametrize("widened", WIDENED)
+    @pytest.mark.parametrize("widened", MUTATED)
     def test_widened_row_is_refused_by_classify_and_its_rewrite(self, monkeypatch, widened):
-        case, fields, _, _ = self.WIDENED[widened]
-        text, functions, message = self.WIDENED_REFUSALS[widened]
+        case, fields, _, _ = self.MUTATED[widened]
+        text, functions, message = self.REFUSALS[widened]
         monkeypatch.setitem(casemap.CASES, case, casemap.CASES[case]._replace(**fields))
         for function in functions:
             with pytest.raises(ValueError) as refused:
