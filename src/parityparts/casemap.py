@@ -11,15 +11,19 @@ refuses a weight above ``MAX_MAP_WEIGHT``.
 
 Each case is one row of ``CASES``.  The case code reads a partition as
 its two blocks, the even parts and the odd parts, which come from
-``core.parity_split``.  Cases of one shape share one rewrite pair, and
-their rows bind its constants:
+``core.parity_split``.  Cases of one shape share one rewrite, and their
+rows bind its constants:
 
 - cases 2, 3 and 4 are one block swap, ``_swap``, bound with sign 1
   forward and -1 backward;
-- cases 10, 12, 13 and 14 (j evens above one odd part) are one affine
-  tower, ``_fwd_tower`` and ``_bwd_tower``;
-- case 17 is case 16 with 12 moved from the top part into six parts 2,
-  and both use ``_fwd_long`` and ``_bwd_long``.
+- cases 5, 6, 10 and 12-17 are one window rewrite, ``_fwd_window``: a
+  head and a tail window of the parts gain fixed steps, the parts
+  between are copied, fixed odd parts may join, and parts 2 come from
+  the top even or are added.  Three readers invert it, split by where
+  the copied parts land: ``_bwd_odds`` for cases 5 and 6 (among the odd
+  parts), ``_bwd_tower`` for cases 10 and 12-14 (none is copied, and
+  every image even is a part 2) and ``_bwd_long`` for cases 15-17
+  (among the evens).
 
 In each group the conditions, signatures and minimum weights stay
 separate.
@@ -135,14 +139,6 @@ def _swap(sign, ev, od):
     return moved
 
 
-def _fwd_5(ev, od):
-    return [ev[0] - 1] + list(od[:-1]) + [od[-1] + 1]
-
-
-def _fwd_6(ev, od):
-    return list(od[:-2]) + [od[-2] + 1, od[-1] + 1] + [2] * ((ev[0] - 2) // 2)
-
-
 def _fwd_7(ev, od):
     return [part + 4 for part in od[1:]] + [3] + [2] * (ev[0] - 2 * len(od))
 
@@ -156,46 +152,24 @@ def _fwd_9(ev, od):
     return [4 * half - 15, 5, 3, 2, 2, 2]
 
 
-def _fwd_tower(inc, tail, drop, ev, od):
-    """Cases 10 and 12-14: the evens below the top one and the odd part gain
-    inc, part by part, and join the fixed odd parts tail; the top even, less
-    drop, becomes parts 2."""
-    rest = ev[1:] + od
-    return [rest[k] + c for k, c in enumerate(inc)] + list(tail) + [2] * ((ev[0] - drop) // 2)
+def _fwd_window(start, head, tail, fixed, twos, ev, od):
+    """Cases 5, 6, 10 and 12-17: of the parts ev + od from index start on,
+    the first len(head) gain head and the last len(tail) gain tail, part
+    by part, the rest are copied and the fixed odd parts follow.  Where
+    start is 1 the top even, less twos, becomes parts 2; else twos parts 2
+    are added."""
+    parts = ev[start:] + od
+    cut = len(parts) - len(tail)
+    moved = list(map(add, parts, head))
+    moved += parts[len(head) : cut]
+    moved += map(add, parts[cut:], tail)
+    moved += fixed
+    moved += [2] * ((ev[0] - twos) // 2 if start else twos)
+    return moved
 
 
 def _fwd_11(ev, od):
     return [ev[0] + 1] + list(ev[1:])
-
-
-def _fwd_15(ev, od):
-    return (
-        [ev[1] + 5, ev[2] + 3, ev[3] + 1]
-        + list(ev[4:])
-        + [od[0] + 1]
-        + [2] * ((ev[0] - 10) // 2)
-    )
-
-
-def _fwd_long(top, twos, ev, od):
-    """Cases 16 and 17: the three top evens turn odd, the top one taking
-    top, the four bottom evens move down by 2 and the odd part becomes
-    even; case 17 also turns 12 of its top even into six parts 2."""
-    return (
-        [ev[0] + top, ev[1] + 3, ev[2] + 1]
-        + list(ev[3:-4])
-        + [part - 2 for part in ev[-4:]]
-        + [od[0] - 1]
-        + [2] * twos
-    )
-
-
-def _bwd_5(e, o):
-    return [o[0] + 1] + list(o[1:]) + [e[0] - 1]
-
-
-def _bwd_6(e, o):
-    return [2 * len(e) - 2] + list(o) + [e[0] - 1, e[1] - 1]
 
 
 def _bwd_7(e, o):
@@ -213,45 +187,56 @@ def _bwd_9(e, o):
 
 
 def _bwd_tower(inc, drop, e, o):
-    """The inverse of ``_fwd_tower``; the count of image evens restores the top even."""
+    """Cases 10 and 12-14, the inverse of ``_fwd_window`` where every image
+    even is a part 2: the odd parts lose inc, and the count of image evens
+    restores the top even."""
     return [2 * len(e) + drop] + [o[k] - c for k, c in enumerate(inc)]
+
+
+def _bwd_odds(start, head, tail, twos, e, o):
+    """Cases 5 and 6, the inverse of ``_fwd_window`` where the copied parts
+    are odd: the odd parts, the first len(head) losing head, then the
+    leading evens losing tail; the evens below them are the parts 2 that,
+    where start is 1, restore the top even."""
+    parts = [o[k] - c for k, c in enumerate(head)]
+    parts += o[len(head) :]
+    parts += [e[k] - c for k, c in enumerate(tail)]
+    if start:
+        parts.append(2 * (len(e) - len(tail)) + twos)
+    return parts
 
 
 def _bwd_11(e, o):
     return [o[0] - 1] + list(e) + [1]
 
 
-def _bwd_15(e, o):
-    twos = e.count(2)
-    keep = len(e) - twos
-    return (
-        [2 * twos + 10, o[0] - 5, o[1] - 3, o[2] - 1]
-        + list(e[: keep - 1])
-        + [e[keep - 1] - 1]
-    )
+def _bwd_long(start, head, tail, twos, e, o):
+    """Cases 15-17, the inverse of ``_fwd_window`` where the copied parts
+    are even: the odd parts lose head, and the evens above the parts 2
+    that the rewrite added, the last len(tail) losing tail.  Case 15
+    (start 1) counts its parts 2 to restore its top even; the last part
+    is indexed, so an even block too short raises."""
+    count = e.count(2) if start else twos
+    k = len(e) - count
+    parts = [o[i] - c for i, c in enumerate(head)]
+    parts += e[: k - len(tail)]
+    parts += map(sub, e[k - len(tail) : k - 1], tail)
+    parts.append(e[k - 1] - tail[-1])
+    if start:
+        parts.append(2 * count + twos)
+    return parts
 
 
-def _bwd_long(top, twos, e, o):
-    """The inverse of ``_fwd_long``, read from the evens above the last twos parts 2."""
-    k = len(e) - twos
-    return (
-        [o[0] - top, o[1] - 3, o[2] - 1]
-        + list(e[: k - 5])
-        + [part + 2 for part in e[k - 5 : k - 1]]
-        + [e[k - 1] + 1]
-    )
-
-
-# One row per case.  The first lines hold the source side: minimum
-# weight, condition and forward rewrite.  The rest hold the image side:
-# gate, the rest of the signature and backward rewrite.  Cases 2-4 bind
-# the direction's sign into the swap, cases 10 and 12-14 their constants
-# into the tower pair, cases 16 and 17 into the long pair.  A source
-# condition reads the shape (a, b, gap, od0, top_gap) of ``source_shape``;
-# in a source member the cross gap ev[-1] - od[0] is odd and at least 1,
-# by strict block separation.  ev/e are the even blocks, od/o the odd
-# blocks, u and v the image block lengths, f2 the number of image parts
-# equal to 2.
+# One row per case.  The first lines hold the source side: minimum weight,
+# condition and forward rewrite.  The rest hold the image side: gate, the
+# rest of the signature and backward rewrite.  Cases 2-4 bind the
+# direction's sign into the swap; cases 5, 6, 10 and 12-17 bind their window
+# (start, head, tail, fixed odd parts, twos) into ``_fwd_window`` and its
+# reader.  A source condition reads the shape (a, b, gap, od0, top_gap) of
+# ``source_shape``; in a source member the cross gap ev[-1] - od[0] is odd
+# and at least 1, by strict block separation.  ev/e are the even blocks,
+# od/o the odd blocks, u and v the image block lengths, f2 the number of
+# image parts equal to 2.
 CASES: dict[int, Case] = {
     1: Case(1, lambda a, b, gap, od0, top_gap: a == 0 or b == 0, _join,
             lambda u, v, f2: u == 0 or v == 0, None, _join),
@@ -266,12 +251,14 @@ CASES: dict[int, Case] = {
             lambda u, v, f2: v > u >= 2,
             lambda e, o, u, v, f2: o[0] - o[1] >= 2 * (v - u + 1)
             and o[-1] - e[0] >= 2 * u - 3, partial(_swap, -1)),
-    5: Case(5, lambda a, b, gap, od0, top_gap: a == 1 and b >= 1 and gap >= 3, _fwd_5,
-            lambda u, v, f2: u == 1 and v >= 1, None, _bwd_5),
-    6: Case(35, lambda a, b, gap, od0, top_gap: a == 1 and b >= 5 and gap == 1, _fwd_6,
+    5: Case(5, lambda a, b, gap, od0, top_gap: a == 1 and b >= 1 and gap >= 3,
+            partial(_fwd_window, 0, (-1,), (1,), (), 0),
+            lambda u, v, f2: u == 1 and v >= 1, None, partial(_bwd_odds, 0, (-1,), (1,), 0)),
+    6: Case(35, lambda a, b, gap, od0, top_gap: a == 1 and b >= 5 and gap == 1,
+            partial(_fwd_window, 1, (), (1, 1), (), 2),
             lambda u, v, f2: v >= 3 and u - v >= 3,
             lambda e, o, u, v, f2: 2 * u - 3 == o[0] and e[0] - e[1] >= 2 and e[2] == 2,
-            _bwd_6),
+            partial(_bwd_odds, 1, (), (1, 1), 2)),
     7: Case(54, lambda a, b, gap, od0, top_gap: a == 1 and b in (3, 4) and gap == 1, _fwd_7,
             lambda u, v, f2: v in (3, 4) and u >= 6 and u % 2 == 0,
             lambda e, o, u, v, f2: o[-1] == 3 and e[0] == 2
@@ -286,41 +273,42 @@ CASES: dict[int, Case] = {
             lambda e, o, u, v, f2: e == (2, 2, 2) and o[1:] == (5, 3)
             and o[0] >= 9 and o[0] % 4 == 1, _bwd_9),
     10: Case(83, lambda a, b, gap, od0, top_gap: a == 2 and b == 1,
-             partial(_fwd_tower, (7, 6), (5,), 18),
+             partial(_fwd_window, 1, (7, 6), (), (5,), 18),
              lambda u, v, f2: v == 3 and u >= 5,
              lambda e, o, u, v, f2: o[2] == 5 and e[0] == 2 and 2 * u + 25 >= o[0],
              partial(_bwd_tower, (7, 6), 18)),
     11: Case(7, lambda a, b, gap, od0, top_gap: a >= 3 and b == 1 and od0 == 1, _fwd_11,
              lambda u, v, f2: u >= 2 and v == 1, None, _bwd_11),
     12: Case(95, lambda a, b, gap, od0, top_gap: a == 3 and b == 1 and od0 >= 3,
-             partial(_fwd_tower, (7, 5, 4), (), 16),
+             partial(_fwd_window, 1, (7, 5, 4), (), (), 16),
              lambda u, v, f2: v == 3 and u >= 4,
              lambda e, o, u, v, f2: o[2] >= 7 and e[0] == 2 and 2 * u + 23 >= o[0],
              partial(_bwd_tower, (7, 5, 4), 16)),
     13: Case(159, lambda a, b, gap, od0, top_gap: a == 4 and b == 1 and od0 >= 3,
-             partial(_fwd_tower, (7, 5, 3, 2), (3,), 20),
+             partial(_fwd_window, 1, (7, 5, 3, 2), (), (3,), 20),
              lambda u, v, f2: u >= 6 and v == 5,
              lambda e, o, u, v, f2: o[4] == 3 and e[0] == 2 and 2 * u + 27 >= o[0],
              partial(_bwd_tower, (7, 5, 3, 2), 20)),
     14: Case(227, lambda a, b, gap, od0, top_gap: a == 5 and b == 1 and od0 >= 3,
-             partial(_fwd_tower, (9, 7, 5, 3, 2), (), 26),
+             partial(_fwd_window, 1, (9, 7, 5, 3, 2), (), (), 26),
              lambda u, v, f2: u >= 6 and v == 5,
              lambda e, o, u, v, f2: o[4] >= 5 and e[0] == 2 and 2 * u + 35 >= o[0],
              partial(_bwd_tower, (9, 7, 5, 3, 2), 26)),
     15: Case(373, lambda a, b, gap, od0, top_gap: 6 <= a <= 10 and b == 1 and od0 >= 3,
-             _fwd_15,
+             partial(_fwd_window, 1, (5, 3, 1), (1,), (), 10),
              lambda u, v, f2: f2 > 12 and v == 3 and 3 <= u - f2 <= 7,
-             lambda e, o, u, v, f2: e[u - f2 - 1] >= 4 and 2 * f2 + 15 >= o[0], _bwd_15),
+             lambda e, o, u, v, f2: e[u - f2 - 1] >= 4 and 2 * f2 + 15 >= o[0],
+             partial(_bwd_long, 1, (5, 3, 1), (1,), 10)),
     16: Case(47, lambda a, b, gap, od0, top_gap: a >= 11 and b == 1 and od0 >= 3
-             and top_gap <= 10, partial(_fwd_long, 5, 0),
+             and top_gap <= 10, partial(_fwd_window, 0, (5, 3, 1), (-2, -2, -2, -2, -1), (), 0),
              lambda u, v, f2: u >= 9 and v == 3 and f2 <= 5,
              lambda e, o, u, v, f2: o[0] - o[1] <= 12 and e[u - 6] - e[u - 5] >= 2,
-             partial(_bwd_long, 5, 0)),
+             partial(_bwd_long, 0, (5, 3, 1), (-2, -2, -2, -2, -1), 0)),
     17: Case(59, lambda a, b, gap, od0, top_gap: a >= 11 and b == 1 and od0 >= 3
-             and top_gap >= 12, partial(_fwd_long, -7, 6),
+             and top_gap >= 12, partial(_fwd_window, 0, (-7, 3, 1), (-2, -2, -2, -2, -1), (), 6),
              lambda u, v, f2: u >= 15 and v == 3 and 6 <= f2 <= 11,
              lambda e, o, u, v, f2: e[u - 12] - e[u - 11] >= 2,
-             partial(_bwd_long, -7, 6)),
+             partial(_bwd_long, 0, (-7, 3, 1), (-2, -2, -2, -2, -1), 6)),
 }
 NUM_CASES = len(CASES)
 

@@ -6,60 +6,24 @@ must be strictly larger than every lower part, and either block may be
 empty.  Tokens name the lower block first: ``od_eu`` is distinct odd
 parts below unrestricted even parts.
 
-Counting uses an exact dynamic program over part values taken in
-decreasing order, with one array for states that have not yet started
-the lower block and one for states that have.  Every part placed before
-value v exceeds v, so taking v leaves the weights v + 1..2v unchanged:
-the program sets cell v from the empty state and slice-adds only from
-weight 2v on, about half the additions of a full pass.  Where the upper
-parts are even, the first array keeps only the even weights, as the
-sampler's does by the parity rule below.  Sampling unranks
-against completion counts tabulated in increasing part order, where no
-such band exists: each next part and its multiplicity are found by
-bisection, and the table is triangular, row v holding only the weights
-0..n - v that can remain once v is placed.  Past about n / 2, once every
-weight that a table's row v - 1 stores is below v, a part v changes none
-of it, so that table shares it as row v, not a copy.  Where the upper parts
-are even (``od_ed``, ``od_eu``, ``ou_ed``, ``ou_eu``), the weight left while
-the upper block is open always has n's parity, so the rows for that state
-hold only the weights of n's parity.  Where they are odd, the lower parts
-are even, so the rows for the state after the crossing hold only the even
-weights.  Each table stores its rows only at the values of its own block's
-parity: at the other values a row is the row below it, plus, for the open
-state, one crossing term that a draw reads from the other table.  Where
-the lower block is distinct, the lower table stores every other of its
-rows: the row at a lower value v between two stored ones is the stored
-row below it at weight m plus that row at m - v, two reads.  That is
-about 3n²/16 cells for ``od_ed`` and ``od_eu``, 15n²/64 for ``ed_od`` and
-``ed_ou``, and 9n²/32 where the lower block is unrestricted.  The build
-never makes the ``before`` row at a lower value either: the next upper
-row adds its crossing term.  One loop
-body builds both tables, taking each value into its own table's row by
-the slice-add kernel ``_take`` (counting with odd upper parts also uses
-``_cross``), which keeps the per-cell additions in C.  A draw comes out
-as its two blocks (``unrank_blocks``): one walk makes one pass per block,
-with the same two bisections and the same distinct rule on that block's
-table, and the upper pass ends where the walk crosses into the lower
-block, so neither a ``Partition`` nor a split is needed.
+Three routes reach the members, and each is independent of the others,
+so they cross-check each other:
 
-Enumeration is an independent route, so counting, sampling and
-enumeration cross-check each other.  ``member_blocks`` walks each member
-as the two blocks it is made of: a generator places the upper parts, and
-each lower block comes from a list builder memoised per walk, so members
-share their block tuples and need no split.  The memo keeps only the blocks
-of weight at most 2n/3, the ones reused often, and a walk frees it as soon
-as it ends, is closed or is dropped.  An unrestricted upper block
-is placed by part multiplicities (Knuth, TAOCP 7.2.1.4): each distinct
-value with all its copies in one step, and the least upper value (2 or 1)
-in place, with only the copy counts a lower block can complete.  A lower
-block is not looked for under a top whose heaviest block is lighter than
-the weight left; where the lower parts are even, the memo may also hold
-empty entries at odd weights.
-``enumerate_family`` joins the two blocks into a ``Partition``; the
-exhaustive verifier consumes the blocks directly and builds a
-``Partition`` only to show a failure.  Membership is decided on the two
-blocks (``blocks_in_family``); ``in_family`` takes them from
-``core.parity_split``, the package's one parity split.
+- counting, ``CountTable.build``: an exact dynamic program over the part
+  values taken in decreasing order;
+- sampling, ``FamilySampler``: unranking against completion counts
+  tabulated in increasing part order, a draw coming out as its two
+  blocks (``FamilySampler.unrank_blocks``);
+- enumeration, ``member_blocks``: a walk that yields each member as its
+  two blocks; ``enumerate_family`` joins them into a ``Partition``.
+
+Each docstring there holds its route's design, reasons and measurements.
+Counting and sampling share the slice-add kernel ``_take`` (counting with
+odd upper parts also uses ``_cross``), which keeps the per-cell additions
+in C.  Membership is decided on the two blocks (``blocks_in_family``);
+``in_family`` takes them from ``core.parity_split``, the package's one
+parity split.  The ``check_*`` functions hold the size refusals that the
+routes, the verifier and the CLI share.
 """
 
 from __future__ import annotations
@@ -89,6 +53,11 @@ __all__ = [
 
 # Above this weight enumeration is refused; counting and sampling still work.
 ENUMERATION_CUTOFF = 70
+# A cutoff above this is refused: the members, and with them the time, grow
+# faster than any power of the weight (one ``verify_exhaustive`` run takes
+# about 3.5 times as long at 120 as at 105), and 121, at about 13 s, is the
+# heaviest weight the README measures.
+MAX_ENUMERATION_CUTOFF = 121
 # Above this weight a sampler is refused: its tables grow as n^2 cells of
 # O(sqrt n)-digit counts.  At 5000 one build takes 0.44 s and 287 MiB peak
 # RSS for ou_eu, the largest family, and 0.44 s and 286 MiB for eu_ou, the
@@ -112,7 +81,11 @@ MAX_SAMPLED_WEIGHTS = 50
 
 def check_enumerable(n: int, cutoff: int = ENUMERATION_CUTOFF) -> None:
     """Raise ValueError unless weight n is nonnegative and at most the
-    enumeration cutoff."""
+    enumeration cutoff, and the cutoff at most ``MAX_ENUMERATION_CUTOFF``."""
+    if cutoff > MAX_ENUMERATION_CUTOFF:
+        raise ValueError(
+            f"enumeration cutoff {cutoff} exceeds the maximum {MAX_ENUMERATION_CUTOFF}"
+        )
     if n < 0:
         raise ValueError(f"weight must be nonnegative, got {n}")
     if n > cutoff:
@@ -212,7 +185,8 @@ def member_blocks(
     A generator walks the values from the largest down.  At an upper-parity
     value v it places the upper parts: one copy of v and a step down to
     v - 1 if the upper block is distinct, else k copies of v at once, for k
-    from ``remaining // v`` down to 1, each followed by the walk below v.
+    from ``remaining // v`` down to 1, each followed by the walk below v
+    (placement by part multiplicities, Knuth, TAOCP 7.2.1.4).
     That is the order of the one-part-at-a-time walk: after one copy of v
     it tried v again before any smaller value, so the members with more
     copies of v come first, and among equal copies the rest decides.  The
@@ -236,7 +210,8 @@ def member_blocks(
     parts are even it may also hold empty entries at odd weights.  When
     the walk ends, is closed or is dropped, reference counting frees the
     memo at once, with no wait for the cyclic collector.  Raises ValueError
-    for negative n or when n exceeds the cutoff.
+    for negative n, when n exceeds the cutoff or when the cutoff exceeds
+    ``MAX_ENUMERATION_CUTOFF``.
     """
     check_enumerable(n, cutoff)
     upper_rem = 1 if family.upper_odd else 0

@@ -266,19 +266,16 @@ def _image_fault(
 
 def _check_witness(n: int, report: VerificationReport, classifier: Classifier) -> None:
     unmatched = witness(n)
-    shown = format_partition(unmatched)
-    if unmatched.weight != n:
-        report.record_failure(n, shown, "witness-weight", f"weighs {unmatched.weight}")
-        return
     e, o = parity_split(unmatched)
-    if not blocks_in_family(e, o, IMAGE_FAMILY):
-        report.record_failure(n, shown, "witness-membership", f"outside {IMAGE_FAMILY.value}")
+    if unmatched.weight != n:
+        fault = "witness-weight", f"weighs {unmatched.weight}"
+    elif not blocks_in_family(e, o, IMAGE_FAMILY):
+        fault = "witness-membership", f"outside {IMAGE_FAMILY.value}"
+    elif matches := classifier.image(e, o):
+        fault = "witness-unmatched", f"matched signatures {list(matches)}"
+    else:
         return
-    matches = classifier.image(e, o)
-    if matches:
-        report.record_failure(
-            n, shown, "witness-unmatched", f"matched signatures {list(matches)}"
-        )
+    report.record_failure(n, format_partition(unmatched), *fault)
 
 
 def verify_exhaustive(n: int, *, cutoff: int = ENUMERATION_CUTOFF) -> VerificationReport:

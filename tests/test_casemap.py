@@ -18,9 +18,9 @@ from parityparts.casemap import (
     classify_image,
     classify_source,
     _bwd_long,
+    _bwd_odds,
     _bwd_tower,
-    _fwd_long,
-    _fwd_tower,
+    _fwd_window,
     _swap,
     forward,
     image_case_matches,
@@ -303,9 +303,17 @@ def _bwd_4(e, o):
 REFERENCE_SWAPS = {2: (_fwd_2, _bwd_2), 3: (_fwd_3, _bwd_3), 4: (_fwd_4, _bwd_4)}
 
 
-# The per-case rewrites that cases 10, 12-14, 16 and 17 used before they
-# shared the tower pair (_fwd_tower, _bwd_tower) and the long pair
-# (_fwd_long, _bwd_long), kept as the reference for the shared pairs.
+# The per-case rewrites that cases 5, 6, 10 and 12-17 used before they
+# shared the window rewrite _fwd_window and its readers _bwd_odds,
+# _bwd_tower and _bwd_long, kept as the reference for the shared rewrites.
+def _fwd_5(ev, od):
+    return [ev[0] - 1] + list(od[:-1]) + [od[-1] + 1]
+
+
+def _fwd_6(ev, od):
+    return list(od[:-2]) + [od[-2] + 1, od[-1] + 1] + [2] * ((ev[0] - 2) // 2)
+
+
 def _fwd_10(ev, od):
     return [ev[1] + 7, od[0] + 6, 5] + [2] * ((ev[0] - 18) // 2)
 
@@ -321,6 +329,15 @@ def _fwd_13(ev, od):
 def _fwd_14(ev, od):
     return [ev[1] + 9, ev[2] + 7, ev[3] + 5, ev[4] + 3, od[0] + 2] + [2] * (
         (ev[0] - 26) // 2
+    )
+
+
+def _fwd_15(ev, od):
+    return (
+        [ev[1] + 5, ev[2] + 3, ev[3] + 1]
+        + list(ev[4:])
+        + [od[0] + 1]
+        + [2] * ((ev[0] - 10) // 2)
     )
 
 
@@ -343,6 +360,14 @@ def _fwd_17(ev, od):
     )
 
 
+def _bwd_5(e, o):
+    return [o[0] + 1] + list(o[1:]) + [e[0] - 1]
+
+
+def _bwd_6(e, o):
+    return [2 * len(e) - 2] + list(o) + [e[0] - 1, e[1] - 1]
+
+
 def _bwd_10(e, o):
     return [2 * len(e) + 18, o[0] - 7, o[1] - 6]
 
@@ -357,6 +382,16 @@ def _bwd_13(e, o):
 
 def _bwd_14(e, o):
     return [2 * len(e) + 26, o[0] - 9, o[1] - 7, o[2] - 5, o[3] - 3, o[4] - 2]
+
+
+def _bwd_15(e, o):
+    twos = e.count(2)
+    keep = len(e) - twos
+    return (
+        [2 * twos + 10, o[0] - 5, o[1] - 3, o[2] - 1]
+        + list(e[: keep - 1])
+        + [e[keep - 1] - 1]
+    )
 
 
 def _bwd_16(e, o):
@@ -379,13 +414,14 @@ def _bwd_17(e, o):
     )
 
 
+REFERENCE_ODDS = {5: (_fwd_5, _bwd_5), 6: (_fwd_6, _bwd_6)}
 REFERENCE_TOWERS = {
     10: (_fwd_10, _bwd_10),
     12: (_fwd_12, _bwd_12),
     13: (_fwd_13, _bwd_13),
     14: (_fwd_14, _bwd_14),
 }
-REFERENCE_LONGS = {16: (_fwd_16, _bwd_16), 17: (_fwd_17, _bwd_17)}
+REFERENCE_LONGS = {15: (_fwd_15, _bwd_15), 16: (_fwd_16, _bwd_16), 17: (_fwd_17, _bwd_17)}
 
 
 def _swap_case(evens, odds):
@@ -414,13 +450,15 @@ def _binding(rewrite, like):
     "cases,fwd,bwd",
     [
         pytest.param(REFERENCE_SWAPS, partial(_swap, 1), partial(_swap, -1), id="swap"),
-        pytest.param(REFERENCE_TOWERS, _fwd_tower, _bwd_tower, id="tower"),
-        pytest.param(REFERENCE_LONGS, _fwd_long, _bwd_long, id="long"),
+        pytest.param(REFERENCE_ODDS, _fwd_window, _bwd_odds, id="odds"),
+        pytest.param(REFERENCE_TOWERS, _fwd_window, _bwd_tower, id="tower"),
+        pytest.param(REFERENCE_LONGS, _fwd_window, _bwd_long, id="long"),
     ],
 )
 def test_cases_of_one_shape_share_one_rewrite_pair(cases, fwd, bwd):
     """Each group's rows hold one function, bare or with bound constants;
-    the swap's rows bind sign 1 forward and -1 backward."""
+    the swap's rows bind sign 1 forward and -1 backward, and the nine
+    window rows bind one forward, each group with its own reader."""
     assert {_binding(CASES[case].forward, fwd) for case in cases} == {_binding(fwd, fwd)}
     assert {_binding(CASES[case].backward, bwd) for case in cases} == {_binding(bwd, bwd)}
 
@@ -489,13 +527,29 @@ def _even_blocks(j, total, lowest):
                     yield (top,) + rest
 
 
-def _case_members(j, n, lowest_odd):
-    """Source blocks of weight n with j even parts strictly above one odd
-    part of at least lowest_odd: cases 10 (j = 2), 12-14 (j = 3 to 5, odd
-    part at least 3) and, with j from 11, cases 16 and 17."""
-    for odd in range(lowest_odd, n, 2):
-        for evens in _even_blocks(j, n - odd, odd + 1):
-            yield evens, (odd,)
+def _odd_blocks(b, total, lowest):
+    """Strictly decreasing b-tuples of odd parts, each at least lowest
+    (itself odd), that sum to total."""
+    if b == 0:
+        if total == 0:
+            yield ()
+        return
+    for least in range(lowest, total // b + 1, 2):
+        for above in _odd_blocks(b - 1, total - least, least + 2):
+            yield above + (least,)
+
+
+def _case_members(j, n, lowest_odd, b=1):
+    """Source blocks of weight n with j even parts strictly above b
+    distinct odd parts of at least lowest_odd: with one odd part, cases 10
+    (j = 2), 12-14 (j = 3 to 5, odd part at least 3) and, with j from 6,
+    cases 15-17; with one even part, cases 5 and 6."""
+    if (n - b) % 2:
+        return  # b odd parts weigh b's parity, the evens an even weight
+    for odd_weight in range(b * (lowest_odd + b - 1), n, 2):
+        for odds in _odd_blocks(b, odd_weight, lowest_odd):
+            for evens in _even_blocks(j, n - odd_weight, odds[0] + 1):
+                yield evens, odds
 
 
 # case: (even parts, smallest odd part, members below the minimum weight,
@@ -791,16 +845,20 @@ def test_long_edge_members_map_through(case):
     check()
 
 
-REFERENCE_SHARED = {**REFERENCE_TOWERS, **REFERENCE_LONGS}
+REFERENCE_SHARED = {**REFERENCE_ODDS, **REFERENCE_TOWERS, **REFERENCE_LONGS}
 
-# case: the even-block lengths of its members and their smallest odd part
+# case: the even-block and odd-block lengths of its members and their
+# smallest odd part
 SHARED_WALKS = {
-    10: ([2], 1),
-    12: ([3], 3),
-    13: ([4], 3),
-    14: ([5], 3),
-    16: (range(11, 18), 3),
-    17: (range(11, 18), 3),
+    5: ([1], range(1, 9), 1),
+    6: ([1], range(5, 9), 1),
+    10: ([2], [1], 1),
+    12: ([3], [1], 3),
+    13: ([4], [1], 3),
+    14: ([5], [1], 3),
+    15: (range(6, 11), [1], 3),
+    16: (range(11, 18), [1], 3),
+    17: (range(11, 18), [1], 3),
 }
 
 
@@ -822,17 +880,18 @@ def _check_shared(case, backward, a, b):
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_SHARED))
 def test_shared_pairs_match_reference_on_case_walks(case):
-    """Every member of the case at odd weights up to 71, most of them below
+    """Every member of the case at weights up to 71, most of them below
     its minimum weight, and the blocks of each forward image."""
-    lengths, lowest_odd = SHARED_WALKS[case]
+    lengths, odd_lengths, lowest_odd = SHARED_WALKS[case]
     checked = 0
-    for n in range(1, 72, 2):
+    for n in range(1, 72):
         for j in lengths:
-            for ev, od in _case_members(j, n, lowest_odd):
-                if Classifier().source(ev, od) == (case,):
-                    image = _check_shared(case, 0, ev, od)
-                    _check_shared(case, 1, *parity_split(image[::-1]))
-                    checked += 1
+            for b in odd_lengths:
+                for ev, od in _case_members(j, n, lowest_odd, b):
+                    if Classifier().source(ev, od) == (case,):
+                        image = _check_shared(case, 0, ev, od)
+                        _check_shared(case, 1, *parity_split(image[::-1]))
+                        checked += 1
     assert checked > 20
 
 
@@ -850,9 +909,11 @@ _odd_parts = st.integers(0, 120).map(lambda half: 2 * half + 1)
 def test_shared_forward_matches_reference_on_drawn_blocks(case, data):
     """Blocks of the case's lengths with any parts, so most sit below the
     case's minimum weight or outside its condition."""
-    j = data.draw(st.sampled_from(SHARED_WALKS[case][0]))
+    lengths, odd_lengths, _ = SHARED_WALKS[case]
+    j = data.draw(st.sampled_from(lengths))
+    b = data.draw(st.sampled_from(odd_lengths))
     ev = data.draw(_block(st.lists(_even_parts, min_size=j, max_size=j)))
-    od = (data.draw(_odd_parts),)
+    od = data.draw(_block(st.lists(_odd_parts, min_size=b, max_size=b)))
     _check_shared(case, 0, ev, od)
 
 

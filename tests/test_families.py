@@ -11,6 +11,7 @@ from parityparts.core import Partition, parity_split, parse_partition
 from parityparts.families import (
     COUNT_CUTOFF,
     ENUMERATION_CUTOFF,
+    MAX_ENUMERATION_CUTOFF,
     SAMPLE_CUTOFF,
     CountTable,
     Family,
@@ -284,6 +285,14 @@ def test_enumerate_rejects_beyond_cutoff():
     with pytest.raises(ValueError):
         list(enumerate_family(Family.OD_EU, ENUMERATION_CUTOFF + 1))
     assert ENUMERATION_CUTOFF == 70
+
+
+def test_a_cutoff_above_the_hard_maximum_is_refused():
+    """Even at weight 0: the refusal reads the cutoff, not the weight."""
+    assert MAX_ENUMERATION_CUTOFF == 121
+    assert list(member_blocks(Family.OD_EU, 0, cutoff=121)) == [((), ())]
+    with pytest.raises(ValueError, match="^enumeration cutoff 122 exceeds the maximum 121$"):
+        next(member_blocks(Family.OD_EU, 0, cutoff=122))
 
 
 def test_enumerate_order_is_lex_decreasing():

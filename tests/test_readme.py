@@ -1,10 +1,13 @@
 """The README's examples run as written.
 
-The Library block is executed as is, and every Command-line example
-whose trailing comment is its exact output is run through ``cli.run``
-and compared with that comment (`` / `` separates output lines).
+The Library block is executed as is, every expression in it whose
+trailing comment starts with a Python literal must equal that literal,
+and every Command-line example whose trailing comment is its exact
+output is run through ``cli.run`` and compared with that comment
+(`` / `` separates output lines).
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -38,6 +41,51 @@ EXAMPLES = _exact_examples()
 
 def test_library_example_runs():
     exec(compile(_code_block("Library", "python"), "README.md", "exec"), {})
+
+
+def _leading_literal(comment: str) -> tuple[bool, object]:
+    """Whether the comment's text up to its first comma or colon outside
+    brackets is a Python literal, and its value."""
+    depth = 0
+    end = len(comment)
+    for at, char in enumerate(comment):
+        depth += (char in "([{") - (char in ")]}")
+        if depth == 0 and char in ",:":
+            end = at
+            break
+    try:
+        return True, ast.literal_eval(comment[:end])
+    except (ValueError, SyntaxError):
+        return False, None
+
+
+def _plain(value):
+    """The value with every tuple in it, a ``Partition`` included, as a
+    plain tuple, in lists and tuples at any depth."""
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    if isinstance(value, tuple):
+        return tuple(_plain(item) for item in value)
+    return value
+
+
+def test_library_value_comments_hold():
+    """Each statement runs in order; an expression whose comment starts
+    with a literal is compared with it by repr, so 1 is not True."""
+    block = _code_block("Library", "python")
+    lines = block.splitlines()
+    namespace = {}
+    checked = []
+    for node in ast.parse(block).body:
+        comment = re.search(r"\s#\s(.*)$", lines[node.end_lineno - 1])
+        literal, expected = _leading_literal(comment.group(1)) if comment else (False, None)
+        code = ast.get_source_segment(block, node)
+        if isinstance(node, ast.Expr) and literal:
+            assert repr(_plain(eval(code, namespace))) == repr(expected), code
+            checked.append(code)
+        else:
+            exec(code, namespace)
+    assert len(checked) == 8, checked
 
 
 def test_every_exact_output_command_is_checked():
