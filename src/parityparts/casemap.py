@@ -28,18 +28,26 @@ rows bind its constants:
 In each group the conditions, signatures and minimum weights stay
 separate.
 
-A source condition reads five features of the member, its shape
-``(a, b, gap, od0, top_gap)`` from ``source_shape``: the two block
-lengths, the cross gap ``ev[-1] - od[0]``, the top odd part and the gap
-``ev[0] - ev[1]`` between the two top evens, None where those parts do
-not exist.  An image signature is its gate, the leading conjuncts on
-the block lengths u and v and the count f2 of parts 2, then the rest on
-the blocks (none for cases 1, 5 and 11).  Every classification goes
-through a ``Classifier``, which keeps the source matches per shape and,
-per ``(u, v, f2)``, the matches themselves where no gated signature has
-a rest, else the gated signatures; why that is exact is in its
-docstring.  ``source_case_matches`` and ``image_case_matches`` use a
-fresh one per call, the verifier one per driver call.
+A source condition is a record: a conjunction of atoms ``(form, rel,
+constant)`` that compare six forms of the member's shape ``(a, b, gap,
+od0, top_gap)`` from ``source_shape`` with constants.  The forms are the
+two block lengths a and b, their difference a - b, the cross gap
+``ev[-1] - od[0]``, the top odd part od0 and the gap ``ev[0] - ev[1]``
+between the two top evens, the last three None where those parts do
+not exist.  A comparison on an absent form is false, and case 1's one
+atom ``("gap", "is", None)`` holds exactly where a block is empty.
+``compile_source`` turns a record into the test that ``shape_cases``
+runs, and refuses an atom on any other form.  The constants cut each
+form into finitely many cells (``source_clamps``), and every shape in a
+cell meets the same conditions.  An image signature is its gate, the
+leading conjuncts on the block lengths u and v and the count f2 of
+parts 2, then the rest on the blocks (none for cases 1, 5 and 11).
+Every classification goes through a ``Classifier``, which keeps the
+source matches per cell and, per ``(u, v, f2)``, the matches themselves
+where no gated signature has a rest, else the gated signatures; why
+that is exact is in its docstring.  ``source_case_matches`` and
+``image_case_matches`` use a fresh one per call, the verifier one per
+driver call.
 
 The public functions take a ``Partition`` and check membership on its
 blocks.  ``classify_source`` and ``classify_image`` hold the match-count
@@ -58,8 +66,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Iterable
-from functools import partial
-from operator import add, sub
+from functools import cache, partial
+from operator import add, eq, ge, gt, is_, le, lt, sub
 
 from .core import MAX_PARTS, Block, Partition, format_partition, parity_split
 from .families import Family, blocks_in_family
@@ -93,6 +101,25 @@ WITNESS_CUTOFF = 1_000_000
 
 # A source member's shape (a, b, gap, od0, top_gap); see ``source_shape``.
 Shape = tuple[int, int, int | None, int | None, int | None]
+# The six forms of a shape that the source atoms compare; see ``source_forms``.
+Forms = tuple[int, int, int, int | None, int | None, int | None]
+SOURCE_FORMS = ("a", "b", "a - b", "gap", "od0", "top_gap")
+# A record, the conjunction of its atoms (form, rel, constant), and the
+# Condition that ``compile_source`` turns it into.
+Record = tuple[tuple[str, str, int | None], ...]
+Condition = Callable[[Forms], bool]
+# Each case with its compiled source condition, in case order.
+Conditions = tuple[tuple[int, Condition], ...]
+# Per relation: its test, and the offsets below and above such that a
+# comparison with the constant c holds alike on every x <= c + below, and
+# alike on every x >= c + above.
+_RELATIONS = {
+    "<": (lt, -1, 0),
+    "<=": (le, 0, 1),
+    "==": (eq, -1, 1),
+    ">=": (ge, -1, 0),
+    ">": (gt, 0, 1),
+}
 # The signature rest of a case: e, o, u, v, f2 -> bool, or None.
 Rest = Callable[[Block, Block, int, int, int], bool]
 
@@ -101,14 +128,14 @@ class Case(namedtuple("Case", "min_weight source forward gate image backward")):
     """Everything about one case; both directions start at ``min_weight``.
 
     ``source`` is the case's condition on a source member's shape
-    (``source_shape``), and the rewrites ``forward`` and ``backward`` are
-    functions of a member's even and odd blocks, returning the other
-    side's parts in any order.  The image signature has two parts:
-    ``gate``, its leading conjuncts on the image's block lengths u, v and
-    its count f2 of parts 2, ``(u, v, f2) -> bool``, and ``image``, the
-    rest on the blocks, a ``Rest``, or None where nothing remains.  A
-    member matches the signature when the gate holds and then the rest
-    does.
+    (``source_shape``), a record of atoms for ``compile_source``.  The
+    rewrites ``forward`` and ``backward`` are functions of a member's even
+    and odd blocks, returning the other side's parts in any order.  The
+    image signature has two parts: ``gate``, its leading conjuncts on the
+    image's block lengths u, v and its count f2 of parts 2, ``(u, v, f2)
+    -> bool``, and ``image``, the rest on the blocks, a ``Rest``, or None
+    where nothing remains.  A member matches the signature when the gate
+    holds and then the rest does.
     """
 
     __slots__ = ()
@@ -232,80 +259,83 @@ def _bwd_long(start, head, tail, twos, e, o):
 # rest of the signature and backward rewrite.  Cases 2-4 bind the
 # direction's sign into the swap; cases 5, 6, 10 and 12-17 bind their window
 # (start, head, tail, fixed odd parts, twos) into ``_fwd_window`` and its
-# reader.  A source condition reads the shape (a, b, gap, od0, top_gap) of
-# ``source_shape``; in a source member the cross gap ev[-1] - od[0] is odd
-# and at least 1, by strict block separation.  ev/e are the even blocks,
+# reader.  A source condition is a record of atoms (form, rel, constant),
+# all of which must hold, over the forms a, b, a - b, gap, od0 and top_gap
+# of ``source_forms``; case 7's b in (3, 4) is b >= 3 and b <= 4.  In a
+# source member the cross gap ev[-1] - od[0] is odd and at least 1, by
+# strict block separation.  ev/e are the even blocks,
 # od/o the odd blocks, u and v the image block lengths, f2 the number of
 # image parts equal to 2.
 CASES: dict[int, Case] = {
-    1: Case(1, lambda a, b, gap, od0, top_gap: a == 0 or b == 0, _join,
+    1: Case(1, (("gap", "is", None),), _join,
             lambda u, v, f2: u == 0 or v == 0, None, _join),
-    2: Case(12, lambda a, b, gap, od0, top_gap: a == b >= 2, partial(_swap, 1),
+    2: Case(12, (("a - b", "==", 0), ("b", ">=", 2)), partial(_swap, 1),
             lambda u, v, f2: u == v >= 2,
             lambda e, o, u, v, f2: o[-1] - e[0] >= 2 * v - 3, partial(_swap, -1)),
-    3: Case(16, lambda a, b, gap, od0, top_gap: a > b >= 2, partial(_swap, 1),
+    3: Case(16, (("a - b", ">", 0), ("b", ">=", 2)), partial(_swap, 1),
             lambda u, v, f2: u > v >= 2,
             lambda e, o, u, v, f2: o[0] - o[1] >= 2 * (u - v + 1)
             and e[u - v - 1] - e[u - v] >= 2 * v - 4, partial(_swap, -1)),
-    4: Case(21, lambda a, b, gap, od0, top_gap: b > a >= 2, partial(_swap, 1),
+    4: Case(21, (("a - b", "<", 0), ("a", ">=", 2)), partial(_swap, 1),
             lambda u, v, f2: v > u >= 2,
             lambda e, o, u, v, f2: o[0] - o[1] >= 2 * (v - u + 1)
             and o[-1] - e[0] >= 2 * u - 3, partial(_swap, -1)),
-    5: Case(5, lambda a, b, gap, od0, top_gap: a == 1 and b >= 1 and gap >= 3,
+    5: Case(5, (("a", "==", 1), ("b", ">=", 1), ("gap", ">=", 3)),
             partial(_fwd_window, 0, (-1,), (1,), (), 0),
             lambda u, v, f2: u == 1 and v >= 1, None, partial(_bwd_odds, 0, (-1,), (1,), 0)),
-    6: Case(35, lambda a, b, gap, od0, top_gap: a == 1 and b >= 5 and gap == 1,
+    6: Case(35, (("a", "==", 1), ("b", ">=", 5), ("gap", "==", 1)),
             partial(_fwd_window, 1, (), (1, 1), (), 2),
             lambda u, v, f2: v >= 3 and u - v >= 3,
             lambda e, o, u, v, f2: 2 * u - 3 == o[0] and e[0] - e[1] >= 2 and e[2] == 2,
             partial(_bwd_odds, 1, (), (1, 1), 2)),
-    7: Case(54, lambda a, b, gap, od0, top_gap: a == 1 and b in (3, 4) and gap == 1, _fwd_7,
+    7: Case(54, (("a", "==", 1), ("b", ">=", 3), ("b", "<=", 4), ("gap", "==", 1)),
+            _fwd_7,
             lambda u, v, f2: v in (3, 4) and u >= 6 and u % 2 == 0,
             lambda e, o, u, v, f2: o[-1] == 3 and e[0] == 2
             and 2 * v + 1 <= o[0] <= u + 2 * v + 1, _bwd_7),
-    8: Case(20, lambda a, b, gap, od0, top_gap: a == 1 and b == 2 and gap == 1, _fwd_8,
+    8: Case(20, (("a", "==", 1), ("b", "==", 2), ("gap", "==", 1)), _fwd_8,
             lambda u, v, f2: v == 2 and u >= 4,
             lambda e, o, u, v, f2: o[0] - o[1] == 2 and e[0] == 2
             and o[1] - 2 * u + 11 > 0 and o[0] >= 5, _bwd_8),
     # the rest implies the gate: three parts 2 below three odd parts
-    9: Case(23, lambda a, b, gap, od0, top_gap: a == 1 and b == 1 and gap == 1, _fwd_9,
+    9: Case(23, (("a", "==", 1), ("b", "==", 1), ("gap", "==", 1)), _fwd_9,
             lambda u, v, f2: u == 3 and v == 3,
             lambda e, o, u, v, f2: e == (2, 2, 2) and o[1:] == (5, 3)
             and o[0] >= 9 and o[0] % 4 == 1, _bwd_9),
-    10: Case(83, lambda a, b, gap, od0, top_gap: a == 2 and b == 1,
+    10: Case(83, (("a", "==", 2), ("b", "==", 1)),
              partial(_fwd_window, 1, (7, 6), (), (5,), 18),
              lambda u, v, f2: v == 3 and u >= 5,
              lambda e, o, u, v, f2: o[2] == 5 and e[0] == 2 and 2 * u + 25 >= o[0],
              partial(_bwd_tower, (7, 6), 18)),
-    11: Case(7, lambda a, b, gap, od0, top_gap: a >= 3 and b == 1 and od0 == 1, _fwd_11,
+    11: Case(7, (("a", ">=", 3), ("b", "==", 1), ("od0", "==", 1)), _fwd_11,
              lambda u, v, f2: u >= 2 and v == 1, None, _bwd_11),
-    12: Case(95, lambda a, b, gap, od0, top_gap: a == 3 and b == 1 and od0 >= 3,
+    12: Case(95, (("a", "==", 3), ("b", "==", 1), ("od0", ">=", 3)),
              partial(_fwd_window, 1, (7, 5, 4), (), (), 16),
              lambda u, v, f2: v == 3 and u >= 4,
              lambda e, o, u, v, f2: o[2] >= 7 and e[0] == 2 and 2 * u + 23 >= o[0],
              partial(_bwd_tower, (7, 5, 4), 16)),
-    13: Case(159, lambda a, b, gap, od0, top_gap: a == 4 and b == 1 and od0 >= 3,
+    13: Case(159, (("a", "==", 4), ("b", "==", 1), ("od0", ">=", 3)),
              partial(_fwd_window, 1, (7, 5, 3, 2), (), (3,), 20),
              lambda u, v, f2: u >= 6 and v == 5,
              lambda e, o, u, v, f2: o[4] == 3 and e[0] == 2 and 2 * u + 27 >= o[0],
              partial(_bwd_tower, (7, 5, 3, 2), 20)),
-    14: Case(227, lambda a, b, gap, od0, top_gap: a == 5 and b == 1 and od0 >= 3,
+    14: Case(227, (("a", "==", 5), ("b", "==", 1), ("od0", ">=", 3)),
              partial(_fwd_window, 1, (9, 7, 5, 3, 2), (), (), 26),
              lambda u, v, f2: u >= 6 and v == 5,
              lambda e, o, u, v, f2: o[4] >= 5 and e[0] == 2 and 2 * u + 35 >= o[0],
              partial(_bwd_tower, (9, 7, 5, 3, 2), 26)),
-    15: Case(373, lambda a, b, gap, od0, top_gap: 6 <= a <= 10 and b == 1 and od0 >= 3,
+    15: Case(373, (("a", ">=", 6), ("a", "<=", 10), ("b", "==", 1), ("od0", ">=", 3)),
              partial(_fwd_window, 1, (5, 3, 1), (1,), (), 10),
              lambda u, v, f2: f2 > 12 and v == 3 and 3 <= u - f2 <= 7,
              lambda e, o, u, v, f2: e[u - f2 - 1] >= 4 and 2 * f2 + 15 >= o[0],
              partial(_bwd_long, 1, (5, 3, 1), (1,), 10)),
-    16: Case(47, lambda a, b, gap, od0, top_gap: a >= 11 and b == 1 and od0 >= 3
-             and top_gap <= 10, partial(_fwd_window, 0, (5, 3, 1), (-2, -2, -2, -2, -1), (), 0),
+    16: Case(47, (("a", ">=", 11), ("b", "==", 1), ("od0", ">=", 3), ("top_gap", "<=", 10)),
+             partial(_fwd_window, 0, (5, 3, 1), (-2, -2, -2, -2, -1), (), 0),
              lambda u, v, f2: u >= 9 and v == 3 and f2 <= 5,
              lambda e, o, u, v, f2: o[0] - o[1] <= 12 and e[u - 6] - e[u - 5] >= 2,
              partial(_bwd_long, 0, (5, 3, 1), (-2, -2, -2, -2, -1), 0)),
-    17: Case(59, lambda a, b, gap, od0, top_gap: a >= 11 and b == 1 and od0 >= 3
-             and top_gap >= 12, partial(_fwd_window, 0, (-7, 3, 1), (-2, -2, -2, -2, -1), (), 6),
+    17: Case(59, (("a", ">=", 11), ("b", "==", 1), ("od0", ">=", 3), ("top_gap", ">=", 12)),
+             partial(_fwd_window, 0, (-7, 3, 1), (-2, -2, -2, -2, -1), (), 6),
              lambda u, v, f2: u >= 15 and v == 3 and 6 <= f2 <= 11,
              lambda e, o, u, v, f2: e[u - 12] - e[u - 11] >= 2,
              partial(_bwd_long, 0, (-7, 3, 1), (-2, -2, -2, -2, -1), 6)),
@@ -332,43 +362,137 @@ def source_shape(ev: Block, od: Block) -> Shape:
     )
 
 
-def shape_cases(shape: Shape) -> tuple[int, ...]:
-    """Every case whose source condition holds on this shape, in case order."""
-    return tuple([case for case, row in CASES.items() if row.source(*shape)])
+def source_forms(shape: Shape) -> Forms:
+    """The six forms the source atoms compare: a, b, a - b, gap, od0 and
+    top_gap, the last three None where absent."""
+    a, b, gap, od0, top_gap = shape
+    return a, b, a - b, gap, od0, top_gap
+
+
+def compile_source(record: Record) -> Condition:
+    """The record's condition on a shape's forms (``source_forms``): every
+    atom holds.  An atom ``(form, rel, constant)`` compares the form with
+    the constant and is false where the form is absent; ``(form, "is",
+    None)`` holds exactly where it is absent.  Raises ValueError on an
+    atom on any other form or with any other relation."""
+    tests = []
+    for atom in record:
+        form, rel, constant = atom
+        if form not in SOURCE_FORMS:
+            raise ValueError(f"source atom {atom} reads {form!r}, not one of {SOURCE_FORMS}")
+        if rel not in _RELATIONS and (rel, constant) != ("is", None):
+            raise ValueError(f"source atom {atom} relates by none of {(*_RELATIONS, 'is')}")
+        test = is_ if rel == "is" else _RELATIONS[rel][0]
+        tests.append((SOURCE_FORMS.index(form), test, constant))
+
+    def holds(forms: Forms) -> bool:
+        for index, test, constant in tests:
+            value = forms[index]
+            # an absent form passes only the test that it is absent
+            if not (test is is_ if value is None else test(value, constant)):
+                return False
+        return True
+
+    return holds
+
+
+def source_clamps(records: Iterable[Record]) -> dict[str, tuple[int, int]]:
+    """Per form, the narrowest [lo, hi] such that clamping the form's value
+    to it leaves every comparison in these records true or false as it
+    was; (0, 0) for a form that none compares."""
+    ends: dict[str, list[int]] = {form: [] for form in SOURCE_FORMS}
+    for record in records:
+        for form, rel, constant in record:
+            if rel in _RELATIONS:
+                _, below, above = _RELATIONS[rel]
+                ends[form] += (constant + below, constant + above)
+    return {form: (min(found), max(found)) if found else (0, 0) for form, found in ends.items()}
+
+
+@cache
+def _compile_sources(
+    records: tuple[tuple[int, Record], ...],
+) -> tuple[Conditions, tuple[int, ...]]:
+    """These (case, record) pairs compiled, and the records' clamps as one
+    flat tuple, lo and hi per form in ``SOURCE_FORMS`` order."""
+    conditions = tuple([(case, compile_source(record)) for case, record in records])
+    clamps = source_clamps([record for _, record in records])
+    return conditions, tuple([end for clamp in clamps.values() for end in clamp])
+
+
+def _live_sources() -> tuple[Conditions, tuple[int, ...]]:
+    """``_compile_sources`` of the records in the live ``CASES``."""
+    return _compile_sources(tuple([(case, row.source) for case, row in CASES.items()]))
+
+
+def shape_cases(shape: Shape, conditions: Conditions | None = None) -> tuple[int, ...]:
+    """Every case whose source condition holds on this shape, in case order,
+    of these compiled conditions or else those of the live ``CASES``."""
+    forms = source_forms(shape)
+    if conditions is None:
+        conditions, _ = _live_sources()
+    return tuple([case for case, holds in conditions if holds(forms)])
 
 
 class Classifier:
     """Every case whose source condition, or image signature, holds for a
     pair of blocks, in case order.
 
-    ``source`` keeps the matches per source shape (``source_shape``).
-    ``image`` keeps, per image ``(u, v, f2)``, the gated rows, (case,
-    signature rest), or, where no gated row has a rest, the matches
-    themselves.  Each is computed from all 17 rows of the live ``CASES``
-    the first time its key is met.  This is exact, not a dispatch that
-    assumes the cases exclusive: a source member's matches are a function
-    of its shape alone, and which gates hold a function of ``(u, v, f2)``
-    alone.  Where every gated row has a rest of None, its gate is its
-    whole signature, so the key alone fixes the matches; elsewhere each
-    member's candidate rests all run on its blocks.  So every member
-    still gets every condition and every signature, and an overlap still
-    shows as more than one match.  Over the weights 55..60, the 34 905
-    source members have 8 097 shapes and the 42 447 image members 2 274
-    keys, counted per weight; 1 270 of those keys have fixed matches, and
-    54 306 of the 74 798 image members the verifier classifies there
-    (the walk and the images of checked sources) have such a key.
+    ``source`` keeps the matches per cell: a member's six forms
+    (``source_forms``), each clamped to the narrowest [lo, hi] that leaves
+    every comparison in the records true or false as it was
+    (``source_clamps``; top_gap's <= 10 and >= 12 give [10, 12]), None
+    where absent.  The cell is computed straight from the blocks, and all
+    17 compiled conditions run on the first shape met in it.  A Classifier
+    takes the records of the live ``CASES``, compiled, and their clamps
+    when it is made; each set of records is compiled once per process.
+    ``image`` keeps, per image ``(u, v, f2)``, the gated
+    rows, (case, signature rest), or, where no gated row has a rest, the
+    matches themselves, computed from all 17 rows of the live ``CASES``
+    the first time the key is met.
+
+    This is exact, not a dispatch that assumes the cases exclusive: every
+    atom has one truth value on a whole cell, so a source member's
+    matches are a function of its cell, and which gates hold is a
+    function of ``(u, v, f2)``.  Where every gated row has a rest of None,
+    its gate is its whole signature, so the key alone fixes the matches;
+    elsewhere each member's candidate rests all run on its blocks.  So
+    every member still gets every condition and every signature, and an
+    overlap still shows as more than one match.  Over the weights 55..60,
+    counted per weight, the 34 905 source members fall in 533 cells (they
+    have 8 097 shapes), and the 42 447 image members have 2 274 keys, 1 270
+    of them with fixed matches.  The image side keeps its raw keys: a
+    signature's rest reads the blocks themselves, and of the 74 798 image
+    classifications the verifier makes there (the walk and the images of
+    checked sources), only those 2 274 miss a key and 54 306 get fixed
+    matches.
     """
 
     def __init__(self) -> None:
-        self._shapes: dict[Shape, tuple[int, ...]] = {}
+        self._conditions, self._clamps = _live_sources()
+        self._cells: dict[Forms, tuple[int, ...]] = {}
         self._fixed: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._gates: dict[tuple[int, int, int], tuple[tuple[int, Rest | None], ...]] = {}
 
     def source(self, ev: Block, od: Block) -> tuple[int, ...]:
-        shape = source_shape(ev, od)
-        matches = self._shapes.get(shape)
+        alo, ahi, blo, bhi, dlo, dhi, glo, ghi, olo, ohi, tlo, thi = self._clamps
+        a, b = len(ev), len(od)
+        d = a - b
+        # each form clamped to its [lo, hi]; gap, od0 and top_gap are
+        # computed only where they exist, else None
+        cell = (
+            alo if a <= alo else ahi if a >= ahi else a,
+            blo if b <= blo else bhi if b >= bhi else b,
+            dlo if d <= dlo else dhi if d >= dhi else d,
+            None if not (a and b)
+            else glo if (gap := ev[-1] - od[0]) <= glo else ghi if gap >= ghi else gap,
+            None if not b else olo if (od0 := od[0]) <= olo else ohi if od0 >= ohi else od0,
+            None if a < 2
+            else tlo if (top_gap := ev[0] - ev[1]) <= tlo else thi if top_gap >= thi else top_gap,
+        )
+        matches = self._cells.get(cell)
         if matches is None:
-            matches = self._shapes[shape] = shape_cases(shape)
+            matches = self._cells[cell] = shape_cases(source_shape(ev, od), self._conditions)
         return matches
 
     def image(self, e: Block, o: Block) -> tuple[int, ...]:

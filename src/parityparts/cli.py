@@ -8,10 +8,11 @@ A malformed token, such as an unknown family or a number that is not an
 integer, is a usage error.  Every out-of-range value is the library's
 refusal: a ``ValueError`` raised before any output, printed as one
 ``error:`` line.  The CLI adds only the range-wide refusals that the
-library cannot make before its per-weight loop: ``check_enumerable(hi)``,
-``check_samplable(hi)``, and the ``MAX_SAMPLED_WEIGHTS`` and
-``MAX_DRAWS`` bounds on a sampled range, all made before any weight is
-verified.
+library cannot make before its per-weight loop: ``check_enumerable(hi,
+cutoff)`` with the ``--cutoff`` of exhaustive mode, ``check_samplable(hi)``,
+and the ``MAX_SAMPLED_WEIGHTS`` and ``MAX_DRAWS`` bounds on a sampled
+range.  It also refuses a ``--cutoff`` given to any other mode.  All of
+these are made before any weight is verified.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 from .casemap import backward, classify_image, classify_source, forward, witness
 from .core import format_partition, parse_partition, render_ferrers
 from .families import (
+    ENUMERATION_CUTOFF,
     MAX_DRAWS,
     MAX_SAMPLED_WEIGHTS,
     Family,
@@ -128,6 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--samples", type=int, default=1000)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--method", choices=list(INEQUALITY_METHODS), default="both")
+    verify.add_argument(
+        "--cutoff",
+        type=int,
+        help=f"exhaustive mode only: the enumeration cutoff (default {ENUMERATION_CUTOFF})",
+    )
     verify.add_argument("--format", choices=["text", "json"], default="text")
     return parser
 
@@ -199,10 +206,13 @@ def _cmd_witness(args) -> int:
 
 def _cmd_verify(args) -> int:
     check_range(args.lo, args.hi)
+    if args.cutoff is not None and args.mode != "exhaustive":
+        raise ValueError(f"--cutoff applies to exhaustive mode only, not {args.mode}")
     # refuse a range ending above a cutoff before verifying the weights below it
     if args.mode == "exhaustive":
-        check_enumerable(args.hi)
-        reports = [verify_exhaustive(n) for n in range(args.lo, args.hi + 1)]
+        cutoff = ENUMERATION_CUTOFF if args.cutoff is None else args.cutoff
+        check_enumerable(args.hi, cutoff)
+        reports = [verify_exhaustive(n, cutoff=cutoff) for n in range(args.lo, args.hi + 1)]
     elif args.mode == "sampled":
         check_samplable(args.hi)
         weights = args.hi - args.lo + 1

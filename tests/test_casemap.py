@@ -1,6 +1,6 @@
 import random
 from functools import partial
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +17,7 @@ from parityparts.casemap import (
     backward,
     classify_image,
     classify_source,
+    compile_source,
     _bwd_long,
     _bwd_odds,
     _bwd_tower,
@@ -26,6 +27,8 @@ from parityparts.casemap import (
     image_case_matches,
     shape_cases,
     source_case_matches,
+    source_clamps,
+    source_forms,
     source_shape,
     witness,
 )
@@ -1102,23 +1105,144 @@ def _shape_lattice():
 
 
 def test_shape_lattice_has_exactly_one_source_case_everywhere():
-    """The source conditions are total and exclusive on every shape.
-
-    Each condition compares a feature with a threshold, or a with b, and
-    the lattice takes both sides of every threshold, with a "≥" bucket
-    past the last: a at 0, 1, 2, 3, 4, 5, 6..10 and 11 (to 13); b at 0, 1,
-    2, 3, 4 and 5 (to 7); the cross gap at 1 and 3 (and 5); od0 at 1 and 3
-    (to 15); the top gap at 10 and 12 (0 to 14).  A shape outside the
-    lattice with a and b both at least 2 meets only the conditions of
-    cases 2-4, which read the order of a and b alone, and the lattice
-    holds all three orders.  Any other shape meets the same conditions as
-    the lattice point that clamps a to 13, b to 7, the gap to 5, od0 to 15
-    and the top gap to 14.  So the conditions are total and exclusive at
-    every weight.
-    """
+    """The source conditions are total and exclusive on every lattice
+    shape; ``test_every_realizable_cell_has_exactly_one_source_case``
+    carries this to every shape at every weight."""
     shapes = list(_shape_lattice())
     assert len(shapes) == 10318
     assert [shape for shape in shapes if len(shape_cases(shape)) != 1] == []
+
+
+def _live_clamps():
+    return source_clamps([row.source for row in CASES.values()])
+
+
+def test_source_clamps_are_frozen():
+    assert _live_clamps() == {
+        "a": (0, 11), "b": (0, 5), "a - b": (-1, 1), "gap": (0, 3), "od0": (0, 3),
+        "top_gap": (10, 12),
+    }
+
+
+def _cell(shape, clamps):
+    """The shape's forms, each clamped to its [lo, hi], None where absent."""
+    return tuple(
+        value if value is None else min(max(value, lo), hi)
+        for value, (lo, hi) in zip(source_forms(shape), clamps.values())
+    )
+
+
+def _realizable_cells(clamps):
+    """The first shape met in each realizable cell of these clamps.
+
+    A source shape has a, b >= 0, a cross gap odd and at least 1 where
+    a and b are, od0 odd and at least 2b - 1 where b is, and a top gap
+    even and at least 0 where a >= 2; the gaps, od0 and the top gap run
+    to past their clamps' hi.  The lengths run to 2K + 1, K the largest
+    of 2 and the clamp ends of a, b and a - b: a source member with both
+    lengths above K keeps its cell with both one less, and one with
+    b <= K < 2K + 1 < a keeps it with a one less (a - b stays above K),
+    and so the other way round; a shorter odd block leaves od0 realizable.
+    """
+    ends = [abs(end) for form in ("a", "b", "a - b") for end in clamps[form]]
+    reach = 2 * max(2, *ends) + 1
+    gap_hi, od0_hi, top_hi = (max(clamps[form][1], 0) for form in ("gap", "od0", "top_gap"))
+    cells = {}
+    for a, b in product(range(reach + 1), repeat=2):
+        gaps = range(1, gap_hi + 2, 2) if a and b else [None]
+        od0s = range(2 * b - 1, max(2 * b - 1, od0_hi) + 2, 2) if b else [None]
+        top_gaps = range(0, top_hi + 2, 2) if a >= 2 else [None]
+        for gap, od0, top_gap in product(gaps, od0s, top_gaps):
+            shape = (a, b, gap, od0, top_gap)
+            cells.setdefault(_cell(shape, clamps), shape)
+    return cells
+
+
+def _cell_faults():
+    """Each realizable cell's first shape whose matches are not exactly
+    one case, with those matches."""
+    faults = {}
+    for shape in _realizable_cells(_live_clamps()).values():
+        matches = shape_cases(shape)
+        if len(matches) != 1:
+            faults[shape] = matches
+    return faults
+
+
+def test_every_realizable_cell_has_exactly_one_source_case():
+    """Source totality and exclusivity at every weight: every atom holds or
+    fails alike on a whole cell, so every shape of a cell meets the
+    conditions its first shape meets."""
+    assert len(_realizable_cells(_live_clamps())) == 332
+    assert _cell_faults() == {}
+
+
+# A source record mutated in one atom, and the cells where the proof then
+# fails, by their first shape, with the cases each meets.
+CELL_MUTATIONS = {
+    # case 16's top gap <= 8 leaves top gap 10 to no case
+    16: (
+        (("a", ">=", 11), ("b", "==", 1), ("od0", ">=", 3), ("top_gap", "<=", 8)),
+        {(11, 1, 1, 3, 10): (), (11, 1, 3, 3, 10): ()},
+    ),
+    # case 15's a <= 11 overlaps cases 16 and 17 at a = 11
+    15: (
+        (("a", ">=", 6), ("a", "<=", 11), ("b", "==", 1), ("od0", ">=", 3)),
+        {
+            (11, 1, 1, 3, 0): (15, 16), (11, 1, 1, 3, 12): (15, 17),
+            (11, 1, 3, 3, 0): (15, 16), (11, 1, 3, 3, 12): (15, 17),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CELL_MUTATIONS)
+def test_cell_proof_fails_on_a_mutated_record(monkeypatch, case):
+    record, faults = CELL_MUTATIONS[case]
+    monkeypatch.setitem(CASES, case, CASES[case]._replace(source=record))
+    assert _cell_faults() == faults
+
+
+def _blocks_of(shape):
+    """Source blocks with this shape: the odd parts od0, od0 - 2, ..., and
+    a - 1 equal evens gap above od0 (at 2 without odd parts) under a top
+    even top_gap above them."""
+    a, b, gap, od0, top_gap = shape
+    od = tuple(range(od0, od0 - 2 * b, -2)) if b else ()
+    low = od0 + gap if a and b else 2
+    ev = ((low + top_gap,) + (low,) * (a - 1))[:a] if a >= 2 else (low,) * a
+    return ev, od
+
+
+@st.composite
+def _drawn_shape(draw):
+    """A source shape with its features up to 60 (od0 at most 60 above
+    its least value 2b - 1), None where absent."""
+    a, b = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    gap = draw(st.integers(0, 29).map(lambda half: 2 * half + 1)) if a and b else None
+    od0 = draw(st.integers(b, b + 30).map(lambda half: 2 * half - 1)) if b else None
+    top_gap = draw(st.integers(0, 30).map(lambda half: 2 * half)) if a >= 2 else None
+    return a, b, gap, od0, top_gap
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_drawn_shape(), min_size=1, max_size=30))
+def test_one_classifier_matches_reference_whichever_shape_of_a_cell_came_first(shapes):
+    classifier = Classifier()
+    for shape in shapes:
+        ev, od = _blocks_of(shape)
+        assert source_shape(ev, od) == shape
+        assert classifier.source(ev, od) == _reference_source_cases(ev, od), shape
+
+
+@pytest.mark.parametrize(
+    "atom",
+    [("c", "==", 1), ("a + b", ">", 0), ("a", "!=", 1), ("gap", "is", 0)],
+    ids=["form-c", "form-a+b", "rel-!=", "is-0"],
+)
+def test_compiling_an_unknown_atom_raises(atom):
+    with pytest.raises(ValueError, match="source atom"):
+        compile_source((("a", "==", 1), atom))
 
 
 # Case pairs whose (u, v, f2) gates both hold somewhere with f2 <= u <= 40

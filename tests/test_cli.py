@@ -26,6 +26,7 @@ from parityparts.core import MAX_GLYPHS, MAX_PARTS, format_partition, parse_part
 from parityparts.families import (
     ENUMERATION_CUTOFF,
     MAX_DRAWS,
+    MAX_ENUMERATION_CUTOFF,
     MAX_SAMPLED_WEIGHTS,
     SAMPLE_CUTOFF,
     Family,
@@ -461,7 +462,7 @@ class TestVerify:
     def test_exhaustive_above_cutoff_fails_before_verifying(self, capsys, monkeypatch):
         # the range is refused as a whole, so no weight below the cutoff is verified
         calls = []
-        monkeypatch.setattr(cli, "verify_exhaustive", lambda n: calls.append(n))
+        monkeypatch.setattr(cli, "verify_exhaustive", lambda n, **kwargs: calls.append(n))
         code, out, err = invoke(
             capsys, "verify", "--mode", "exhaustive", "--from", str(ENUMERATION_CUTOFF - 2),
             "--to", str(ENUMERATION_CUTOFF + 1),
@@ -470,6 +471,33 @@ class TestVerify:
         assert out == ""
         assert err.count("\n") == 1 and "cutoff" in err
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "mode,cutoff,message",
+        [("exhaustive", MAX_ENUMERATION_CUTOFF + 1, "enumeration cutoff 122 exceeds the maximum 121")]
+        + [
+            (mode, ENUMERATION_CUTOFF, f"--cutoff applies to exhaustive mode only, not {mode}")
+            for mode in ("sampled", "inequality", "witnesses")
+        ],
+    )
+    def test_cutoff_is_refused_before_verifying(self, capsys, monkeypatch, mode, cutoff, message):
+        calls = []
+        for name in ("verify_exhaustive", "verify_sampled", "verify_inequality", "verify_witnesses"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(args))
+        code, out, err = invoke(
+            capsys, "verify", "--mode", mode, "--from", "373", "--to", "373",
+            "--cutoff", str(cutoff),
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert calls == []
+
+    def test_exhaustive_past_the_default_cutoff_with_cutoff(self, capsys):
+        code, out, _ = invoke(
+            capsys, "verify", "--mode", "exhaustive", "--from", "71", "--to", "71",
+            "--cutoff", "71", "--format", "json",
+        )
+        assert code == 0
+        assert out == f"[{verify.verify_exhaustive(71, cutoff=71).to_json()}]\n"
 
     def test_inequality_failure_sets_exit_code(self, capsys):
         code, out, _ = invoke(
@@ -760,6 +788,7 @@ NUMERIC_OPTIONS = [
     ["witness", "--n={}"],
     ["verify", "--mode", "exhaustive", "--from={}", "--to=3"],
     ["verify", "--mode", "exhaustive", "--from=0", "--to={}"],
+    ["verify", "--mode", "exhaustive", "--from=0", "--to=3", "--cutoff={}"],
     ["verify", "--mode", "sampled", "--from=3", "--to=3", "--samples={}"],
 ]
 
@@ -782,13 +811,17 @@ class TestNumericFuzz:
         assert_outcome(["witness", f"--n={n}"], n >= WITNESS_MIN_WEIGHT)
 
     @settings(max_examples=60, deadline=None)
-    @given(lo=weight, hi=weight, count=draws)
-    def test_weight_ranges(self, lo, hi, count):
+    @given(lo=weight, hi=weight, count=draws, cutoff=weight)
+    def test_weight_ranges(self, lo, hi, count, cutoff):
         in_range = in_reach(lo, hi) and lo <= hi
         bounds = [f"--from={lo}", f"--to={hi}"]
         assert_outcome(["table", *bounds], in_range)
         # --samples only counts in sampled mode
         assert_outcome(["verify", "--mode", "exhaustive", *bounds, f"--samples={count}"], in_range)
+        assert_outcome(
+            ["verify", "--mode", "exhaustive", *bounds, f"--cutoff={cutoff}"],
+            in_range and hi <= cutoff <= MAX_ENUMERATION_CUTOFF,
+        )
         assert_outcome(
             ["verify", "--mode", "sampled", *bounds, f"--samples={count}"],
             in_range and in_reach(count) and count > 0,

@@ -166,7 +166,7 @@ class TestExhaustive:
     WIDENED = {
         "case-5-source": (
             5,
-            {"source": lambda a, b, gap, od0, top_gap: a == 1 and b >= 1 and gap >= 1},
+            {"source": (("a", "==", 1), ("b", ">=", 1), ("gap", ">=", 1))},
             {"classify": 94, "count-equality": 18, "inverse-roundtrip": 32},
             "a17736f3a3e8e9ad7379d4d6d6d1e07bccc374af4ecbd7f5a15daffa0689650a",
         ),
@@ -306,6 +306,27 @@ def test_deep_exhaustive_reports_are_frozen(n):
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == DEEP_EXHAUSTIVE_REPORTS[n]
 
 
+# The distinct source cells each driver call classifies through, summed
+# over the calls: every one costs the 17 source conditions, once.  Over
+# 55..60 the 34 905 source members have 8 097 shapes.
+SOURCE_CELLS_MET = {"exhaustive-55-60": 533, "sampled-373": 17}
+
+
+def test_source_cells_met_are_frozen(monkeypatch):
+    evaluated = []
+    shape_cases = casemap.shape_cases
+    monkeypatch.setattr(
+        casemap, "shape_cases", lambda *args: evaluated.append(args) or shape_cases(*args)
+    )
+    for n in range(55, 61):
+        verify_exhaustive(n)
+    exhaustive = len(evaluated)
+    verify_sampled(373, 1000, 0)
+    assert {"exhaustive-55-60": exhaustive, "sampled-373": len(evaluated) - exhaustive} == (
+        SOURCE_CELLS_MET
+    )
+
+
 # a fresh interpreter verifies weight 120 and prints its own peak RSS
 DEEP_PEAK_RSS = """
 import sys
@@ -318,7 +339,7 @@ assert verify_exhaustive(120, cutoff=120).ok
 @pytest.mark.slow
 def test_exhaustive_at_120_peaks_below_120_mib():
     """The walk's memo keeps only lower blocks of weight at most 2n/3: the
-    whole process peaks at about 72 MiB, where a memo of every block took
+    whole process peaks at about 69 MiB, where a memo of every block took
     334 MiB."""
     peak = int(run_fresh(DEEP_PEAK_RSS))
     assert peak < 120 * 1024, f"peak RSS {peak} KiB"
