@@ -29,19 +29,19 @@ In each group the conditions, signatures and minimum weights stay
 separate.
 
 A source condition is a record: a conjunction of atoms ``(form, rel,
-constant)`` that compare six forms of the member's shape ``(a, b, gap,
-od0, top_gap)`` from ``source_shape`` with constants.  The forms are the
-two block lengths a and b, their difference a - b, the cross gap
-``ev[-1] - od[0]``, the top odd part od0 and the gap ``ev[0] - ev[1]``
-between the two top evens, the last three None where those parts do
-not exist.  A comparison on an absent form is false, and case 1's one
-atom ``("gap", "is", None)`` holds exactly where a block is empty.
-``compile_source`` turns a record into the test that ``shape_cases``
-runs, and refuses an atom on any other form.  The constants cut each
-form into finitely many cells (``source_clamps``), and every shape in a
-cell meets the same conditions.  An image signature is its gate, the
-leading conjuncts on the block lengths u and v and the count f2 of
-parts 2, then the rest on the blocks (none for cases 1, 5 and 11).
+constant)`` that compare six forms of a source member with constants.
+The forms are the two block lengths a and b, their difference a - b,
+the cross gap ``ev[-1] - od[0]``, the top odd part od0 and the gap
+``ev[0] - ev[1]`` between the two top evens, the last three None where
+those parts do not exist.  A comparison on an absent form is false, and
+case 1's one atom ``("gap", "is", None)`` holds exactly where a block is
+empty.  ``source_cases`` reads the records as they stand on a tuple of
+forms.  The constants cut each form into finitely many cells
+(``source_clamps``, which also refuses an atom on any other form), and
+every member in a cell meets the same conditions.  An image signature
+is its gate, the leading conjuncts on the block lengths u and v and the
+count f2 of parts 2, then the rest on the blocks (none for cases 1, 5
+and 11).
 Every classification goes through a ``Classifier``, which keeps the
 source matches per cell and, per ``(u, v, f2)``, the matches themselves
 where no gated signature has a rest, else the gated signatures; why
@@ -67,7 +67,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from functools import cache, partial
-from operator import add, eq, ge, gt, is_, le, lt, sub
+from operator import add, eq, ge, gt, le, lt, sub
 
 from .core import MAX_PARTS, Block, Partition, format_partition, parity_split
 from .families import Family, blocks_in_family
@@ -99,17 +99,12 @@ WITNESS_MIN_WEIGHT = 373
 WITNESS_CUTOFF = 1_000_000
 
 
-# A source member's shape (a, b, gap, od0, top_gap); see ``source_shape``.
-Shape = tuple[int, int, int | None, int | None, int | None]
-# The six forms of a shape that the source atoms compare; see ``source_forms``.
+# The six forms of a source member that the source atoms compare, in this
+# order, the last three None where absent; see ``source_cases``.
 Forms = tuple[int, int, int, int | None, int | None, int | None]
 SOURCE_FORMS = ("a", "b", "a - b", "gap", "od0", "top_gap")
-# A record, the conjunction of its atoms (form, rel, constant), and the
-# Condition that ``compile_source`` turns it into.
+# A record, the conjunction of its atoms (form, rel, constant).
 Record = tuple[tuple[str, str, int | None], ...]
-Condition = Callable[[Forms], bool]
-# Each case with its compiled source condition, in case order.
-Conditions = tuple[tuple[int, Condition], ...]
 # Per relation: its test, and the offsets below and above such that a
 # comparison with the constant c holds alike on every x <= c + below, and
 # alike on every x >= c + above.
@@ -127,8 +122,8 @@ Rest = Callable[[Block, Block, int, int, int], bool]
 class Case(namedtuple("Case", "min_weight source forward gate image backward")):
     """Everything about one case; both directions start at ``min_weight``.
 
-    ``source`` is the case's condition on a source member's shape
-    (``source_shape``), a record of atoms for ``compile_source``.  The
+    ``source`` is the case's condition on a source member's forms
+    (``Forms``), a record of atoms that ``source_cases`` reads.  The
     rewrites ``forward`` and ``backward`` are functions of a member's even
     and odd blocks, returning the other side's parts in any order.  The
     image signature has two parts: ``gate``, its leading conjuncts on the
@@ -261,7 +256,7 @@ def _bwd_long(start, head, tail, twos, e, o):
 # (start, head, tail, fixed odd parts, twos) into ``_fwd_window`` and its
 # reader.  A source condition is a record of atoms (form, rel, constant),
 # all of which must hold, over the forms a, b, a - b, gap, od0 and top_gap
-# of ``source_forms``; case 7's b in (3, 4) is b >= 3 and b <= 4.  In a
+# (``Forms``); case 7's b in (3, 4) is b >= 3 and b <= 4.  In a
 # source member the cross gap ev[-1] - od[0] is odd and at least 1, by
 # strict block separation.  ev/e are the even blocks,
 # od/o the odd blocks, u and v the image block lengths, f2 the number of
@@ -348,90 +343,45 @@ def from_parts(parts: Iterable[int]) -> Partition:
     return Partition(sorted(parts, reverse=True))
 
 
-def source_shape(ev: Block, od: Block) -> Shape:
-    """The five features the source conditions read: ``len(ev)``,
-    ``len(od)``, the cross gap ``ev[-1] - od[0]``, ``od[0]`` and the top
-    gap ``ev[0] - ev[1]``, each None where its parts do not exist."""
-    a, b = len(ev), len(od)
-    return (
-        a,
-        b,
-        ev[-1] - od[0] if a and b else None,
-        od[0] if b else None,
-        ev[0] - ev[1] if a > 1 else None,
-    )
-
-
-def source_forms(shape: Shape) -> Forms:
-    """The six forms the source atoms compare: a, b, a - b, gap, od0 and
-    top_gap, the last three None where absent."""
-    a, b, gap, od0, top_gap = shape
-    return a, b, a - b, gap, od0, top_gap
-
-
-def compile_source(record: Record) -> Condition:
-    """The record's condition on a shape's forms (``source_forms``): every
-    atom holds.  An atom ``(form, rel, constant)`` compares the form with
-    the constant and is false where the form is absent; ``(form, "is",
-    None)`` holds exactly where it is absent.  Raises ValueError on an
-    atom on any other form or with any other relation."""
-    tests = []
-    for atom in record:
-        form, rel, constant = atom
-        if form not in SOURCE_FORMS:
-            raise ValueError(f"source atom {atom} reads {form!r}, not one of {SOURCE_FORMS}")
-        if rel not in _RELATIONS and (rel, constant) != ("is", None):
-            raise ValueError(f"source atom {atom} relates by none of {(*_RELATIONS, 'is')}")
-        test = is_ if rel == "is" else _RELATIONS[rel][0]
-        tests.append((SOURCE_FORMS.index(form), test, constant))
-
-    def holds(forms: Forms) -> bool:
-        for index, test, constant in tests:
-            value = forms[index]
-            # an absent form passes only the test that it is absent
-            if not (test is is_ if value is None else test(value, constant)):
-                return False
-        return True
-
-    return holds
-
-
-def source_clamps(records: Iterable[Record]) -> dict[str, tuple[int, int]]:
-    """Per form, the narrowest [lo, hi] such that clamping the form's value
-    to it leaves every comparison in these records true or false as it
-    was; (0, 0) for a form that none compares."""
+@cache
+def source_clamps(records: tuple[Record, ...]) -> tuple[tuple[int, int], ...]:
+    """Per form, in ``SOURCE_FORMS`` order, the narrowest [lo, hi] such
+    that clamping the form's value to it leaves every comparison in these
+    records true or false as it was; (0, 0) for a form that none compares.
+    Raises ValueError on an atom on any other form, or with a relation
+    other than a comparison or ``(form, "is", None)``."""
     ends: dict[str, list[int]] = {form: [] for form in SOURCE_FORMS}
     for record in records:
-        for form, rel, constant in record:
+        for atom in record:
+            form, rel, constant = atom
+            if form not in SOURCE_FORMS:
+                raise ValueError(f"source atom {atom} reads {form!r}, not one of {SOURCE_FORMS}")
             if rel in _RELATIONS:
                 _, below, above = _RELATIONS[rel]
                 ends[form] += (constant + below, constant + above)
-    return {form: (min(found), max(found)) if found else (0, 0) for form, found in ends.items()}
+            elif (rel, constant) != ("is", None):
+                raise ValueError(f"source atom {atom} relates by none of {(*_RELATIONS, 'is')}")
+    return tuple([(min(found), max(found)) if found else (0, 0) for found in ends.values()])
 
 
-@cache
-def _compile_sources(
-    records: tuple[tuple[int, Record], ...],
-) -> tuple[Conditions, tuple[int, ...]]:
-    """These (case, record) pairs compiled, and the records' clamps as one
-    flat tuple, lo and hi per form in ``SOURCE_FORMS`` order."""
-    conditions = tuple([(case, compile_source(record)) for case, record in records])
-    clamps = source_clamps([record for _, record in records])
-    return conditions, tuple([end for clamp in clamps.values() for end in clamp])
-
-
-def _live_sources() -> tuple[Conditions, tuple[int, ...]]:
-    """``_compile_sources`` of the records in the live ``CASES``."""
-    return _compile_sources(tuple([(case, row.source) for case, row in CASES.items()]))
-
-
-def shape_cases(shape: Shape, conditions: Conditions | None = None) -> tuple[int, ...]:
-    """Every case whose source condition holds on this shape, in case order,
-    of these compiled conditions or else those of the live ``CASES``."""
-    forms = source_forms(shape)
-    if conditions is None:
-        conditions, _ = _live_sources()
-    return tuple([case for case, holds in conditions if holds(forms)])
+def source_cases(forms: Forms) -> tuple[int, ...]:
+    """Every case of the live ``CASES`` whose record holds on these forms
+    (``Forms``), in case order: every atom compares its form with its
+    constant.  The atoms must have passed ``source_clamps``."""
+    values = dict(zip(SOURCE_FORMS, forms))
+    matches = []
+    for case, row in CASES.items():
+        for form, rel, constant in row.source:
+            value = values[form]
+            # an absent form passes only the atom that it is absent
+            if value is None:
+                if rel != "is":
+                    break
+            elif rel == "is" or not _RELATIONS[rel][0](value, constant):
+                break
+        else:
+            matches.append(case)
+    return tuple(matches)
 
 
 class Classifier:
@@ -439,17 +389,17 @@ class Classifier:
     pair of blocks, in case order.
 
     ``source`` keeps the matches per cell: a member's six forms
-    (``source_forms``), each clamped to the narrowest [lo, hi] that leaves
-    every comparison in the records true or false as it was
-    (``source_clamps``; top_gap's <= 10 and >= 12 give [10, 12]), None
-    where absent.  The cell is computed straight from the blocks, and all
-    17 compiled conditions run on the first shape met in it.  A Classifier
-    takes the records of the live ``CASES``, compiled, and their clamps
-    when it is made; each set of records is compiled once per process.
-    ``image`` keeps, per image ``(u, v, f2)``, the gated
-    rows, (case, signature rest), or, where no gated row has a rest, the
-    matches themselves, computed from all 17 rows of the live ``CASES``
-    the first time the key is met.
+    (``Forms``), each clamped to the narrowest [lo, hi] that leaves every
+    comparison in the records true or false as it was (``source_clamps``;
+    top_gap's <= 10 and >= 12 give [10, 12]), None where absent.  The
+    cell is computed straight from the blocks.  The first time it is met,
+    ``source_cases`` reads all 17 records of the live ``CASES`` on the
+    cell itself, which clamping leaves a valid input to every atom.  A
+    Classifier takes the live records' clamps when it is made, derived
+    once per set of records in a process.  ``image`` keeps, per image
+    ``(u, v, f2)``, the gated rows, (case, signature rest), or, where no
+    gated row has a rest, the matches themselves, computed from all 17
+    rows of the live ``CASES`` the first time the key is met.
 
     This is exact, not a dispatch that assumes the cases exclusive: every
     atom has one truth value on a whole cell, so a source member's
@@ -459,17 +409,18 @@ class Classifier:
     elsewhere each member's candidate rests all run on its blocks.  So
     every member still gets every condition and every signature, and an
     overlap still shows as more than one match.  Over the weights 55..60,
-    counted per weight, the 34 905 source members fall in 533 cells (they
-    have 8 097 shapes), and the 42 447 image members have 2 274 keys, 1 270
-    of them with fixed matches.  The image side keeps its raw keys: a
-    signature's rest reads the blocks themselves, and of the 74 798 image
-    classifications the verifier makes there (the walk and the images of
-    checked sources), only those 2 274 miss a key and 54 306 get fixed
-    matches.
+    counted per weight, the 34 905 source members fall in 533 cells, so
+    the records are read 533 times, and the 42 447 image members have
+    2 274 keys, 1 270 of them with fixed matches.  The image side keeps
+    its raw keys: a signature's rest reads the blocks themselves, and of
+    the 74 798 image classifications the verifier makes there (the walk
+    and the images of checked sources), only those 2 274 miss a key and
+    54 306 get fixed matches.
     """
 
     def __init__(self) -> None:
-        self._conditions, self._clamps = _live_sources()
+        records = tuple([row.source for row in CASES.values()])
+        self._clamps = tuple([end for clamp in source_clamps(records) for end in clamp])
         self._cells: dict[Forms, tuple[int, ...]] = {}
         self._fixed: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._gates: dict[tuple[int, int, int], tuple[tuple[int, Rest | None], ...]] = {}
@@ -492,7 +443,7 @@ class Classifier:
         )
         matches = self._cells.get(cell)
         if matches is None:
-            matches = self._cells[cell] = shape_cases(source_shape(ev, od), self._conditions)
+            matches = self._cells[cell] = source_cases(cell)
         return matches
 
     def image(self, e: Block, o: Block) -> tuple[int, ...]:

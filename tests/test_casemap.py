@@ -12,12 +12,12 @@ from parityparts.casemap import (
     MAX_MAP_WEIGHT,
     NUM_CASES,
     SOURCE_FAMILY,
+    SOURCE_FORMS,
     Case,
     Classifier,
     backward,
     classify_image,
     classify_source,
-    compile_source,
     _bwd_long,
     _bwd_odds,
     _bwd_tower,
@@ -25,11 +25,9 @@ from parityparts.casemap import (
     _swap,
     forward,
     image_case_matches,
-    shape_cases,
     source_case_matches,
+    source_cases,
     source_clamps,
-    source_forms,
-    source_shape,
     witness,
 )
 from parityparts.core import Partition, parity_split, parse_partition
@@ -1081,12 +1079,11 @@ def test_shared_classifier_matches_reference_on_any_blocks(blocks):
     assert _classified(image, a, b) == _classified(_reference_image_cases, a, b)
 
 
-def test_source_shape_reads_five_features():
-    assert source_shape((8, 6, 6), (5, 3)) == (3, 2, 1, 5, 2)
-    assert source_shape((4,), (3, 1)) == (1, 2, 1, 3, None)
-    assert source_shape((), (3, 1)) == (0, 2, None, 3, None)
-    assert source_shape((6, 2), ()) == (2, 0, None, None, 4)
-    assert source_shape((), ()) == (0, 0, None, None, None)
+def _forms(shape):
+    """The forms (a, b, a - b, gap, od0, top_gap) of a shape (a, b, gap,
+    od0, top_gap), whose features are None where their parts do not exist."""
+    a, b, gap, od0, top_gap = shape
+    return a, b, a - b, gap, od0, top_gap
 
 
 def _shape_lattice():
@@ -1110,11 +1107,11 @@ def test_shape_lattice_has_exactly_one_source_case_everywhere():
     carries this to every shape at every weight."""
     shapes = list(_shape_lattice())
     assert len(shapes) == 10318
-    assert [shape for shape in shapes if len(shape_cases(shape)) != 1] == []
+    assert [shape for shape in shapes if len(source_cases(_forms(shape))) != 1] == []
 
 
 def _live_clamps():
-    return source_clamps([row.source for row in CASES.values()])
+    return dict(zip(SOURCE_FORMS, source_clamps(tuple([row.source for row in CASES.values()]))))
 
 
 def test_source_clamps_are_frozen():
@@ -1128,12 +1125,13 @@ def _cell(shape, clamps):
     """The shape's forms, each clamped to its [lo, hi], None where absent."""
     return tuple(
         value if value is None else min(max(value, lo), hi)
-        for value, (lo, hi) in zip(source_forms(shape), clamps.values())
+        for value, (lo, hi) in zip(_forms(shape), clamps.values())
     )
 
 
-def _realizable_cells(clamps):
-    """The first shape met in each realizable cell of these clamps.
+def _realizable_shapes(clamps):
+    """Realizable source shapes that meet every realizable cell of these
+    clamps.
 
     A source shape has a, b >= 0, a cross gap odd and at least 1 where
     a and b are, od0 odd and at least 2b - 1 where b is, and a top gap
@@ -1147,14 +1145,19 @@ def _realizable_cells(clamps):
     ends = [abs(end) for form in ("a", "b", "a - b") for end in clamps[form]]
     reach = 2 * max(2, *ends) + 1
     gap_hi, od0_hi, top_hi = (max(clamps[form][1], 0) for form in ("gap", "od0", "top_gap"))
-    cells = {}
     for a, b in product(range(reach + 1), repeat=2):
         gaps = range(1, gap_hi + 2, 2) if a and b else [None]
         od0s = range(2 * b - 1, max(2 * b - 1, od0_hi) + 2, 2) if b else [None]
         top_gaps = range(0, top_hi + 2, 2) if a >= 2 else [None]
         for gap, od0, top_gap in product(gaps, od0s, top_gaps):
-            shape = (a, b, gap, od0, top_gap)
-            cells.setdefault(_cell(shape, clamps), shape)
+            yield a, b, gap, od0, top_gap
+
+
+def _realizable_cells(clamps):
+    """The first shape met in each realizable cell of these clamps."""
+    cells = {}
+    for shape in _realizable_shapes(clamps):
+        cells.setdefault(_cell(shape, clamps), shape)
     return cells
 
 
@@ -1163,7 +1166,7 @@ def _cell_faults():
     one case, with those matches."""
     faults = {}
     for shape in _realizable_cells(_live_clamps()).values():
-        matches = shape_cases(shape)
+        matches = source_cases(_forms(shape))
         if len(matches) != 1:
             faults[shape] = matches
     return faults
@@ -1214,6 +1217,26 @@ def _blocks_of(shape):
     return ev, od
 
 
+def _shape_of(ev, od):
+    """The shape (a, b, gap, od0, top_gap) of source blocks."""
+    a, b = len(ev), len(od)
+    gap = ev[-1] - od[0] if a and b else None
+    return a, b, gap, od[0] if b else None, ev[0] - ev[1] if a > 1 else None
+
+
+def test_classifier_keys_each_realizable_shape_on_its_cell():
+    """The inline clamp of ``Classifier.source`` keys every realizable
+    shape, past each clamp's ends too, on the cell the proof walks, and
+    meets those cells in the proof's order."""
+    clamps = _live_clamps()
+    classifier = Classifier()
+    for shape in _realizable_shapes(clamps):
+        ev, od = _blocks_of(shape)
+        assert _shape_of(ev, od) == shape
+        classifier.source(ev, od)
+    assert list(classifier._cells) == list(_realizable_cells(clamps))
+
+
 @st.composite
 def _drawn_shape(draw):
     """A source shape with its features up to 60 (od0 at most 60 above
@@ -1231,7 +1254,7 @@ def test_one_classifier_matches_reference_whichever_shape_of_a_cell_came_first(s
     classifier = Classifier()
     for shape in shapes:
         ev, od = _blocks_of(shape)
-        assert source_shape(ev, od) == shape
+        assert _shape_of(ev, od) == shape
         assert classifier.source(ev, od) == _reference_source_cases(ev, od), shape
 
 
@@ -1241,8 +1264,18 @@ def test_one_classifier_matches_reference_whichever_shape_of_a_cell_came_first(s
     ids=["form-c", "form-a+b", "rel-!=", "is-0"],
 )
 def test_compiling_an_unknown_atom_raises(atom):
+    # deriving the clamps is the one step from the records to a Classifier
     with pytest.raises(ValueError, match="source atom"):
-        compile_source((("a", "==", 1), atom))
+        source_clamps(((("a", "==", 1), atom),))
+
+
+def test_an_unknown_atom_after_a_false_one_is_refused(monkeypatch):
+    # a reader that stops at a false atom reaches the last one only on a
+    # member with a = 1, b = 1 and gap 1; the Classifier refuses it first
+    record = CASES[9].source + (("c", "==", 1),)
+    monkeypatch.setitem(CASES, 9, CASES[9]._replace(source=record))
+    with pytest.raises(ValueError, match="source atom .* reads 'c'"):
+        Classifier()
 
 
 # Case pairs whose (u, v, f2) gates both hold somewhere with f2 <= u <= 40

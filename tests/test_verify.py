@@ -307,16 +307,17 @@ def test_deep_exhaustive_reports_are_frozen(n):
 
 
 # The distinct source cells each driver call classifies through, summed
-# over the calls: every one costs the 17 source conditions, once.  Over
-# 55..60 the 34 905 source members have 8 097 shapes.
+# over the calls: every one costs one read of the 17 source records
+# (``casemap.source_cases``), once.  Over 55..60 the 34 905 source members
+# fall in these 533 cells.
 SOURCE_CELLS_MET = {"exhaustive-55-60": 533, "sampled-373": 17}
 
 
 def test_source_cells_met_are_frozen(monkeypatch):
     evaluated = []
-    shape_cases = casemap.shape_cases
+    source_cases = casemap.source_cases
     monkeypatch.setattr(
-        casemap, "shape_cases", lambda *args: evaluated.append(args) or shape_cases(*args)
+        casemap, "source_cases", lambda *args: evaluated.append(args) or source_cases(*args)
     )
     for n in range(55, 61):
         verify_exhaustive(n)
