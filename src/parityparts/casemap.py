@@ -29,23 +29,23 @@ In each group the conditions, signatures and minimum weights stay
 separate.
 
 A source condition is a record: a conjunction of atoms ``(form, rel,
-constant)`` that compare six forms of a source member with constants.
-The forms are the two block lengths a and b, their difference a - b,
-the cross gap ``ev[-1] - od[0]``, the top odd part od0 and the gap
-``ev[0] - ev[1]`` between the two top evens, the last three None where
-those parts do not exist.  A comparison on an absent form is false, and
-case 1's one atom ``("gap", "is", None)`` holds exactly where a block is
-empty.  ``source_cases`` reads the records as they stand on a tuple of
-forms.  The constants cut each form into finitely many cells
-(``source_clamps``, which also refuses an atom on any other form), and
-every member in a cell meets the same conditions.  An image signature
-is its gate, the leading conjuncts on the block lengths u and v and the
-count f2 of parts 2, then the rest on the blocks (none for cases 1, 5
-and 11).
+constant)`` that compare six integer forms of a source member with int
+constants.  The forms are the two block lengths a and b, their
+difference a - b, the cross gap ``ev[-1] - od[0]``, the top odd part
+od0 and the gap ``ev[0] - ev[1]`` between the two top evens, the last
+three 0 where those parts do not exist.  A real cross gap is an even
+part less an odd one, so it is odd, and case 1's one atom ``("gap",
+"==", 0)`` holds exactly where a block is empty.  ``source_cases`` reads
+the records as they stand on a tuple of forms.  The constants cut each
+form into finitely many cells (``source_clamps``, which also refuses an
+atom on any other form), and every member in a cell meets the same
+conditions.  An image signature is its gate, the leading conjuncts on
+the block lengths u and v and the count f2 of parts 2, then the rest on
+the blocks (none for cases 1, 5 and 11).
 Every classification goes through a ``Classifier``, which keeps the
-source matches per cell and, per ``(u, v, f2)``, the matches themselves
-where no gated signature has a rest, else the gated signatures; why
-that is exact is in its docstring.  ``source_case_matches`` and
+source matches per cell and one entry per ``(u, v, f2)``: the gated
+signatures, and the matches themselves where none has a rest; why that
+is exact is in its docstring.  ``source_case_matches`` and
 ``image_case_matches`` use a fresh one per call, the verifier one per
 driver call.
 
@@ -99,12 +99,12 @@ WITNESS_MIN_WEIGHT = 373
 WITNESS_CUTOFF = 1_000_000
 
 
-# The six forms of a source member that the source atoms compare, in this
-# order, the last three None where absent; see ``source_cases``.
-Forms = tuple[int, int, int, int | None, int | None, int | None]
+# The six integer forms that the source atoms compare, in this order, the
+# last three 0 where their parts do not exist; see ``source_cases``.
+Forms = tuple[int, int, int, int, int, int]
 SOURCE_FORMS = ("a", "b", "a - b", "gap", "od0", "top_gap")
 # A record, the conjunction of its atoms (form, rel, constant).
-Record = tuple[tuple[str, str, int | None], ...]
+Record = tuple[tuple[str, str, int], ...]
 # Per relation: its test, and the offsets below and above such that a
 # comparison with the constant c holds alike on every x <= c + below, and
 # alike on every x >= c + above.
@@ -256,13 +256,13 @@ def _bwd_long(start, head, tail, twos, e, o):
 # (start, head, tail, fixed odd parts, twos) into ``_fwd_window`` and its
 # reader.  A source condition is a record of atoms (form, rel, constant),
 # all of which must hold, over the forms a, b, a - b, gap, od0 and top_gap
-# (``Forms``); case 7's b in (3, 4) is b >= 3 and b <= 4.  In a
-# source member the cross gap ev[-1] - od[0] is odd and at least 1, by
-# strict block separation.  ev/e are the even blocks,
-# od/o the odd blocks, u and v the image block lengths, f2 the number of
-# image parts equal to 2.
+# (``Forms``); case 7's b in (3, 4) is b >= 3 and b <= 4.  In a source
+# member the cross gap ev[-1] - od[0] is odd and at least 1, by strict
+# block separation, and 0 where a block is empty.  ev/e are the even
+# blocks, od/o the odd blocks, u and v the image block lengths, f2 the
+# number of image parts equal to 2.
 CASES: dict[int, Case] = {
-    1: Case(1, (("gap", "is", None),), _join,
+    1: Case(1, (("gap", "==", 0),), _join,
             lambda u, v, f2: u == 0 or v == 0, None, _join),
     2: Case(12, (("a - b", "==", 0), ("b", ">=", 2)), partial(_swap, 1),
             lambda u, v, f2: u == v >= 2,
@@ -349,18 +349,17 @@ def source_clamps(records: tuple[Record, ...]) -> tuple[tuple[int, int], ...]:
     that clamping the form's value to it leaves every comparison in these
     records true or false as it was; (0, 0) for a form that none compares.
     Raises ValueError on an atom on any other form, or with a relation
-    other than a comparison or ``(form, "is", None)``."""
+    other than a comparison, or with a constant other than an int."""
     ends: dict[str, list[int]] = {form: [] for form in SOURCE_FORMS}
     for record in records:
         for atom in record:
             form, rel, constant = atom
             if form not in SOURCE_FORMS:
                 raise ValueError(f"source atom {atom} reads {form!r}, not one of {SOURCE_FORMS}")
-            if rel in _RELATIONS:
-                _, below, above = _RELATIONS[rel]
-                ends[form] += (constant + below, constant + above)
-            elif (rel, constant) != ("is", None):
-                raise ValueError(f"source atom {atom} relates by none of {(*_RELATIONS, 'is')}")
+            if rel not in _RELATIONS or not isinstance(constant, int):
+                raise ValueError(f"source atom {atom} is none of {(*_RELATIONS,)} with an int")
+            _, below, above = _RELATIONS[rel]
+            ends[form] += (constant + below, constant + above)
     return tuple([(min(found), max(found)) if found else (0, 0) for found in ends.values()])
 
 
@@ -372,12 +371,7 @@ def source_cases(forms: Forms) -> tuple[int, ...]:
     matches = []
     for case, row in CASES.items():
         for form, rel, constant in row.source:
-            value = values[form]
-            # an absent form passes only the atom that it is absent
-            if value is None:
-                if rel != "is":
-                    break
-            elif rel == "is" or not _RELATIONS[rel][0](value, constant):
+            if not _RELATIONS[rel][0](values[form], constant):
                 break
         else:
             matches.append(case)
@@ -388,18 +382,19 @@ class Classifier:
     """Every case whose source condition, or image signature, holds for a
     pair of blocks, in case order.
 
-    ``source`` keeps the matches per cell: a member's six forms
-    (``Forms``), each clamped to the narrowest [lo, hi] that leaves every
-    comparison in the records true or false as it was (``source_clamps``;
-    top_gap's <= 10 and >= 12 give [10, 12]), None where absent.  The
-    cell is computed straight from the blocks.  The first time it is met,
-    ``source_cases`` reads all 17 records of the live ``CASES`` on the
-    cell itself, which clamping leaves a valid input to every atom.  A
-    Classifier takes the live records' clamps when it is made, derived
-    once per set of records in a process.  ``image`` keeps, per image
-    ``(u, v, f2)``, the gated rows, (case, signature rest), or, where no
-    gated row has a rest, the matches themselves, computed from all 17
-    rows of the live ``CASES`` the first time the key is met.
+    ``source`` keeps the matches per cell: a member's six integer forms
+    (``Forms``, 0 where their parts do not exist), each clamped to the
+    narrowest [lo, hi] that leaves every comparison in the records true
+    or false as it was (``source_clamps``; top_gap's <= 10 and >= 12 give
+    [10, 12]).  The cell is computed straight from the blocks.  The first
+    time it is met, ``source_cases`` reads all 17 records of the live
+    ``CASES`` on the cell itself, which clamping leaves a valid input to
+    every atom.  A Classifier takes the live records' clamps when it is
+    made, derived once per set of records in a process.  ``image`` keeps
+    one entry per image ``(u, v, f2)``, so each call makes one lookup:
+    the matches themselves where no gated row has a rest, else None, and
+    the gated rows, (case, signature rest), computed from all 17 rows of
+    the live ``CASES`` the first time the key is met.
 
     This is exact, not a dispatch that assumes the cases exclusive: every
     atom has one truth value on a whole cell, so a source member's
@@ -422,24 +417,24 @@ class Classifier:
         records = tuple([row.source for row in CASES.values()])
         self._clamps = tuple([end for clamp in source_clamps(records) for end in clamp])
         self._cells: dict[Forms, tuple[int, ...]] = {}
-        self._fixed: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self._gates: dict[tuple[int, int, int], tuple[tuple[int, Rest | None], ...]] = {}
+        self._keys: dict[
+            tuple[int, int, int], tuple[tuple[int, ...] | None, tuple[tuple[int, Rest | None], ...]]
+        ] = {}
 
     def source(self, ev: Block, od: Block) -> tuple[int, ...]:
         alo, ahi, blo, bhi, dlo, dhi, glo, ghi, olo, ohi, tlo, thi = self._clamps
         a, b = len(ev), len(od)
-        d = a - b
-        # each form clamped to its [lo, hi]; gap, od0 and top_gap are
-        # computed only where they exist, else None
+        # each form, 0 where its parts do not exist, clamped to its [lo, hi]
+        gap = ev[-1] - od[0] if a and b else 0
+        od0 = od[0] if b else 0
+        top_gap = ev[0] - ev[1] if a > 1 else 0
         cell = (
             alo if a <= alo else ahi if a >= ahi else a,
             blo if b <= blo else bhi if b >= bhi else b,
-            dlo if d <= dlo else dhi if d >= dhi else d,
-            None if not (a and b)
-            else glo if (gap := ev[-1] - od[0]) <= glo else ghi if gap >= ghi else gap,
-            None if not b else olo if (od0 := od[0]) <= olo else ohi if od0 >= ohi else od0,
-            None if a < 2
-            else tlo if (top_gap := ev[0] - ev[1]) <= tlo else thi if top_gap >= thi else top_gap,
+            dlo if (d := a - b) <= dlo else dhi if d >= dhi else d,
+            glo if gap <= glo else ghi if gap >= ghi else gap,
+            olo if od0 <= olo else ohi if od0 >= ohi else od0,
+            tlo if top_gap <= tlo else thi if top_gap >= thi else top_gap,
         )
         matches = self._cells.get(cell)
         if matches is None:
@@ -448,18 +443,14 @@ class Classifier:
 
     def image(self, e: Block, o: Block) -> tuple[int, ...]:
         u, v, f2 = key = len(e), len(o), e.count(2)
-        matches = self._fixed.get(key)
+        entry = self._keys.get(key)
+        if entry is None:
+            rows = tuple([(case, row.image) for case, row in CASES.items() if row.gate(u, v, f2)])
+            fixed = all(rest is None for _, rest in rows)
+            entry = self._keys[key] = (tuple([case for case, _ in rows]) if fixed else None, rows)
+        matches, rows = entry
         if matches is not None:
             return matches
-        rows = self._gates.get(key)
-        if rows is None:
-            rows = tuple(
-                [(case, row.image) for case, row in CASES.items() if row.gate(u, v, f2)]
-            )
-            if all(rest is None for _, rest in rows):
-                matches = self._fixed[key] = tuple([case for case, _ in rows])
-                return matches
-            self._gates[key] = rows
         return tuple([case for case, rest in rows if rest is None or rest(e, o, u, v, f2)])
 
 

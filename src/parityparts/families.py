@@ -112,7 +112,7 @@ def check_draws(count: int) -> None:
     """Raise ValueError unless a run's draw count is positive and at most
     ``MAX_DRAWS``."""
     if count < 1:
-        raise ValueError(f"samples must be positive, got {count}")
+        raise ValueError(f"draw count must be positive, got {count}")
     if count > MAX_DRAWS:
         raise ValueError(f"{count} draws exceed the cutoff {MAX_DRAWS}")
 

@@ -124,18 +124,25 @@ def _divide_by_euler_even(terms: dict[int, int], order: int) -> list[int]:
     return out
 
 
+def _check_order(order: int) -> None:
+    """Raise ValueError unless order is nonnegative, then as ``check_countable``."""
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    check_countable(order)
+
+
 def euler_inverse_even(order: int) -> Series:
     """Coefficients of 1 / product(1 - q^(2k)): partitions into even parts,
     the partition numbers on the even indices and zero on every odd one.
     ``order`` is a weight, bounded by ``families.COUNT_CUTOFF``."""
-    check_countable(order)
+    _check_order(order)
     return Series(_divide_by_euler_even({0: 1}, order))
 
 
 def series_p_eu_od(order: int) -> Series:
     """Member counts of the distinct-odds-over-evens family, weights 0..order:
     the squares, constant term included, divided by the even Euler factor."""
-    check_countable(order)
+    _check_order(order)
     squares = {k * k: 1 for k in range(isqrt(order) + 1)}
     return Series(_divide_by_euler_even(squares, order))
 
@@ -150,7 +157,7 @@ def series_p_od_eu(order: int) -> Series:
     exhausted once its smallest exponent m(m+1)/2 passes the order.
     Flipping every odd-index sign at the end removes the alternation.
     """
-    check_countable(order)
+    _check_order(order)
     factor = {0: 1}
     m = 1
     while m * (m + 1) // 2 <= order:

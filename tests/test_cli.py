@@ -77,6 +77,24 @@ def test_counting_input_above_cutoff_fails(capsys, argv):
     assert err.count("\n") == 1 and "cutoff" in err
 
 
+# each refusal names what it refuses, a draw count or a series order;
+# ENTRY_POINT_RUNS has a weight's
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["sample", "--family", "od_eu", "--n", "5", "--count", "0"],
+         "error: draw count must be positive, got 0\n"),
+        (["verify", "--mode", "sampled", "--from", "5", "--to", "5", "--samples", "0"],
+         "error: draw count must be positive, got 0\n"),
+        (["series", "--target", "diff", "--order", "-1"],
+         "error: order must be nonnegative, got -1\n"),
+    ],
+    ids=["sample-count", "verify-samples", "series-order"],
+)
+def test_refusal_names_the_refused_quantity(capsys, argv, err):
+    assert invoke(capsys, *argv) == (1, "", err)
+
+
 class TestTable:
     def test_header_and_shape(self, capsys):
         code, out, _ = invoke(capsys, "table", "--from", "0", "--to", "6")
@@ -638,12 +656,13 @@ ENTRY_POINT_RUNS = [
 
 
 def run_module(argv):
-    """(exit code, stdout, stderr) of ``python -m parityparts.cli`` in a child."""
+    """(exit code, stdout, stderr) of ``python -m parityparts.cli`` in a child,
+    where any warning is an error."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
-        [sys.executable, "-m", "parityparts.cli", *argv],
+        [sys.executable, "-W", "error", "-m", "parityparts.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr

@@ -206,13 +206,15 @@ def test_src_modules_use_every_name_they_import():
 
 
 def test_import_loads_neither_dataclasses_nor_typing():
-    # a fresh -I -S interpreter, as site packages may import typing themselves
+    # a fresh -I -S interpreter, as site packages may import typing
+    # themselves; -W error fails it on any warning raised at import
     src = str(SRC.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import parityparts, parityparts.cli; "
         "print(sorted({'dataclasses', 'typing', 'inspect', 'ast'} & set(sys.modules)))"
     )
     result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-S", "-W", "error", "-c", code],
+        capture_output=True, text=True, check=True,
     )
     assert result.stdout == "[]\n"

@@ -205,8 +205,14 @@ def test_series_rejects_orders_above_the_count_cutoff():
                 route(order)
 
 
+def test_series_routes_refuse_a_negative_order():
+    for route in (euler_inverse_even, series_p_eu_od, series_p_od_eu, diff_series):
+        with pytest.raises(ValueError, match="^order must be nonnegative, got -1$"):
+            route(-1)
+
+
 @pytest.mark.parametrize("order,message", [
-    (-1, "weight must be nonnegative, got -1"),
+    (-1, "order must be nonnegative, got -1"),
     (COUNT_CUTOFF + 1, f"counting at n={COUNT_CUTOFF + 1} exceeds the cutoff {COUNT_CUTOFF}"),
 ])
 def test_series_p_eu_od_refuses_before_allocating(order, message):
