@@ -443,6 +443,21 @@ def counts_csv(lo: int, hi: int, families: Iterable[Family] | None = None) -> st
     return "\n".join(rows)
 
 
+class _SkippedRow:
+    """A lower row that ``FamilySampler`` does not store, read from the
+    stored row below it: cell i is ``base[i] + base[i - shift]``, or
+    ``base[i]`` when i < shift.  It holds no cells and is never written."""
+
+    __slots__ = ("base", "shift")
+
+    def __init__(self, base: list[int], shift: int):
+        self.base, self.shift = base, shift
+
+    def __getitem__(self, i: int) -> int:
+        base = self.base
+        return base[i] + base[i - self.shift] if i >= self.shift else base[i]
+
+
 class FamilySampler:
     """Uniform sampler for one family at a fixed weight, by unranking.
 
@@ -477,12 +492,13 @@ class FamilySampler:
     at weight m - v.  That row is never built: the ``before`` row at the
     upper value v + 1 copies the row below v and adds the crossing term.
 
-    Where the lower block is distinct, ``_lower`` keeps only row 0 and the
-    rows at the 2nd, 4th, ... lower values.  The ``after`` row at v - 1 is
+    Where the lower block is distinct, only row 0 and the lower rows at the
+    2nd, 4th, ... lower values are stored.  The ``after`` row at v - 1 is
     the one at v - 2, so the row at a skipped value v is
     ``after[v-2][m] + after[v-2][m - v]``, two cells of the stored row
-    below it.  An unrestricted lower row has no such O(1) form, so those
-    families keep every lower row.
+    below it; ``_lower`` holds a view there that reads them, or the stored
+    row itself once the two are shared.  An unrestricted lower row has no
+    such O(1) form, so those families store every lower row.
 
     One build body serves every value: the table of its parity takes it
     into a row and stores it, or keeps a skipped lower row only until the
@@ -493,12 +509,11 @@ class FamilySampler:
     subtracts the count below it.  The upper pass also probes the one
     lower value just below the row found, which decides whether the walk
     crosses; once it has crossed, the lower pass reads the lower rows
-    alone.  Where every other lower row is skipped, the lower pass bisects
-    the stored rows, and one probe of the skipped row just below the row
-    found picks one of the two.  That keeps about 3n²/16 cells where the
-    upper parts are even and the lower ones distinct, 15n²/64 where the
-    upper parts are odd and the lower ones distinct, and 9n²/32 where the
-    lower block is unrestricted.
+    alone.  Both passes read every row alike: only the build knows which
+    rows are stored.  The tables keep about 3n²/16 cells where the upper
+    parts are even and the lower ones distinct, 15n²/64 where the upper
+    parts are odd and the lower ones distinct, and 9n²/32 where the lower
+    block is unrestricted.
 
     Parity rule: in a family whose upper parts are even, every weight left
     to place while the upper block is open has n's parity.  So the
@@ -528,8 +543,7 @@ class FamilySampler:
         # 2k - upper_rem, and at 0 for k = 0: completions of weight m using
         # values <= it, lower block untouched
         # lower[k][m // a_step]: after at the k-th lower-parity value,
-        # 2k - 1 + upper_rem (the 2k-th, 4k - 1 + upper_rem, if the lower
-        # block is distinct), and at 0 for k = 0: the same once some lower
+        # 2k - 1 + upper_rem, and at 0 for k = 0: the same once some lower
         # part has been placed; the empty completion is valid there, the
         # crossing part already exists
         # Rows are never written once stored, so equal rows are shared objects.
@@ -582,9 +596,11 @@ class FamilySampler:
                 continue
             below, last = last, row
             # a distinct lower block stores the after rows at its 2nd, 4th,
-            # ... values only; a draw derives the row at the 1st, 3rd, ...
-            if not lower_distinct or not (value + 1 - upper_rem) & 2:
-                lower.append(row)
+            # ... values only; the row at the 1st, 3rd, ... is a view on the
+            # stored row below it, or that row itself once they are shared
+            if lower_distinct and (value + 1 - upper_rem) & 2 and row is not below:
+                row = _SkippedRow(below, shift)
+            lower.append(row)
         self._before_step = b_step
         self._after_step = a_step
         self._upper = upper
@@ -595,18 +611,17 @@ class FamilySampler:
     def unrank_blocks(self, index: int) -> tuple[Block, Block]:
         """The index-th member in decreasing lexicographic order, as its
         ``(evens, odds)`` blocks, each in decreasing order."""
+        if not isinstance(index, int):
+            raise ValueError(f"index must be an int, got {index!r}")
         if not 0 <= index < self.count:
             raise ValueError(f"index {index} out of range, count is {self.count}")
         family = self.family
         upper_rem = 1 if family.upper_odd else 0
         upper, lower = self._upper, self._lower
-        # a distinct lower block stores lower row i at i >> 1 for even i; an
-        # odd i's row, at value v, is the stored row below it at weight m
-        # plus the same row at m - v
-        half = 1 if family.lower_distinct else 0
         # the before table at the lower value just below upper row k's value
-        # is row k - 1 plus a crossing term from lower row k - back
-        back = upper_rem + half
+        # is row k - 1 plus a crossing term from lower row k - back, the
+        # after row at the value below it if the lower block is distinct
+        back = upper_rem + family.lower_distinct
         remaining = self.n
         if not remaining:
             return (), ()
@@ -630,7 +645,6 @@ class FamilySampler:
         ):
             parts: list[int] = []
             k = (value + rem) // 2
-            halved = half and not crossing
             while value % 2 == rem:
                 if distinct:
                     # the members that go on with value come first, before
@@ -661,36 +675,14 @@ class FamilySampler:
                 # In the upper block, probe the lower value just below the
                 # row found, which past the last row is the only value left.
                 # Its crossing term is at weight gap; a lower row of step 2
-                # (upper_rem 1) keeps no odd weight, whose term is 0.  A
-                # skipped lower row, at value - 3, adds its stored row at
-                # gap - (value - 3).
+                # (upper_rem 1) keeps no odd weight, whose term is 0.
                 column = remaining // step
                 high = value - 1 if value <= remaining else remaining
-                if halved:
-                    # the first stored row that holds target is lower row
-                    # 2j, so the next part is the value of row 2j - 1 or 2j.
-                    # Row 2j - 1 is stored row j - 1 at column plus the same
-                    # row at column - shift: it holds target, or it is prev
-                    # for row 2j.  A distinct block reads no ways.
-                    j = bisect_left(rows, target, 1, (high + rem + 2) // 4, key=itemgetter(column))
-                    row = rows[j - 1]
-                    prev = row[column]
-                    value = 4 * j - 2 - rem
-                    shift = value // step
-                    ways = prev + row[column - shift] if shift <= column else prev
-                    if ways < target:
-                        value += 2
-                        prev = ways
-                    continue
                 k = bisect_left(rows, target, 1, (high + rem) // 2 + 1, key=itemgetter(column))
                 value = 2 * k - rem
                 prev = rows[k - 1][column]
                 if crossing and value > 1 and not (gap := remaining - value + 1) & upper_rem:
-                    i = k - back
-                    row = lower[i >> half]
-                    ways = prev + row[gap >> upper_rem]
-                    if i & half and (gap := gap + 3 - value) >= 0:
-                        ways += row[gap >> upper_rem]
+                    ways = prev + lower[k - back][gap >> upper_rem]
                     if ways >= target:
                         value -= 1
                         break

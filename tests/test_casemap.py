@@ -466,6 +466,23 @@ def test_cases_of_one_shape_share_one_rewrite_pair(cases, fwd, bwd):
     assert {_binding(CASES[case].backward, bwd) for case in cases} == {_binding(bwd, bwd)}
 
 
+def test_case_2_rewrite_is_its_own_inverse():
+    """On blocks of equal length ``_swap`` gives the same parts with either
+    sign, so case 2's forward of an image gives its source back.  Binding
+    sign -1 as case 2's forward is therefore an equivalent mutant on the
+    case's domain, which only the binding test above can see."""
+    classify = Classifier().source
+    checked = 0
+    for n in range(CASES[2].min_weight, 61):
+        for ev, od in member_blocks(SOURCE_FAMILY, n):
+            if classify(ev, od) == (2,):
+                image = CASES[2].forward(ev, od)
+                assert sorted(_swap(-1, ev, od)) == sorted(image), (ev, od)
+                assert sorted(CASES[2].forward(*parity_split(image))) == sorted(ev + od)
+                checked += 1
+    assert checked == 1956
+
+
 def test_block_swap_matches_reference_up_to_50():
     sources = images = 0
     for n in range(51):

@@ -16,6 +16,7 @@ from parityparts.families import (
     CountTable,
     Family,
     FamilySampler,
+    _SkippedRow,
     blocks_in_family,
     count_family,
     counts_csv,
@@ -146,26 +147,15 @@ def sampler_ways(sampler, crossed, value, weight):
     lower block with weight m - v left and parts at most v, or below v if
     the lower block is distinct.  A before row of step 2 holds only
     weights of n's parity, the only ones that remain before the crossing.
-    Where the lower block is distinct, ``_lower`` stores the after row at
-    the k-th lower-parity value as row k // 2 for even k only.  At an odd
-    k's value v it is derived: the after table at v - 1, which is stored,
-    plus the members that take v, that table at weight m - v.
+    Every row is read alike, including the views that stand for the lower
+    rows a distinct lower block does not store.
     """
     upper_rem = 1 if sampler.family.upper_odd else 0
     if crossed:
         step = sampler._after_step
         if weight % step:
             return 0
-        k = (value + 1 - upper_rem) // 2
-        if not sampler.family.lower_distinct:
-            return sampler._lower[k][weight // step]
-        if k % 2 == 0:
-            return sampler._lower[k // 2][weight // step]
-        lower_value = 2 * k - 1 + upper_rem
-        ways = sampler_ways(sampler, True, lower_value - 1, weight)
-        if weight >= lower_value:
-            ways += sampler_ways(sampler, True, lower_value - 1, weight - lower_value)
-        return ways
+        return sampler._lower[(value + 1 - upper_rem) // 2][weight // step]
     ways = sampler._upper[(value + upper_rem) // 2][weight // sampler._before_step]
     if value % 2 != upper_rem and 1 <= value <= weight:
         source = value - 1 if sampler.family.lower_distinct else value
@@ -455,11 +445,12 @@ def test_sampler_tables_match_per_cell_reference(family):
     lower values included, and the after table at every weight, where the
     odd weights a step-2 row drops are 0 in the reference.
 
-    ``_upper`` stores a row for 0 and for each upper-parity value,
-    ``_lower`` one for 0 and for each lower-parity value, or for only the
-    2nd, 4th, ... of them where the lower block is distinct; the rows at
-    the other values are absent, and ``sampler_ways`` derives them.  Each
-    row of a table with step s holds weight m at index m // s: an
+    ``_upper`` holds a row for 0 and for each upper-parity value,
+    ``_lower`` one for 0 and for each lower-parity value.  Where the lower
+    block is distinct, the lower rows at its 1st, 3rd, ... values are not
+    stored: each is a view on the stored row before it, below the midpoint
+    only, whose cells, read as a row's, are checked like a stored row's.
+    Each row of a table with step s holds weight m at index m // s: an
     ``_upper`` row the weights of n's parity (all weights for s = 1), a
     ``_lower`` row the even weights (all for s = 1).  The before step is 2
     when the upper parts are even, the after step when the lower parts
@@ -468,8 +459,9 @@ def test_sampler_tables_match_per_cell_reference(family):
     weights (0..n - v) of that class, and every stored cell, past the
     triangle too, is exact; the odd weights an after row of step 2 drops
     are 0 in the reference up to n.  ``_top`` is column n.  Once every value
-    from the stored row before it up to its own is at least n // 2 + 2, a
-    stored row is that very object.  The band edges are n = 0, 1 and 2,
+    from the row before it up to its own is at least n // 2 + 2, a row is
+    that very object; where the row before it is a view, it is the row the
+    view stands for, which is not kept.  The band edges are n = 0, 1 and 2,
     where a parity row can be empty, and v at and around n / 2, where the
     slice-adds first reach past the end of row v and the rows start to be
     shared; every cell of every n below 121, and of n = 400 and 401, is
@@ -477,8 +469,6 @@ def test_sampler_tables_match_per_cell_reference(family):
     """
     upper_rem = 1 if family.upper_odd else 0
     b_step, a_step = 2 - upper_rem, 1 + upper_rem
-    # the distance between the values of two stored lower rows
-    value_step = 4 if family.lower_distinct else 2
     for n in (*range(121), 400, 401):
         sampler = FamilySampler(family, n)
         before, after = reference_sampler_tables(family, n)
@@ -491,17 +481,23 @@ def test_sampler_tables_match_per_cell_reference(family):
                 assert sampler_ways(sampler, True, v, m) == after[v][m], (n, v, m)
         for rows, values, full_rows, step, low in (
             (sampler._upper, [0, *range(2 - upper_rem, n + 1, 2)], before, b_step, low),
-            (sampler._lower, [0, *range(value_step - 1 + upper_rem, n + 1, value_step)], after,
-             a_step, 0),
+            (sampler._lower, [0, *range(1 + upper_rem, n + 1, 2)], after, a_step, 0),
         ):
-            # one row per listed value, so none at a skipped value
+            # one row per listed value, skipped values included
             assert len(rows) == len(values), n
             for k, (row, v) in enumerate(zip(rows, values)):
-                stored = range(low, low + step * len(row), step)
-                assert len(range(low, n + 1 - v, step)) <= len(row), (n, v)
+                cells = row
+                if type(row) is _SkippedRow:
+                    # at a distinct block's 1st, 3rd, ... lower value, on the
+                    # stored row before it, with as many cells
+                    assert rows is sampler._lower and family.lower_distinct and k % 2, (n, v)
+                    assert row.base is rows[k - 1] and v <= n // 2 + 1, (n, v)
+                    cells = [row[i] for i in range(len(row.base))]
+                stored = range(low, low + step * len(cells), step)
+                assert len(range(low, n + 1 - v, step)) <= len(cells), (n, v)
                 assert not stored or stored[-1] <= n, (n, v)
-                assert row == [full_rows[v][m] for m in stored], (n, v)
-                if k and values[k - 1] + 1 >= n // 2 + 2:
+                assert cells == [full_rows[v][m] for m in stored], (n, v)
+                if k and values[k - 1] + 1 >= n // 2 + 2 and type(rows[k - 1]) is list:
                     assert row is rows[k - 1], (n, v)
         for v, full in enumerate(after):
             # with step 2 the after rows drop the odd weights, all 0
@@ -510,7 +506,7 @@ def test_sampler_tables_match_per_cell_reference(family):
 
 
 def _cells(sampler):
-    rows = {id(row): row for row in (*sampler._upper, *sampler._lower)}
+    rows = {id(row): row for row in (*sampler._upper, *sampler._lower) if type(row) is list}
     return sum(map(len, rows.values()))
 
 
@@ -531,27 +527,34 @@ def _assert_each_table_shares_by_its_own_weights(sampler):
     parts are odd), so it is judged from v - 1.  Neither table's sharing
     waits for the other's.  A row that is not shared is a copy that holds
     exactly its triangle, the weights 0..n - v.  Where the lower block is
-    distinct, ``_lower`` holds only the rows at its 2nd, 4th, ... values:
-    a stored row is then the stored row before it when the skipped row
-    between them is too, and it is the skipped row, whose triangle reaches
-    two weights past its own, when only the skipped row is a copy."""
+    distinct, the rows at its 1st, 3rd, ... lower values are not stored:
+    each is a view on the stored row before it exactly where it would be a
+    copy.  The row after a view is then the skipped row itself, whose
+    triangle reaches two weights past its own, when only the skipped row
+    is a copy."""
     n = sampler.n
     upper_rem = 1 if sampler.family.upper_odd else 0
-    lower_every = 2 if sampler.family.lower_distinct else 1
-    for rows, step, low, first_value, every in (
-        (sampler._upper, sampler._before_step, n % sampler._before_step, 2 - upper_rem, 1),
-        (sampler._lower, sampler._after_step, 0, 1 + upper_rem, lower_every),
+    skips = sampler.family.lower_distinct
+    for rows, step, low, first_value in (
+        (sampler._upper, sampler._before_step, n % sampler._before_step, 2 - upper_rem),
+        (sampler._lower, sampler._after_step, 0, 1 + upper_rem),
     ):
-        length, copied = len(rows[0]), False
-        for k in range(1, (len(rows) - 1) * every + 1):
+        length = len(rows[0])
+        for k in range(1, len(rows)):
             value = first_value + 2 * (k - 1)
             first = value - 1 if rows is sampler._upper and value > 1 else value
-            if (length - 1) * step + low >= first:
-                length, copied = (n - value - low) // step + 1, True
-            if k % every == 0:
-                assert (rows[k // every] is rows[k // every - 1]) is not copied, (n, value)
-                assert len(rows[k // every]) == length, (n, value)
-                copied = False
+            copied = (length - 1) * step + low >= first
+            if copied:
+                length = (n - value - low) // step + 1
+            row, prev = rows[k], rows[k - 1]
+            skipped = skips and rows is sampler._lower and k % 2 == 1
+            assert (type(row) is _SkippedRow) is (skipped and copied), (n, value)
+            if skipped and copied:
+                assert row.base is prev, (n, value)
+                continue
+            if type(prev) is list:
+                assert (row is prev) is not copied, (n, value)
+            assert len(row) == length, (n, value)
 
 
 @pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
@@ -861,6 +864,12 @@ def test_unrank_range_errors():
         sampler.unrank(-1)
     with pytest.raises(ValueError):
         sampler.unrank(sampler.count)
+    # refused, not read as a nearby int's member
+    for index in (1.5, 2.0, "1", None):
+        with pytest.raises(ValueError, match=f"^index must be an int, got {index!r}$"):
+            sampler.unrank(index)
+        with pytest.raises(ValueError, match="^index must be an int"):
+            sampler.unrank_blocks(index)
 
 
 def test_sample_family_is_deterministic():
