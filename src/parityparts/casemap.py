@@ -28,26 +28,25 @@ rows bind its constants:
 In each group the conditions, signatures and minimum weights stay
 separate.
 
-A source condition is a record: a conjunction of atoms ``(form, rel,
-constant)`` that compare six integer forms of a source member with int
-constants.  The forms are the two block lengths a and b, their
-difference a - b, the cross gap ``ev[-1] - od[0]``, the top odd part
-od0 and the gap ``ev[0] - ev[1]`` between the two top evens, the last
-three 0 where those parts do not exist.  A real cross gap is an even
-part less an odd one, so it is odd, and case 1's one atom ``("gap",
-"==", 0)`` holds exactly where a block is empty.  ``source_cases`` reads
-the records as they stand on a tuple of forms.  The constants cut each
-form into finitely many cells (``source_clamps``, which also refuses an
-atom on any other form), and every member in a cell meets the same
-conditions.  An image signature is its gate, the leading conjuncts on
-the block lengths u and v and the count f2 of parts 2, then the rest on
-the blocks (none for cases 1, 5 and 11).
-Every classification goes through a ``Classifier``, which keeps the
-source matches per cell and one entry per ``(u, v, f2)``: the gated
-signatures, and the matches themselves where none has a rest; why that
-is exact is in its docstring.  ``source_case_matches`` and
-``image_case_matches`` use a fresh one per call, the verifier one per
-driver call.
+A source condition and an image gate are each a record: a conjunction
+of atoms ``(form, rel, constant)`` that compare integer forms of a member
+with int constants.  A source member has six forms: its block lengths a
+and b, their difference a - b, the cross gap ``ev[-1] - od[0]``, the top
+odd part od0 and the gap ``ev[0] - ev[1]`` between the two top evens,
+the last three 0 where those parts do not exist.  A real cross gap is an
+even part less an odd one, so it is odd, and case 1's one atom ``("gap",
+"==", 0)`` holds exactly where a block is empty.  An image member has
+seven, read off its block lengths u and v and its count f2 of parts 2:
+u, v, f2, u - v, u - f2, u % 2 and min(u, v).  An image signature is its
+gate, then the rest on the blocks (none for cases 1, 5 and 11).
+``record_cases`` reads one field's records as they stand on a tuple of
+forms.  The constants cut each form into finitely many cells
+(``record_clamps``, which also refuses an atom on any other form), and
+every member in a cell meets the same records.
+Every classification goes through a ``Classifier``, which caches per
+source cell and per image ``(u, v, f2)``, exactly (see its docstring).
+``source_case_matches`` and ``image_case_matches`` use a fresh one per
+call, the verifier one per driver call.
 
 The public functions take a ``Partition`` and check membership on its
 blocks.  ``classify_source`` and ``classify_image`` hold the match-count
@@ -99,10 +98,10 @@ WITNESS_MIN_WEIGHT = 373
 WITNESS_CUTOFF = 1_000_000
 
 
-# The six integer forms that the source atoms compare, in this order, the
-# last three 0 where their parts do not exist; see ``source_cases``.
-Forms = tuple[int, int, int, int, int, int]
+# The integer forms that the atoms of a source record, and of a gate,
+# compare, in this order; see ``record_cases``.
 SOURCE_FORMS = ("a", "b", "a - b", "gap", "od0", "top_gap")
+IMAGE_FORMS = ("u", "v", "f2", "u - v", "u - f2", "u % 2", "min(u, v)")
 # A record, the conjunction of its atoms (form, rel, constant).
 Record = tuple[tuple[str, str, int], ...]
 # Per relation: its test, and the offsets below and above such that a
@@ -122,15 +121,14 @@ Rest = Callable[[Block, Block, int, int, int], bool]
 class Case(namedtuple("Case", "min_weight source forward gate image backward")):
     """Everything about one case; both directions start at ``min_weight``.
 
-    ``source`` is the case's condition on a source member's forms
-    (``Forms``), a record of atoms that ``source_cases`` reads.  The
-    rewrites ``forward`` and ``backward`` are functions of a member's even
-    and odd blocks, returning the other side's parts in any order.  The
-    image signature has two parts: ``gate``, its leading conjuncts on the
-    image's block lengths u, v and its count f2 of parts 2, ``(u, v, f2)
-    -> bool``, and ``image``, the rest on the blocks, a ``Rest``, or None
-    where nothing remains.  A member matches the signature when the gate
-    holds and then the rest does.
+    ``source`` is the case's condition, a record of atoms on a source
+    member's ``SOURCE_FORMS``.  The rewrites ``forward`` and ``backward``
+    are functions of a member's even and odd blocks, returning the other
+    side's parts in any order.  The image signature has two parts:
+    ``gate``, its leading conjuncts, a record of atoms on an image
+    member's ``IMAGE_FORMS``, and ``image``, the rest on the blocks, a
+    ``Rest``, or None where nothing remains.  A member matches the
+    signature when the gate holds and then the rest does.
     """
 
     __slots__ = ()
@@ -254,84 +252,81 @@ def _bwd_long(start, head, tail, twos, e, o):
 # rest of the signature and backward rewrite.  Cases 2-4 bind the
 # direction's sign into the swap; cases 5, 6, 10 and 12-17 bind their window
 # (start, head, tail, fixed odd parts, twos) into ``_fwd_window`` and its
-# reader.  A source condition is a record of atoms (form, rel, constant),
-# all of which must hold, over the forms a, b, a - b, gap, od0 and top_gap
-# (``Forms``); case 7's b in (3, 4) is b >= 3 and b <= 4.  In a source
-# member the cross gap ev[-1] - od[0] is odd and at least 1, by strict
-# block separation, and 0 where a block is empty.  ev/e are the even
-# blocks, od/o the odd blocks, u and v the image block lengths, f2 the
-# number of image parts equal to 2.
+# reader.  A source condition and a gate are records of atoms (form, rel,
+# constant), all of which must hold, over ``SOURCE_FORMS`` and
+# ``IMAGE_FORMS``; case 7's b in (3, 4) is b >= 3 and b <= 4, and its gate
+# likewise for v.  ev/e are the even blocks, od/o the odd blocks, u and v
+# the image block lengths, f2 the number of image parts equal to 2.
 CASES: dict[int, Case] = {
-    1: Case(1, (("gap", "==", 0),), _join,
-            lambda u, v, f2: u == 0 or v == 0, None, _join),
+    1: Case(1, (("gap", "==", 0),), _join, (("min(u, v)", "==", 0),), None, _join),
     2: Case(12, (("a - b", "==", 0), ("b", ">=", 2)), partial(_swap, 1),
-            lambda u, v, f2: u == v >= 2,
+            (("u - v", "==", 0), ("v", ">=", 2)),
             lambda e, o, u, v, f2: o[-1] - e[0] >= 2 * v - 3, partial(_swap, -1)),
     3: Case(16, (("a - b", ">", 0), ("b", ">=", 2)), partial(_swap, 1),
-            lambda u, v, f2: u > v >= 2,
+            (("u - v", ">", 0), ("v", ">=", 2)),
             lambda e, o, u, v, f2: o[0] - o[1] >= 2 * (u - v + 1)
             and e[u - v - 1] - e[u - v] >= 2 * v - 4, partial(_swap, -1)),
     4: Case(21, (("a - b", "<", 0), ("a", ">=", 2)), partial(_swap, 1),
-            lambda u, v, f2: v > u >= 2,
+            (("u - v", "<", 0), ("u", ">=", 2)),
             lambda e, o, u, v, f2: o[0] - o[1] >= 2 * (v - u + 1)
             and o[-1] - e[0] >= 2 * u - 3, partial(_swap, -1)),
     5: Case(5, (("a", "==", 1), ("b", ">=", 1), ("gap", ">=", 3)),
             partial(_fwd_window, 0, (-1,), (1,), (), 0),
-            lambda u, v, f2: u == 1 and v >= 1, None, partial(_bwd_odds, 0, (-1,), (1,), 0)),
+            (("u", "==", 1), ("v", ">=", 1)), None, partial(_bwd_odds, 0, (-1,), (1,), 0)),
     6: Case(35, (("a", "==", 1), ("b", ">=", 5), ("gap", "==", 1)),
             partial(_fwd_window, 1, (), (1, 1), (), 2),
-            lambda u, v, f2: v >= 3 and u - v >= 3,
+            (("v", ">=", 3), ("u - v", ">=", 3)),
             lambda e, o, u, v, f2: 2 * u - 3 == o[0] and e[0] - e[1] >= 2 and e[2] == 2,
             partial(_bwd_odds, 1, (), (1, 1), 2)),
     7: Case(54, (("a", "==", 1), ("b", ">=", 3), ("b", "<=", 4), ("gap", "==", 1)),
             _fwd_7,
-            lambda u, v, f2: v in (3, 4) and u >= 6 and u % 2 == 0,
+            (("v", ">=", 3), ("v", "<=", 4), ("u", ">=", 6), ("u % 2", "==", 0)),
             lambda e, o, u, v, f2: o[-1] == 3 and e[0] == 2
             and 2 * v + 1 <= o[0] <= u + 2 * v + 1, _bwd_7),
     8: Case(20, (("a", "==", 1), ("b", "==", 2), ("gap", "==", 1)), _fwd_8,
-            lambda u, v, f2: v == 2 and u >= 4,
+            (("v", "==", 2), ("u", ">=", 4)),
             lambda e, o, u, v, f2: o[0] - o[1] == 2 and e[0] == 2
             and o[1] - 2 * u + 11 > 0 and o[0] >= 5, _bwd_8),
     # the rest implies the gate: three parts 2 below three odd parts
     9: Case(23, (("a", "==", 1), ("b", "==", 1), ("gap", "==", 1)), _fwd_9,
-            lambda u, v, f2: u == 3 and v == 3,
+            (("u", "==", 3), ("v", "==", 3)),
             lambda e, o, u, v, f2: e == (2, 2, 2) and o[1:] == (5, 3)
             and o[0] >= 9 and o[0] % 4 == 1, _bwd_9),
     10: Case(83, (("a", "==", 2), ("b", "==", 1)),
              partial(_fwd_window, 1, (7, 6), (), (5,), 18),
-             lambda u, v, f2: v == 3 and u >= 5,
+             (("v", "==", 3), ("u", ">=", 5)),
              lambda e, o, u, v, f2: o[2] == 5 and e[0] == 2 and 2 * u + 25 >= o[0],
              partial(_bwd_tower, (7, 6), 18)),
     11: Case(7, (("a", ">=", 3), ("b", "==", 1), ("od0", "==", 1)), _fwd_11,
-             lambda u, v, f2: u >= 2 and v == 1, None, _bwd_11),
+             (("u", ">=", 2), ("v", "==", 1)), None, _bwd_11),
     12: Case(95, (("a", "==", 3), ("b", "==", 1), ("od0", ">=", 3)),
              partial(_fwd_window, 1, (7, 5, 4), (), (), 16),
-             lambda u, v, f2: v == 3 and u >= 4,
+             (("v", "==", 3), ("u", ">=", 4)),
              lambda e, o, u, v, f2: o[2] >= 7 and e[0] == 2 and 2 * u + 23 >= o[0],
              partial(_bwd_tower, (7, 5, 4), 16)),
     13: Case(159, (("a", "==", 4), ("b", "==", 1), ("od0", ">=", 3)),
              partial(_fwd_window, 1, (7, 5, 3, 2), (), (3,), 20),
-             lambda u, v, f2: u >= 6 and v == 5,
+             (("u", ">=", 6), ("v", "==", 5)),
              lambda e, o, u, v, f2: o[4] == 3 and e[0] == 2 and 2 * u + 27 >= o[0],
              partial(_bwd_tower, (7, 5, 3, 2), 20)),
     14: Case(227, (("a", "==", 5), ("b", "==", 1), ("od0", ">=", 3)),
              partial(_fwd_window, 1, (9, 7, 5, 3, 2), (), (), 26),
-             lambda u, v, f2: u >= 6 and v == 5,
+             (("u", ">=", 6), ("v", "==", 5)),
              lambda e, o, u, v, f2: o[4] >= 5 and e[0] == 2 and 2 * u + 35 >= o[0],
              partial(_bwd_tower, (9, 7, 5, 3, 2), 26)),
     15: Case(373, (("a", ">=", 6), ("a", "<=", 10), ("b", "==", 1), ("od0", ">=", 3)),
              partial(_fwd_window, 1, (5, 3, 1), (1,), (), 10),
-             lambda u, v, f2: f2 > 12 and v == 3 and 3 <= u - f2 <= 7,
+             (("f2", ">", 12), ("v", "==", 3), ("u - f2", ">=", 3), ("u - f2", "<=", 7)),
              lambda e, o, u, v, f2: e[u - f2 - 1] >= 4 and 2 * f2 + 15 >= o[0],
              partial(_bwd_long, 1, (5, 3, 1), (1,), 10)),
     16: Case(47, (("a", ">=", 11), ("b", "==", 1), ("od0", ">=", 3), ("top_gap", "<=", 10)),
              partial(_fwd_window, 0, (5, 3, 1), (-2, -2, -2, -2, -1), (), 0),
-             lambda u, v, f2: u >= 9 and v == 3 and f2 <= 5,
+             (("u", ">=", 9), ("v", "==", 3), ("f2", "<=", 5)),
              lambda e, o, u, v, f2: o[0] - o[1] <= 12 and e[u - 6] - e[u - 5] >= 2,
              partial(_bwd_long, 0, (5, 3, 1), (-2, -2, -2, -2, -1), 0)),
     17: Case(59, (("a", ">=", 11), ("b", "==", 1), ("od0", ">=", 3), ("top_gap", ">=", 12)),
              partial(_fwd_window, 0, (-7, 3, 1), (-2, -2, -2, -2, -1), (), 6),
-             lambda u, v, f2: u >= 15 and v == 3 and 6 <= f2 <= 11,
+             (("u", ">=", 15), ("v", "==", 3), ("f2", ">=", 6), ("f2", "<=", 11)),
              lambda e, o, u, v, f2: e[u - 12] - e[u - 11] >= 2,
              partial(_bwd_long, 0, (-7, 3, 1), (-2, -2, -2, -2, -1), 6)),
 }
@@ -344,34 +339,36 @@ def from_parts(parts: Iterable[int]) -> Partition:
 
 
 @cache
-def source_clamps(records: tuple[Record, ...]) -> tuple[tuple[int, int], ...]:
-    """Per form, in ``SOURCE_FORMS`` order, the narrowest [lo, hi] such
-    that clamping the form's value to it leaves every comparison in these
+def record_clamps(
+    field: str, forms: tuple[str, ...], records: tuple[Record, ...]
+) -> tuple[tuple[int, int], ...]:
+    """Per form, in the order of forms, the narrowest [lo, hi] such that
+    clamping the form's value to it leaves every comparison in these
     records true or false as it was; (0, 0) for a form that none compares.
-    Raises ValueError on an atom on any other form, or with a relation
-    other than a comparison, or with a constant other than an int."""
-    ends: dict[str, list[int]] = {form: [] for form in SOURCE_FORMS}
+    Raises ValueError, naming the row field, on an atom on any other form,
+    or with a relation other than a comparison, or a constant not an int."""
+    ends: dict[str, list[int]] = {form: [] for form in forms}
     for record in records:
         for atom in record:
             form, rel, constant = atom
-            if form not in SOURCE_FORMS:
-                raise ValueError(f"source atom {atom} reads {form!r}, not one of {SOURCE_FORMS}")
+            if form not in ends:
+                raise ValueError(f"{field} atom {atom} reads {form!r}, not one of {forms}")
             if rel not in _RELATIONS or not isinstance(constant, int):
-                raise ValueError(f"source atom {atom} is none of {(*_RELATIONS,)} with an int")
+                raise ValueError(f"{field} atom {atom} is none of {(*_RELATIONS,)} with an int")
             _, below, above = _RELATIONS[rel]
             ends[form] += (constant + below, constant + above)
     return tuple([(min(found), max(found)) if found else (0, 0) for found in ends.values()])
 
 
-def source_cases(forms: Forms) -> tuple[int, ...]:
-    """Every case of the live ``CASES`` whose record holds on these forms
-    (``Forms``), in case order: every atom compares its form with its
-    constant.  The atoms must have passed ``source_clamps``."""
-    values = dict(zip(SOURCE_FORMS, forms))
+def record_cases(field: str, forms: tuple[str, ...], values: tuple[int, ...]) -> tuple[int, ...]:
+    """Every case of the live ``CASES`` whose record in the row field holds
+    on these values of forms, in case order: every atom compares its form
+    with its constant.  The atoms must have passed ``record_clamps``."""
+    named = dict(zip(forms, values))
     matches = []
     for case, row in CASES.items():
-        for form, rel, constant in row.source:
-            if not _RELATIONS[rel][0](values[form], constant):
+        for form, rel, constant in getattr(row, field):
+            if not _RELATIONS[rel][0](named[form], constant):
                 break
         else:
             matches.append(case)
@@ -382,19 +379,19 @@ class Classifier:
     """Every case whose source condition, or image signature, holds for a
     pair of blocks, in case order.
 
-    ``source`` keeps the matches per cell: a member's six integer forms
-    (``Forms``, 0 where their parts do not exist), each clamped to the
-    narrowest [lo, hi] that leaves every comparison in the records true
-    or false as it was (``source_clamps``; top_gap's <= 10 and >= 12 give
-    [10, 12]).  The cell is computed straight from the blocks.  The first
-    time it is met, ``source_cases`` reads all 17 records of the live
-    ``CASES`` on the cell itself, which clamping leaves a valid input to
-    every atom.  A Classifier takes the live records' clamps when it is
-    made, derived once per set of records in a process.  ``image`` keeps
-    one entry per image ``(u, v, f2)``, so each call makes one lookup:
-    the matches themselves where no gated row has a rest, else None, and
-    the gated rows, (case, signature rest), computed from all 17 rows of
-    the live ``CASES`` the first time the key is met.
+    ``source`` keeps the matches per cell: a member's ``SOURCE_FORMS``,
+    computed straight from the blocks, each clamped to its [lo, hi] from
+    ``record_clamps`` (top_gap's <= 10 and >= 12 give [10, 12]).  The
+    first time a cell is met, ``record_cases`` reads the 17 source records
+    of the live ``CASES`` on the cell itself, which clamping leaves a
+    valid input to every atom.  ``image`` keeps one entry per raw ``(u,
+    v, f2)``, so each call makes one lookup: the gated rows, (case,
+    signature rest), found the first time the key is met by reading the
+    17 gate records on its ``IMAGE_FORMS``, and the matches themselves
+    where none of those rows has a rest, else None.  A Classifier derives
+    the clamps of the live records of both sides when it is made (once
+    per set of records in a process), so it refuses a bad atom on either
+    side before anything is classified.
 
     This is exact, not a dispatch that assumes the cases exclusive: every
     atom has one truth value on a whole cell, so a source member's
@@ -405,18 +402,20 @@ class Classifier:
     every member still gets every condition and every signature, and an
     overlap still shows as more than one match.  Over the weights 55..60,
     counted per weight, the 34 905 source members fall in 533 cells, so
-    the records are read 533 times, and the 42 447 image members have
-    2 274 keys, 1 270 of them with fixed matches.  The image side keeps
-    its raw keys: a signature's rest reads the blocks themselves, and of
-    the 74 798 image classifications the verifier makes there (the walk
-    and the images of checked sources), only those 2 274 miss a key and
-    54 306 get fixed matches.
+    the source records are read 533 times, and the 42 447 image members
+    have 2 274 keys, 1 270 of them with fixed matches.  The image side
+    keeps its raw keys: a signature's rest reads the blocks themselves,
+    and of the 74 798 image classifications the verifier makes there (the
+    walk and the images of checked sources), only those 2 274 read the
+    gates and 54 306 get fixed matches.
     """
 
     def __init__(self) -> None:
-        records = tuple([row.source for row in CASES.values()])
-        self._clamps = tuple([end for clamp in source_clamps(records) for end in clamp])
-        self._cells: dict[Forms, tuple[int, ...]] = {}
+        rows = CASES.values()
+        record_clamps("gate", IMAGE_FORMS, tuple([row.gate for row in rows]))
+        clamps = record_clamps("source", SOURCE_FORMS, tuple([row.source for row in rows]))
+        self._clamps = tuple([end for clamp in clamps for end in clamp])
+        self._cells: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._keys: dict[
             tuple[int, int, int], tuple[tuple[int, ...] | None, tuple[tuple[int, Rest | None], ...]]
         ] = {}
@@ -438,16 +437,17 @@ class Classifier:
         )
         matches = self._cells.get(cell)
         if matches is None:
-            matches = self._cells[cell] = source_cases(cell)
+            matches = self._cells[cell] = record_cases("source", SOURCE_FORMS, cell)
         return matches
 
     def image(self, e: Block, o: Block) -> tuple[int, ...]:
         u, v, f2 = key = len(e), len(o), e.count(2)
         entry = self._keys.get(key)
         if entry is None:
-            rows = tuple([(case, row.image) for case, row in CASES.items() if row.gate(u, v, f2)])
+            cases = record_cases("gate", IMAGE_FORMS, (u, v, f2, u - v, u - f2, u % 2, min(u, v)))
+            rows = tuple([(case, CASES[case].image) for case in cases])
             fixed = all(rest is None for _, rest in rows)
-            entry = self._keys[key] = (tuple([case for case, _ in rows]) if fixed else None, rows)
+            entry = self._keys[key] = (cases if fixed else None, rows)
         matches, rows = entry
         if matches is not None:
             return matches

@@ -81,7 +81,10 @@ MAX_SAMPLED_WEIGHTS = 50
 
 def check_enumerable(n: int, cutoff: int = ENUMERATION_CUTOFF) -> None:
     """Raise ValueError unless weight n is nonnegative and at most the
-    enumeration cutoff, and the cutoff at most ``MAX_ENUMERATION_CUTOFF``."""
+    enumeration cutoff, and the cutoff nonnegative and at most
+    ``MAX_ENUMERATION_CUTOFF``."""
+    if cutoff < 0:
+        raise ValueError(f"enumeration cutoff must be nonnegative, got {cutoff}")
     if cutoff > MAX_ENUMERATION_CUTOFF:
         raise ValueError(
             f"enumeration cutoff {cutoff} exceeds the maximum {MAX_ENUMERATION_CUTOFF}"
@@ -210,8 +213,8 @@ def member_blocks(
     parts are even it may also hold empty entries at odd weights.  When
     the walk ends, is closed or is dropped, reference counting frees the
     memo at once, with no wait for the cyclic collector.  Raises ValueError
-    for negative n, when n exceeds the cutoff or when the cutoff exceeds
-    ``MAX_ENUMERATION_CUTOFF``.
+    for negative n, when n exceeds the cutoff or when the cutoff is negative
+    or exceeds ``MAX_ENUMERATION_CUTOFF``.
     """
     check_enumerable(n, cutoff)
     upper_rem = 1 if family.upper_odd else 0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from parityparts.casemap import (
     CASES,
     IMAGE_FAMILY,
+    IMAGE_FORMS,
     MAX_MAP_WEIGHT,
     NUM_CASES,
     SOURCE_FAMILY,
@@ -25,9 +26,9 @@ from parityparts.casemap import (
     _swap,
     forward,
     image_case_matches,
+    record_cases,
+    record_clamps,
     source_case_matches,
-    source_cases,
-    source_clamps,
     witness,
 )
 from parityparts.core import Partition, parity_split, parse_partition
@@ -1102,6 +1103,10 @@ def test_shared_classifier_matches_reference_on_any_blocks(blocks):
     assert _classified(image, a, b) == _classified(_reference_image_cases, a, b)
 
 
+_source_cases = partial(record_cases, "source", SOURCE_FORMS)
+_gate_cases = partial(record_cases, "gate", IMAGE_FORMS)
+
+
 def _forms(shape):
     """The forms (a, b, a - b, gap, od0, top_gap) of a shape (a, b, gap,
     od0, top_gap), whose features are None where their parts do not exist
@@ -1131,25 +1136,37 @@ def test_shape_lattice_has_exactly_one_source_case_everywhere():
     carries this to every shape at every weight."""
     shapes = list(_shape_lattice())
     assert len(shapes) == 10318
-    assert [shape for shape in shapes if len(source_cases(_forms(shape))) != 1] == []
+    assert [shape for shape in shapes if len(_source_cases(_forms(shape))) != 1] == []
 
 
-def _live_clamps():
-    return dict(zip(SOURCE_FORMS, source_clamps(tuple([row.source for row in CASES.values()]))))
+def _live_clamps(field, forms):
+    """Per form, its [lo, hi] in the live records of the row field."""
+    records = tuple([getattr(row, field) for row in CASES.values()])
+    return dict(zip(forms, record_clamps(field, forms, records)))
 
 
 def test_source_clamps_are_frozen():
     # case 1's gap == 0 puts gap's lo at -1, so a negative cross gap, which
     # only blocks outside the source family have, stays out of its cell
-    assert _live_clamps() == {
+    assert _live_clamps("source", SOURCE_FORMS) == {
         "a": (0, 11), "b": (0, 5), "a - b": (-1, 1), "gap": (-1, 3), "od0": (0, 3),
         "top_gap": (10, 12),
     }
 
 
-def _cell(shape, clamps):
-    """The shape's forms, each clamped to its [lo, hi]."""
-    return tuple(min(max(value, lo), hi) for value, (lo, hi) in zip(_forms(shape), clamps.values()))
+def test_image_clamps_are_frozen():
+    # case 1's min(u, v) == 0 and case 7's u % 2 == 0 give (-1, 1), though
+    # neither form is ever negative on an image key
+    assert _live_clamps("gate", IMAGE_FORMS) == {
+        "u": (0, 15), "v": (0, 6), "f2": (5, 13), "u - v": (-1, 3), "u - f2": (2, 8),
+        "u % 2": (-1, 1), "min(u, v)": (-1, 1),
+    }
+
+
+def _cell(values, clamps):
+    """The values of the forms of clamps, in its order, each clamped to
+    the form's [lo, hi]; the one clamp rule of both sides' proofs."""
+    return tuple(min(max(value, lo), hi) for value, (lo, hi) in zip(values, clamps.values()))
 
 
 def _realizable_shapes(clamps):
@@ -1180,7 +1197,7 @@ def _realizable_cells(clamps):
     """The first shape met in each realizable cell of these clamps."""
     cells = {}
     for shape in _realizable_shapes(clamps):
-        cells.setdefault(_cell(shape, clamps), shape)
+        cells.setdefault(_cell(_forms(shape), clamps), shape)
     return cells
 
 
@@ -1188,8 +1205,8 @@ def _cell_faults():
     """Each realizable cell's first shape whose matches are not exactly
     one case, with those matches."""
     faults = {}
-    for shape in _realizable_cells(_live_clamps()).values():
-        matches = source_cases(_forms(shape))
+    for shape in _realizable_cells(_live_clamps("source", SOURCE_FORMS)).values():
+        matches = _source_cases(_forms(shape))
         if len(matches) != 1:
             faults[shape] = matches
     return faults
@@ -1199,7 +1216,7 @@ def test_every_realizable_cell_has_exactly_one_source_case():
     """Source totality and exclusivity at every weight: every atom holds or
     fails alike on a whole cell, so every shape of a cell meets the
     conditions its first shape meets."""
-    assert len(_realizable_cells(_live_clamps())) == 332
+    assert len(_realizable_cells(_live_clamps("source", SOURCE_FORMS))) == 332
     assert _cell_faults() == {}
 
 
@@ -1251,7 +1268,7 @@ def test_classifier_keys_each_realizable_shape_on_its_cell():
     """The inline clamp of ``Classifier.source`` keys every realizable
     shape, past each clamp's ends too, on the cell the proof walks, and
     meets those cells in the proof's order."""
-    clamps = _live_clamps()
+    clamps = _live_clamps("source", SOURCE_FORMS)
     classifier = Classifier()
     for shape in _realizable_shapes(clamps):
         ev, od = _blocks_of(shape)
@@ -1292,7 +1309,7 @@ def test_one_classifier_matches_reference_whichever_shape_of_a_cell_came_first(s
 def test_compiling_an_unknown_atom_raises(atom):
     # deriving the clamps is the one step from the records to a Classifier
     with pytest.raises(ValueError, match="source atom"):
-        source_clamps(((("a", "==", 1), atom),))
+        record_clamps("source", SOURCE_FORMS, ((("a", "==", 1), atom),))
 
 
 def test_an_unknown_atom_after_a_false_one_is_refused(monkeypatch):
@@ -1304,9 +1321,85 @@ def test_an_unknown_atom_after_a_false_one_is_refused(monkeypatch):
         Classifier()
 
 
-# Case pairs whose (u, v, f2) gates both hold somewhere with f2 <= u <= 40
-# and v <= 12: the gates alone do not make these signatures disjoint, so
-# their rests must.
+def test_an_unknown_gate_atom_is_refused(monkeypatch):
+    # an image key reads a gate only on a miss; the Classifier refuses it first
+    record = CASES[9].gate + (("w", "==", 1),)
+    monkeypatch.setitem(CASES, 9, CASES[9]._replace(gate=record))
+    with pytest.raises(ValueError, match="gate atom .* reads 'w'"):
+        Classifier()
+
+
+# The gates as they read before they became records, (u, v, f2) -> bool.
+REFERENCE_GATES = {
+    1: lambda u, v, f2: u == 0 or v == 0,
+    2: lambda u, v, f2: u == v >= 2,
+    3: lambda u, v, f2: u > v >= 2,
+    4: lambda u, v, f2: v > u >= 2,
+    5: lambda u, v, f2: u == 1 and v >= 1,
+    6: lambda u, v, f2: v >= 3 and u - v >= 3,
+    7: lambda u, v, f2: v in (3, 4) and u >= 6 and u % 2 == 0,
+    8: lambda u, v, f2: v == 2 and u >= 4,
+    9: lambda u, v, f2: u == 3 and v == 3,
+    10: lambda u, v, f2: v == 3 and u >= 5,
+    11: lambda u, v, f2: u >= 2 and v == 1,
+    12: lambda u, v, f2: v == 3 and u >= 4,
+    13: lambda u, v, f2: u >= 6 and v == 5,
+    14: lambda u, v, f2: u >= 6 and v == 5,
+    15: lambda u, v, f2: f2 > 12 and v == 3 and 3 <= u - f2 <= 7,
+    16: lambda u, v, f2: u >= 9 and v == 3 and f2 <= 5,
+    17: lambda u, v, f2: u >= 15 and v == 3 and 6 <= f2 <= 11,
+}
+
+
+def _image_forms(key):
+    """The ``IMAGE_FORMS`` of an image key (u, v, f2)."""
+    u, v, f2 = key
+    return u, v, f2, u - v, u - f2, u % 2, min(u, v)
+
+
+def test_gate_records_match_reference_gates_to_120():
+    gates = REFERENCE_GATES.items()
+    mismatches = [
+        key
+        for u, v in product(range(121), repeat=2)
+        for key in [(u, v, f2) for f2 in range(u + 1)]
+        if _gate_cases(_image_forms(key)) != tuple([case for case, gate in gates if gate(*key)])
+    ]
+    assert mismatches == []
+
+
+def _image_keys(clamps):
+    """Image keys (u, v, f2) that meet every cell of these clamps.
+
+    Every u, v >= 0 and 0 <= f2 <= u make a key: f2 parts 2 and u - f2
+    parts 4 under v distinct odd parts.  A form at or past an end of its
+    clamp keeps its clamp however far past it goes.  u runs to H + 2, H
+    the largest hi of u and of the two sums f2 + (u - f2) and, where
+    u >= v, v + (u - v): a key with u above that has in each sum a form
+    at least 2 past its hi, and lowering it and u by 2 keeps the cell,
+    u % 2 with it; min(u, v) stays past its hi, and where v > u, u - v
+    stays at its lo.  v then runs to max(H + 2, hi of v) + 1: a key with
+    v >= u + 2 and v past its hi keeps its cell with v one less, u - v
+    still at or below its lo -1 and min(u, v) still u.
+    """
+    hi = {form: clamp[1] for form, clamp in clamps.items()}
+    reach = max(hi["u"], hi["f2"] + hi["u - f2"], hi["v"] + hi["u - v"]) + 2
+    for u in range(reach + 1):
+        for v in range(max(reach, hi["v"]) + 2):
+            for f2 in range(u + 1):
+                yield u, v, f2
+
+
+def _gate_cells(clamps):
+    """The first key met in each cell of these clamps."""
+    cells = {}
+    for key in _image_keys(clamps):
+        cells.setdefault(_cell(_image_forms(key), clamps), key)
+    return cells
+
+
+# Case pairs whose gates both hold on some image key: the gates alone do
+# not make these signatures disjoint, so their rests must.
 GATE_OVERLAPS = [
     (2, 9), (3, 6), (3, 7), (3, 8), (3, 10), (3, 12), (3, 13), (3, 14), (3, 15), (3, 16),
     (3, 17), (6, 7), (6, 10), (6, 12), (6, 13), (6, 14), (6, 15), (6, 16), (6, 17), (7, 10),
@@ -1315,14 +1408,29 @@ GATE_OVERLAPS = [
 ]
 
 
-def test_gate_overlaps_are_frozen():
+def _gate_overlaps():
+    """Every pair of cases whose gates both hold on one cell."""
     overlaps = set()
-    for u in range(41):
-        for v in range(13):
-            for f2 in range(u + 1):
-                held = [case for case, row in CASES.items() if row.gate(u, v, f2)]
-                overlaps.update(combinations(held, 2))
-    assert sorted(overlaps) == GATE_OVERLAPS
+    for key in _gate_cells(_live_clamps("gate", IMAGE_FORMS)).values():
+        overlaps.update(combinations(_gate_cases(_image_forms(key)), 2))
+    return sorted(overlaps)
+
+
+def test_gate_overlaps_are_frozen():
+    """The gate overlaps at every key: every atom holds or fails alike on
+    a whole cell, so every key of a cell meets the gates its first key
+    meets."""
+    cells = _gate_cells(_live_clamps("gate", IMAGE_FORMS))
+    assert len(cells) == 1383
+    assert max(max(key[:2]) for key in cells.values()) == 23
+    assert _gate_overlaps() == GATE_OVERLAPS
+
+
+def test_gate_walk_fails_on_a_mutated_gate(monkeypatch):
+    # case 16's f2 <= 6 meets case 17's f2 >= 6 at u >= 15 and v = 3
+    record = (("u", ">=", 9), ("v", "==", 3), ("f2", "<=", 6))
+    monkeypatch.setitem(CASES, 16, CASES[16]._replace(gate=record))
+    assert _gate_overlaps() == sorted(GATE_OVERLAPS + [(16, 17)])
 
 
 def test_only_cases_1_5_and_11_have_no_signature_rest():

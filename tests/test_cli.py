@@ -492,7 +492,10 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "mode,cutoff,message",
-        [("exhaustive", MAX_ENUMERATION_CUTOFF + 1, "enumeration cutoff 122 exceeds the maximum 121")]
+        [
+            ("exhaustive", MAX_ENUMERATION_CUTOFF + 1, "enumeration cutoff 122 exceeds the maximum 121"),
+            ("exhaustive", -1, "enumeration cutoff must be nonnegative, got -1"),
+        ]
         + [
             (mode, ENUMERATION_CUTOFF, f"--cutoff applies to exhaustive mode only, not {mode}")
             for mode in ("sampled", "inequality", "witnesses")

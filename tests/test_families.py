@@ -285,6 +285,12 @@ def test_a_cutoff_above_the_hard_maximum_is_refused():
         next(member_blocks(Family.OD_EU, 0, cutoff=122))
 
 
+def test_a_negative_cutoff_is_refused_by_name():
+    """Even at weight 0, which no cutoff below it could admit."""
+    with pytest.raises(ValueError, match="^enumeration cutoff must be nonnegative, got -1$"):
+        next(member_blocks(Family.OD_EU, 0, cutoff=-1))
+
+
 def test_enumerate_order_is_lex_decreasing():
     for family in CHAIN:
         members = list(enumerate_family(family, 13))

@@ -172,7 +172,7 @@ class TestExhaustive:
         ),
         "case-11-gate": (
             11,
-            {"gate": lambda u, v, f2: u >= 1 and v == 1},
+            {"gate": (("u", ">=", 1), ("v", "==", 1))},
             {"count-equality": 18, "image-signature": 90, "signature-overlap": 90},
             "49d3a68fcb5eae536c6fb68d3deb2b877821bf40aa287e70b5d795e5fbe9ae46",
         ),
@@ -306,26 +306,34 @@ def test_deep_exhaustive_reports_are_frozen(n):
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == DEEP_EXHAUSTIVE_REPORTS[n]
 
 
-# The distinct source cells each driver call classifies through, summed
-# over the calls: every one costs one read of the 17 source records
-# (``casemap.source_cases``), once.  Over 55..60 the 34 905 source members
-# fall in these 533 cells.
-SOURCE_CELLS_MET = {"exhaustive-55-60": 533, "sampled-373": 17}
+# Per side, the distinct source cells and image keys each driver call
+# classifies through, summed over the calls: every one costs one read of
+# that side's 17 records (``casemap.record_cases``), once.  Over 55..60 the
+# 34 905 source members fall in 533 cells; the image keys stay raw, so a
+# switch to image cells shows here.
+RECORDS_READ = {
+    "source": {"exhaustive-55-60": 533, "sampled-373": 17},
+    "gate": {"exhaustive-55-60": 2274, "sampled-373": 537},
+}
 
 
 def test_source_cells_met_are_frozen(monkeypatch):
-    evaluated = []
-    source_cases = casemap.source_cases
-    monkeypatch.setattr(
-        casemap, "source_cases", lambda *args: evaluated.append(args) or source_cases(*args)
-    )
+    read = Counter()
+    record_cases = casemap.record_cases
+
+    def counted(field, *args):
+        read[field] += 1
+        return record_cases(field, *args)
+
+    monkeypatch.setattr(casemap, "record_cases", counted)
     for n in range(55, 61):
         verify_exhaustive(n)
-    exhaustive = len(evaluated)
+    exhaustive = read.copy()
     verify_sampled(373, 1000, 0)
-    assert {"exhaustive-55-60": exhaustive, "sampled-373": len(evaluated) - exhaustive} == (
-        SOURCE_CELLS_MET
-    )
+    assert {
+        field: {"exhaustive-55-60": exhaustive[field], "sampled-373": read[field] - exhaustive[field]}
+        for field in read
+    } == RECORDS_READ
 
 
 # a fresh interpreter verifies weight 120 and prints its own peak RSS
