@@ -23,6 +23,7 @@ from parityparts.families import (
     enumerate_family,
     in_family,
     member_blocks,
+    member_segments,
     sample_family,
 )
 from parityparts.verify import verify_exhaustive
@@ -347,6 +348,20 @@ def test_block_walk_yields_every_member_once_in_order_at_the_cutoff(family):
     assert count == count_family(family, n)
 
 
+@pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)
+def test_segments_joined_are_the_block_walk(family):
+    """Each segment is an upper block with a nonempty list of lower blocks
+    that complete it, and the segments joined in order are the members
+    of ``member_blocks``, at every weight up to the cutoff."""
+    for n in range(ENUMERATION_CUTOFF + 1):
+        walk = member_blocks(family, n)
+        for upper, lowers in member_segments(family, n):
+            assert lowers, (n, upper)
+            for lower in lowers:
+                assert next(walk) == ((lower, upper) if family.upper_odd else (upper, lower))
+        assert next(walk, None) is None, n
+
+
 def _walk_closed_after_first_member():
     walk = member_blocks(Family.EU_OD, 40)
     next(walk)
@@ -363,6 +378,7 @@ def _walk_dropped_after_first_member():
 # is left out, as the stdlib's indented encoder makes cycles of its own
 WALK_ENDINGS = {
     "full": lambda: sum(1 for _ in member_blocks(Family.EU_OD, 40)),
+    "od_eu": lambda: sum(1 for _ in member_blocks(Family.OD_EU, 40)),
     "closed": _walk_closed_after_first_member,
     "dropped": _walk_dropped_after_first_member,
     "enumerate_family": lambda: sum(1 for _ in enumerate_family(Family.OD_EU, 40)),
@@ -385,18 +401,30 @@ def test_a_walk_frees_its_memo_by_reference_counting(ending):
         gc.enable()
 
 
-def test_walk_at_90_peaks_below_12_mib():
-    """The memo keeps only lower blocks of weight at most 2n/3: an ``eu_od``
-    walk at 90 peaks at about 6.6 MiB of traced memory, where a memo of
-    every block peaked at 25.2 MiB."""
+def _walk_peak(family, n):
+    """The member count of a walk at n and its peak traced memory."""
     tracemalloc.start()
     try:
-        count = sum(1 for _ in member_blocks(Family.EU_OD, 90, cutoff=90))
+        count = sum(1 for _ in member_blocks(family, n, cutoff=n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return count, peak
+
+
+def test_walk_at_90_peaks_below_12_mib():
+    """The memo keeps only lower blocks of weight at most 2n/3: an ``eu_od``
+    walk at 90 peaks at about 6.6 MiB of traced memory, where a memo of
+    every block peaked at 25.2 MiB.  The upper tails are kept only up to
+    weight n/3: an ``od_eu`` walk at 90, whose unrestricted upper block
+    has the most tails, peaks at about 1.5 MiB, against 0.7 MiB with no
+    tail memo."""
+    count, peak = _walk_peak(Family.EU_OD, 90)
     assert count == count_family(Family.EU_OD, 90) == 177_143
     assert peak < 12 * 2**20
+    count, peak = _walk_peak(Family.OD_EU, 90)
+    assert count == count_family(Family.OD_EU, 90)
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("family", CHAIN, ids=lambda fam: fam.value)

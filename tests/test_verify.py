@@ -12,7 +12,13 @@ from parityparts import casemap
 from parityparts.casemap import CASES, IMAGE_FAMILY, SOURCE_FAMILY, WITNESS_CUTOFF
 from parityparts.cli import run
 from parityparts.core import Partition, parse_partition
-from parityparts.families import COUNT_CUTOFF, MAX_DRAWS, CountTable, member_blocks
+from parityparts.families import (
+    COUNT_CUTOFF,
+    MAX_DRAWS,
+    CountTable,
+    member_blocks,
+    member_segments,
+)
 from parityparts.series import Series
 from parityparts.verify import (
     CaseTally,
@@ -146,13 +152,19 @@ class TestExhaustive:
         # weight 3 holds only members below their cases' minimum weights
         if collapse:
             self._collapse_case_11(monkeypatch)
+        # the first image walk reads segments (member_segments), the source
+        # walk and a second image walk read members (member_blocks)
         counted = Counter()
 
-        def counting_walk(family, weight, **kwargs):
-            counted[family] += 1
-            return member_blocks(family, weight, **kwargs)
+        def counting(walk):
+            def counting_walk(family, weight, **kwargs):
+                counted[family] += 1
+                return walk(family, weight, **kwargs)
 
-        monkeypatch.setattr(verify_module, "member_blocks", counting_walk)
+            return counting_walk
+
+        monkeypatch.setattr(verify_module, "member_blocks", counting(member_blocks))
+        monkeypatch.setattr(verify_module, "member_segments", counting(member_segments))
         verify_exhaustive(n)
         assert counted == {SOURCE_FAMILY: 1, IMAGE_FAMILY: walks}
 
@@ -219,6 +231,42 @@ class TestExhaustive:
         monkeypatch.undo()
         assert not mutated.ok
         assert verify_exhaustive(39).ok
+
+    @staticmethod
+    def _image_oracle(n):
+        """The image side classified member by member, with ``image``: the
+        members per case that match only that case's signature, and the
+        (partition, detail) of each signature-overlap failure."""
+        classifier = casemap.Classifier()
+        counts, overlaps = Counter(), []
+        for member in member_blocks(IMAGE_FAMILY, n):
+            matches = classifier.image(*member)
+            if len(matches) > 1:
+                shown = verify_module._shown(member)
+                overlaps.append((shown, f"signatures {list(matches)} all matched"))
+            elif matches:
+                counts[matches[0]] += 1
+        return counts, sorted(overlaps)
+
+    @pytest.mark.parametrize("widened", [None, "case-11-gate"])
+    def test_segment_tally_matches_a_per_member_oracle(self, monkeypatch, widened):
+        # the widened gate overlaps case 5, so the overlap path runs too
+        if widened is not None:
+            case, fields, _, _ = self.WIDENED[widened]
+            monkeypatch.setitem(casemap.CASES, case, casemap.CASES[case]._replace(**fields))
+        overlapped = 0
+        for n in range(71):
+            report = verify_exhaustive(n)
+            counts, overlaps = self._image_oracle(n)
+            assert {case: image for case, (_, image) in report.case_counts.items() if image} == counts
+            filed = [
+                (failure.partition, failure.detail)
+                for failure in report.failures
+                if failure.check == "signature-overlap"
+            ]
+            assert sorted(filed) == overlaps, n
+            overlapped += len(overlaps)
+        assert (overlapped > 0) == (widened is not None)
 
     # the member each mutated row gives two matches, or none, the
     # Partition-level functions of that side that refuse it, and the
@@ -291,7 +339,7 @@ class TestExhaustive:
 
 
 # weight: sha256 of verify_exhaustive(n, cutoff=n).to_json(), past the
-# enumeration cutoff.  At 120 one run takes about 10 s and 72 MiB peak RSS.
+# enumeration cutoff.  At 120 one run takes about 10 s and 71 MiB peak RSS.
 DEEP_EXHAUSTIVE_REPORTS = {
     105: "8480185a51074d457728263d26ada9b0d4fccaf3f4320921f70530f5d5b998dd",
     120: "fad06e522971ea12615f1e0f50c2df213190fecb9c26aed3ca3f63fb63e3340f",
@@ -347,9 +395,9 @@ assert verify_exhaustive(120, cutoff=120).ok
 
 @pytest.mark.slow
 def test_exhaustive_at_120_peaks_below_120_mib():
-    """The walk's memo keeps only lower blocks of weight at most 2n/3: the
-    whole process peaks at about 69 MiB, where a memo of every block took
-    334 MiB."""
+    """The walk's memos keep only lower blocks of weight at most 2n/3 and
+    upper tails of weight at most n/3: the whole process peaks at about
+    71 MiB, where a memo of every lower block took 334 MiB."""
     peak = int(run_fresh(DEEP_PEAK_RSS))
     assert peak < 120 * 1024, f"peak RSS {peak} KiB"
 
