@@ -228,7 +228,15 @@ def _cmd_verify(args) -> int:
     else:
         reports = [verify_witnesses(args.lo, args.hi)]
     if args.format == "json":
-        print("[" + ",\n".join(report.to_json() for report in reports) + "]")
+        # each report's chunks go out as they come, so no report's whole
+        # JSON text is ever held at once
+        out = sys.stdout
+        out.write("[")
+        for index, report in enumerate(reports):
+            if index:
+                out.write(",\n")
+            out.writelines(report.json_chunks())
+        out.write("]\n")
     else:
         for report in reports:
             for line in report.text_lines():

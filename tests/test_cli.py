@@ -12,6 +12,7 @@ import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from parityparts.families import (
     Family,
     enumerate_family,
 )
+from fresh_python import run_fresh
 from test_casemap import KNOWN_PAIRS
 
 
@@ -520,6 +522,40 @@ class TestVerify:
         assert code == 0
         assert out == f"[{verify.verify_exhaustive(71, cutoff=71).to_json()}]\n"
 
+    @pytest.mark.parametrize(
+        "mode,lo,hi,build",
+        [
+            ("exhaustive", 20, 23, verify.verify_exhaustive),
+            ("sampled", 373, 375, lambda n: verify.verify_sampled(n, 1000, 0)),
+        ],
+        ids=["exhaustive", "sampled"],
+    )
+    def test_json_streams_each_report_in_turn(self, capsys, mode, lo, hi, build):
+        code, out, _ = invoke(
+            capsys, "verify", "--mode", mode, "--from", str(lo), "--to", str(hi),
+            "--format", "json",
+        )
+        assert code == 0
+        assert out == "[" + ",\n".join(build(n).to_json() for n in range(lo, hi + 1)) + "]\n"
+
+    def test_inequality_json_peaks_below_2_5_mib(self):
+        """The CLI writes each report record by record: over 50..3000 the
+        run's traced peak is about 1.5 MiB, where the indented encoder's
+        dict per record and list of pieces took it to about 4 MiB."""
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = run(
+                    ["verify", "--mode", "inequality", "--from", "50", "--to", "3000",
+                     "--format", "json"]
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2.5 * 2**20, f"traced peak {peak} bytes"
+
     def test_inequality_failure_sets_exit_code(self, capsys):
         code, out, _ = invoke(
             capsys, "verify", "--mode", "inequality", "--from", "3", "--to", "3"
@@ -693,6 +729,41 @@ def test_module_entry_point_in_process(monkeypatch, capsys, argv, code, out, err
             runpy.run_module("parityparts.cli", run_name="__main__")
     assert exited.value.code == code
     assert capsys.readouterr() == (out, err)
+
+
+# a fresh interpreter runs the CLI in a child of its own, the arguments
+# after sys.argv[2] with stdout to the file sys.argv[2], and prints the
+# child's exit status and peak RSS in KiB.  The child's peak starts from
+# this small interpreter's, not from the test process's (see
+# fresh_python), and ``-c`` stands in for ``-m``, which under ``-I`` would
+# not find the checkout's ``src``
+CLI_PEAK_RSS = """
+import resource, subprocess, sys
+cli = "import sys; sys.path.insert(0, sys.argv.pop(1)); from parityparts.cli import main; main()"
+with open(sys.argv[2], "w") as out:
+    argv = [sys.executable, "-I", "-S", "-c", cli, sys.argv[1], *sys.argv[3:]]
+    status = subprocess.run(argv, stdout=out).returncode
+print(status, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+# sha256 of the JSON of verify --mode inequality over 0..10000, frozen
+# from the CLI that printed its reports through json.dumps(..., indent=2)
+INEQUALITY_10000_JSON = "f532b565d9d950ac2e927635950fde037df0993a4cffe94f6b26efe41f820ebb"
+
+
+@pytest.mark.slow
+def test_inequality_json_to_10000_peaks_below_20_mib(tmp_path):
+    """The whole CLI process peaks at about 16.4 MiB, where printing the
+    joined indented JSON of the 10 001 records took it to 27.3 MiB.  It
+    exits 1, as weights below 50 are not all strict."""
+    path = tmp_path / "inequality.json"
+    status, peak = run_fresh(
+        CLI_PEAK_RSS, str(path),
+        "verify", "--mode", "inequality", "--from", "0", "--to", "10000", "--format", "json",
+    ).split()
+    assert status == "1"
+    assert int(peak) < 20 * 1024, f"peak RSS {peak} KiB"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == INEQUALITY_10000_JSON
 
 
 # Fuzzed refusals: every input ends in exit 0, 1 or 2 without an exception,

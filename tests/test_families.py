@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import hashlib
+import io
 import random
 import tracemalloc
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parityparts import cli
 from parityparts.core import Partition, parity_split, parse_partition
 from parityparts.families import (
     COUNT_CUTOFF,
@@ -374,8 +377,20 @@ def _walk_dropped_after_first_member():
     del walk
 
 
-# walks that must leave nothing for the cyclic collector; the report's JSON
-# is left out, as the stdlib's indented encoder makes cycles of its own
+# argparse's parser holds cycles of its own, so the CLI run starts from
+# arguments parsed here
+CLI_JSON_ARGS = cli.build_parser().parse_args(
+    ["verify", "--mode", "exhaustive", "--from", "39", "--to", "40", "--format", "json"]
+)
+
+
+def _cli_json_run():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli._cmd_verify(CLI_JSON_ARGS) == 0
+
+
+# walks that must leave nothing for the cyclic collector, serialized
+# reports included
 WALK_ENDINGS = {
     "full": lambda: sum(1 for _ in member_blocks(Family.EU_OD, 40)),
     "od_eu": lambda: sum(1 for _ in member_blocks(Family.OD_EU, 40)),
@@ -383,6 +398,8 @@ WALK_ENDINGS = {
     "dropped": _walk_dropped_after_first_member,
     "enumerate_family": lambda: sum(1 for _ in enumerate_family(Family.OD_EU, 40)),
     "verify_exhaustive": lambda: verify_exhaustive(40),
+    "verify_exhaustive_json": lambda: verify_exhaustive(40).to_json(),
+    "cli_json": _cli_json_run,
 }
 
 

@@ -22,6 +22,7 @@ from parityparts.families import (
 from parityparts.series import Series
 from parityparts.verify import (
     CaseTally,
+    VerificationReport,
     verify_exhaustive,
     verify_inequality,
     verify_sampled,
@@ -602,7 +603,46 @@ class TestWitnesses:
             verify_witnesses(WITNESS_CUTOFF, WITNESS_CUTOFF + 1)
 
 
+def _widened_case_11_gate(monkeypatch):
+    case, fields, _, _ = TestExhaustive.WIDENED["case-11-gate"]
+    monkeypatch.setitem(casemap.CASES, case, casemap.CASES[case]._replace(**fields))
+    return [verify_exhaustive(n) for n in range(41)]
+
+
+def _filed_by_hand(monkeypatch):
+    report = VerificationReport(mode="exhaustive", n_lo=7, n_hi=7)
+    report.tally(3).tested = 2
+    report.case_counts = {3: (2, 1)}
+    report.record_failure(7, 'a"b\\c', "tab\t", "\u00e9 \u2603 [1, 2] 'quoted' \"twice\"\n")
+    return [report.finish()]
+
+
+# reports of every mode, failing ones included: inequality below 50, and
+# exhaustive under the widened case-11 gate, whose details hold brackets;
+# the failure filed by hand holds quotes, a backslash, control characters
+# and non-ASCII text
+JSON_ORACLE_REPORTS = {
+    "exhaustive": lambda monkeypatch: [verify_exhaustive(n) for n in range(41)],
+    "case-11-gate": _widened_case_11_gate,
+    "sampled": lambda monkeypatch: [verify_sampled(373, 100, seed=0)],
+    "inequality-series": lambda monkeypatch: [verify_inequality(0, 300, "series")],
+    "inequality-dp": lambda monkeypatch: [verify_inequality(0, 300, "dp")],
+    "inequality-both": lambda monkeypatch: [verify_inequality(0, 300, "both")],
+    "witnesses": lambda monkeypatch: [verify_witnesses(373, 400)],
+    "filed-by-hand": _filed_by_hand,
+}
+
+
 class TestReportShape:
+    @pytest.mark.parametrize("reports", JSON_ORACLE_REPORTS)
+    def test_json_is_the_indented_dump_of_the_data_view(self, monkeypatch, reports):
+        for report in JSON_ORACLE_REPORTS[reports](monkeypatch):
+            assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+    @pytest.mark.parametrize("reports", ["case-11-gate", "inequality-both", "filed-by-hand"])
+    def test_json_oracle_covers_failing_reports(self, monkeypatch, reports):
+        assert not all(report.ok for report in JSON_ORACLE_REPORTS[reports](monkeypatch))
+
     def test_json_schema_keys(self):
         report = verify_exhaustive(20)
         data = json.loads(report.to_json())
